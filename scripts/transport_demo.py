@@ -47,7 +47,7 @@ def main():
         if dim != 1 or img.is_zero():
             bad += 1
         if shown < args.show:
-            print(f"{str(coords):30} {len(words[vec]):>6} {dim:>4} "
+            print(f"{str(coords):30} {len(words[vec][1]):>6} {dim:>4} "
                   f"{len(img.terms):>6}")
             shown += 1
     dt = time.monotonic() - t0

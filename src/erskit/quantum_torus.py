@@ -389,6 +389,7 @@ def verify_q(config: QebsConfig, q_numeric: Fraction | None = None) -> QReport:
         )
     # grading: [pi(h_sigma), pi(E_mu)] = J(sigma, mu) pi(E_mu)
     sp = config.space
+    grading_ok = True
     for x in range(sp.dim):
         lab = sp.basis_labels()[x]
         h = real.image(f"h:{lab}")
@@ -400,8 +401,9 @@ def verify_q(config: QebsConfig, q_numeric: Fraction | None = None) -> QReport:
                 diff = diff.specialize(q_numeric)
             ok = diff.is_zero()
             if not ok:
+                grading_ok = False
                 rep.entries.append((f"grading[h:{lab},{mu.ident}]", ok, "mismatch"))
-    rep.entries.append(("grading", True, ""))
+    rep.entries.append(("grading", grading_ok, ""))
     return rep
 
 

@@ -323,7 +323,15 @@ def _acc(out: dict, elem: dict, scalar):
             del out[key]
 
 
-_DEFAULT_CAP = int(os.environ.get("ERSKIT_MAX_MEM", "200000"))
+def _default_cap() -> int:
+    """The basis-size budget from ERSKIT_MAX_MEM, read when a build starts."""
+    raw = os.environ.get("ERSKIT_MAX_MEM", "200000")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError(
+            f"ERSKIT_MAX_MEM must be an integer, got {raw!r}"
+        ) from None
 
 
 class GradedAlgebra:
@@ -334,7 +342,7 @@ class GradedAlgebra:
     of a stacked rational matrix.
     """
 
-    def __init__(self, hd: HandyDatum, height: int, cap: int = _DEFAULT_CAP):
+    def __init__(self, hd: HandyDatum, height: int, cap: int | None = None):
         if height < 1:
             raise DomainError("height bound must be >= 1")
         self.hd = hd
@@ -349,7 +357,7 @@ class GradedAlgebra:
         # gact: [E_j, negative basis element]
         self.gact: dict[tuple, dict[int, dict]] = {}
         self._size = 0
-        self._cap = cap
+        self._cap = _default_cap() if cap is None else cap
         self._build()
 
     # -- weights ------------------------------------------------------------
@@ -668,7 +676,7 @@ class GradedAlgebra:
         return -sign * self.form(self._key_elem("+", sub, sidx), peeled)
 
 
-def build_graded(hd: HandyDatum, height: int, cap: int = _DEFAULT_CAP) -> GradedAlgebra:
+def build_graded(hd: HandyDatum, height: int, cap: int | None = None) -> GradedAlgebra:
     return GradedAlgebra(hd, height, cap)
 
 
@@ -769,7 +777,7 @@ def loop_form(x: LoopElement, y: LoopElement):
 class Realization:
     """The graded algebra together with the generator images."""
 
-    def __init__(self, config: QebsConfig, height: int, cap: int = _DEFAULT_CAP):
+    def __init__(self, config: QebsConfig, height: int, cap: int | None = None):
         self.config = config
         self.hd = build_handy(config)
         self.alg = build_graded(self.hd, height, cap)
@@ -1056,13 +1064,34 @@ def transport_images(real: Realization, words: dict, targets=None) -> dict:
 
     Walks the map in its breadth-first insertion order, so each vector costs
     one reflection automorphism applied to its parent's element.  With a
-    targets collection only their mirror-chain ancestors are computed.
+    targets collection only their mirror-chain ancestors are computed.  A
+    target without a word of its own whose half beta has one (a doubled
+    root 2 beta, beta odd) gets [X_beta, X_beta], since automorphisms
+    preserve brackets; any other target missing from the map raises
+    DomainError.
     """
-    sp = real.config.space
+    config = real.config
+    mirrors = {sym: _int_mirror(config, sym) for sym in b_all(config)}
+
+    def parent(vec, word):
+        return mirrors[word[-1]](vec)
+
     needed = None
+    doubled = {}
     if targets is not None:
         needed = set()
-        stack = [v for v in targets if v in words]
+        stack = []
+        for vec in targets:
+            if vec not in words:
+                half = tuple(x // 2 for x in vec)
+                if any(x % 2 for x in vec) or half not in words:
+                    raise DomainError(
+                        f"no reflection word reaches the root "
+                        f"({', '.join(map(str, vec))})"
+                    )
+                doubled[vec] = half
+                vec = half
+            stack.append(vec)
         while stack:
             vec = stack.pop()
             if vec in needed:
@@ -1070,7 +1099,7 @@ def transport_images(real: Realization, words: dict, targets=None) -> dict:
             needed.add(vec)
             _, word = words[vec]
             if word:
-                stack.append(sp.reflect(word[-1].vector(real.config), vec))
+                stack.append(parent(vec, word))
     out: dict[Vec, LoopElement] = {}
     for vec, (sym0, word) in words.items():
         if needed is not None and vec not in needed:
@@ -1078,9 +1107,9 @@ def transport_images(real: Realization, words: dict, targets=None) -> dict:
         if not word:
             out[vec] = real.image(sym0.ident)
         else:
-            msym = word[-1]
-            parent = sp.reflect(msym.vector(real.config), vec)
-            out[vec] = aut_n(real, msym, out[parent])
+            out[vec] = aut_n(real, word[-1], out[parent(vec, word)])
+    for vec, half in doubled.items():
+        out[vec] = loop_bracket(out[half], out[half])
     return out
 
 
@@ -1175,57 +1204,82 @@ def witness_height(config: QebsConfig, rootset, words=None) -> int:
 def witness_words(config: QebsConfig, rootset) -> dict:
     """Reflection words reaching every root of the rootset's window.
 
-    The sweep is allowed to route through roots slightly outside the window;
-    the membership table extends two twist periods past it, which is enough
-    slack for the mirror chains.
+    The keys are integer tuples of ambient length with zero Ld and La
+    coordinates; they compare and hash equal to the Fraction tuples of
+    `root_to_ambient`.  The sweep is allowed to route through roots slightly
+    outside the window; the membership table extends two twist periods past
+    it, which is enough slack for the mirror chains.
     """
     sp = config.space
-    n_nodes = sp.n_nodes
+    n_nodes, idx_a = sp.n_nodes, sp.idx_a
     c0_bound = rootset.window.M * rootset.delta0 + 2 * rootset.period
     n_bound = rootset.window.N + 2 * rootset.period
 
-    def keep(vec: Vec) -> bool:
-        if vec[sp.idx_Ld] != 0 or vec[sp.idx_La] != 0:
+    def keep(vec: tuple) -> bool:
+        if abs(vec[0]) > c0_bound or abs(vec[idx_a]) > n_bound:
             return False
-        if any(x.denominator != 1 for x in vec):
-            return False
-        if abs(vec[0]) > c0_bound or abs(vec[sp.idx_a]) > n_bound:
-            return False
-        coords = tuple(int(vec[i]) for i in range(n_nodes)) + (int(vec[sp.idx_a]),)
-        return rootset.member(coords)
+        return rootset.member(vec[:n_nodes] + (vec[idx_a],))
 
     return reflection_words(config, keep)
+
+
+def _int_mirror(config: QebsConfig, sym: RootSym):
+    """The reflection in sym's vector as a map on integer ambient tuples
+    with zero Ld and La coordinates.
+
+    On such a tuple v, <alpha_i^vee, v> = p = sum_j a_ij v_j, so the plain
+    mirror alpha_i sends v to v - p alpha_i.  The starred mirror
+    alpha_i* = c alpha_i + k_i a sends v to v - p alpha_i - (p k_i / c) a;
+    when c does not divide p k_i that image leaves the lattice and the map
+    returns None.  The sign of sym does not matter.
+    """
+    sp = config.space
+    i, idx_a = sym.node, sp.idx_a
+    row = sp.cartan[i]
+    c, k = (config.c_of(i), config.k[i]) if sym.star else (1, 0)
+
+    def image(vec: tuple) -> tuple | None:
+        p = sum(a * x for a, x in zip(row, vec))
+        shift, rem = divmod(p * k, c)
+        if rem:
+            return None
+        out = list(vec)
+        out[i] -= p
+        out[idx_a] -= shift
+        return tuple(out)
+
+    return image
 
 
 def reflection_words(config: QebsConfig, keep) -> dict:
     """Reflection words from the base roots to everything reachable while
     `keep(vector)` holds; one breadth-first sweep serves a whole window.
 
+    Vectors are integer tuples of ambient length whose Ld and La
+    coordinates are zero, and `keep` receives them in that form.  A starred
+    mirror whose image would have a non-integral a-coordinate is skipped.
+
     Returns vector -> (starting base root, list of mirrors applied in order).
     """
     from collections import deque
 
-    sp = config.space
     mirrors = [
-        (sym, sym.vector(config)) for sym in b_all(config) if sym.sign > 0
+        (sym, _int_mirror(config, sym)) for sym in b_all(config) if sym.sign > 0
     ]
-    seen: dict[Vec, tuple] = {}
+    seen: dict[tuple, tuple] = {}
     queue = deque()
-    for sym, vec in mirrors:
-        for s, v in ((sym, vec), (RootSym(sym.node, sym.star, -1),
-                                  tuple(-x for x in vec))):
+    for sym, _ in mirrors:
+        vec = tuple(int(x) for x in sym.vector(config))
+        for s, v in ((sym, vec), (sym.negate(), tuple(-x for x in vec))):
             if v not in seen and keep(v):
                 seen[v] = (s, [])
                 queue.append(v)
     while queue:
         cur = queue.popleft()
         sym0, word = seen[cur]
-        for msym, mvec in mirrors:
-            try:
-                img = sp.reflect(mvec, cur)
-            except DomainError:
-                continue
-            if img in seen or not keep(img):
+        for msym, mirror in mirrors:
+            img = mirror(cur)
+            if img is None or img in seen or not keep(img):
                 continue
             seen[img] = (sym0, word + [msym])
             queue.append(img)

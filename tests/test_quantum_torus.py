@@ -111,6 +111,19 @@ def test_dropped_q_factor_breaks_qsr7():
     assert diff.specialize(Fraction(1)).is_zero()
 
 
+def test_grading_entry_reports_mismatches(monkeypatch):
+    # hand the grading loop the Cartan image of a1 where a0 is asked for
+    image = QRealization.image
+    monkeypatch.setattr(
+        QRealization, "image",
+        lambda self, ident: image(self, "h:a1" if ident == "h:a0" else ident),
+    )
+    rep = verify_q(simple_config("A2(1)"))
+    entries = {lbl: ok for lbl, ok, _ in rep.entries}
+    assert not entries["grading"]
+    assert any(lbl.startswith("grading[h:a0,") for lbl, _ in rep.failures())
+
+
 def test_rank_three_formal_check():
     rep = verify_q(simple_config("A3(1)"))
     assert rep.passed, rep.failures()

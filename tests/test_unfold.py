@@ -1,8 +1,12 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
-from erskit.ambient import ConfigError
+import erskit
+from erskit.ambient import ConfigError, DomainError
 from erskit.base_system import simple_config
 from erskit.cyclo import Cyc, ONE
 from erskit.presentation import RelationSet, RootSym, b_all, emit_sr
@@ -99,6 +103,17 @@ def test_graded_cap_raises_resource_error():
     with pytest.raises(ResourceError) as exc:
         build_graded(hd, 6, cap=1)
     assert exc.value.completed_height >= 2
+
+
+def test_bad_max_mem_fails_at_build_not_import(monkeypatch):
+    monkeypatch.setenv("ERSKIT_MAX_MEM", "lots")
+    monkeypatch.setenv("PYTHONPATH", os.path.dirname(os.path.dirname(erskit.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import erskit.cli"], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    with pytest.raises(ConfigError, match="ERSKIT_MAX_MEM"):
+        build_graded(_plain_datum([[2, -1], [-3, 2]]), 2)
 
 
 def _sample_elements(alg):
@@ -237,3 +252,54 @@ def test_transport_base_symbols_are_generator_images():
         direct = real.image(sym.ident)
         got = images[vec]
         assert got.plus(direct.scaled(-ONE)).is_zero()
+
+
+def test_transport_rejects_unreached_target():
+    cfg = simple_config("A2(1)")
+    rs = generate(cfg, RootWindow(2, 2))
+    words = witness_words(cfg, rs)
+    real = Realization(cfg, witness_height(cfg, rs, words))
+    with pytest.raises(DomainError, match="no reflection word"):
+        transport_images(real, words, targets=[root_to_ambient(cfg, (3, 0, 0, 0))])
+
+
+@pytest.mark.parametrize("g", ["Z", "2Z+1"])
+def test_criterion_8_doubled_and_odd_configs(g):
+    # g(a0) = Z has doubled-only roots 2*beta that no reflection word
+    # reaches; their images come from [X_beta, X_beta]
+    cfg = simple_config("D3(2)", g={0: g})
+    rs = generate(cfg, RootWindow(3, 3))
+    words = witness_words(cfg, rs)
+    real = Realization(cfg, witness_height(cfg, rs, words))
+    vectors = [root_to_ambient(cfg, c) for c, _ in rs.sorted_roots()]
+    images = transport_images(real, words, targets=vectors)
+    # with k_vee = 2 (g(a0) = 2Z+1) the loop algebra doubles Ibar, and the
+    # ambient eigenspace of a root may exceed its one-dimensional image
+    plain = set(k_vee(cfg).values()) == {1}
+    for vec in vectors:
+        dim = loop_weight_dim(real, vec)
+        assert dim == 1 if plain else dim >= 1, vec
+        assert not images[vec].is_zero(), vec
+
+
+@pytest.mark.parametrize("name, kwargs", [
+    ("A2(1)", {}),
+    ("G2(1)", {"k": {0: 3, 1: 3, 2: 1}}),
+    ("D3(2)", {"g": {0: "2Z+1"}}),
+    ("A4(2)", {}),
+])
+def test_witness_words_replay_through_ambient_reflections(name, kwargs):
+    # the integer reflection kernel against the Fraction AmbientSpace.reflect;
+    # each word extends one met earlier in the map, so one reflection each
+    cfg = simple_config(name, **kwargs)
+    sp = cfg.space
+    words = witness_words(cfg, generate(cfg, RootWindow(3, 3)))
+    replayed = {}
+    for vec, (sym0, word) in words.items():
+        if word:
+            prefix = replayed[(sym0, tuple(word[:-1]))]
+            cur = sp.reflect(word[-1].vector(cfg), prefix)
+        else:
+            cur = sym0.vector(cfg)
+        assert cur == vec, (sym0, word)
+        replayed[(sym0, tuple(word))] = cur

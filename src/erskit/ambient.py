@@ -336,8 +336,8 @@ class AmbientSpace:
             for i, m in enumerate(marks):
                 v[i] = Fraction(m)
             delta = tuple(v)
-            assert self.j(delta, delta) == 0
-            assert self.j(self.Lambda_delta, delta) == 1
+            if self.j(delta, delta) != 0 or self.j(self.Lambda_delta, delta) != 1:
+                raise ConfigError("kernel of the Cartan block is not a null root")
             self._delta = delta
         return self._delta
 
@@ -459,7 +459,8 @@ def _kernel_marks(B: list[list[Fraction]]) -> list[int]:
         pivots.append(c)
         r += 1
     free = [c for c in range(n) if c not in pivots]
-    assert len(free) == 1
+    if len(free) != 1:
+        raise ConfigError(f"Cartan block has corank {len(free)}, expected 1")
     fc = free[0]
     sol = [Fraction(0)] * n
     sol[fc] = Fraction(1)
@@ -475,7 +476,8 @@ def _kernel_marks(B: list[list[Fraction]]) -> list[int]:
     ints = [v // g for v in ints]
     if any(v < 0 for v in ints):
         ints = [-v for v in ints]
-    assert all(v > 0 for v in ints)
+    if not all(v > 0 for v in ints):
+        raise ConfigError("kernel of the Cartan block has a non-positive mark")
     return ints
 
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .ambient import ConfigError, DomainError
 from .base_system import EMPTY, GClass, QebsConfig, pi_b
-from .roots import EllipticRootSet, Root, RootWindow, generate
+from .roots import EllipticRootSet, Root, RootWindow, closure, generate, mirror
 
 _RANK1 = {
     "empty": ("i", "A1(1)", None),
@@ -48,53 +48,18 @@ class CaseRecord:
     data: dict
 
 
-def _finite_j(rootset: EllipticRootSet, x: Root, y: Root) -> Fraction:
-    """J on full root tuples; the marking coordinate never contributes."""
-    sp = rootset.config.space
-    n = sp.n_nodes
-    total = Fraction(0)
-    for i in range(n):
-        if x[i] == 0:
-            continue
-        row = sp.sym[i]
-        for j in range(n):
-            if y[j] != 0:
-                total += x[i] * row[j] * y[j]
-    return total
-
-
-def _reflect(rootset: EllipticRootSet, mirror: Root, rho: Root) -> Root:
-    t = 2 * _finite_j(rootset, mirror, rho) / _finite_j(rootset, mirror, mirror)
-    if t.denominator != 1:
-        raise DomainError("non-integral reflection pairing")
-    t = int(t)
-    return tuple(r - t * m for r, m in zip(rho, mirror))
-
-
-def _generated_subsystem(
-    rootset: EllipticRootSet, base: list[Root]
-) -> set[Root]:
-    """Reflection-generated subsystem on base vectors with doubles of the
-    odd ones, window-scoped."""
-    M, N = rootset.window.M, rootset.window.N
-    d0 = rootset.delta0
-    seeds = set()
-    for sigma in base:
-        seeds.add(sigma)
+def _generated_subsystem(rootset: EllipticRootSet, i: int) -> set[Root]:
+    """Reflection-generated subsystem on alpha_i and -alpha_i* with the
+    doubles of the odd ones, window-scoped."""
+    config = rootset.config
+    bound, N = rootset.window.M * rootset.delta0, rootset.window.N
+    seeds = []
+    for sigma in (_node_root(config, i), _node_root(config, i, star=True, sign=-1)):
+        seeds.append((sigma, None))
         if rootset.parity(sigma):
-            seeds.add(tuple(2 * x for x in sigma))
-    found = set(seeds)
-    queue = list(seeds)
-    while queue:
-        rho = queue.pop()
-        for mirror in base:
-            img = _reflect(rootset, mirror, rho)
-            if abs(img[0]) > M * d0 or abs(img[-1]) > N:
-                continue
-            if img not in found:
-                found.add(img)
-                queue.append(img)
-    return found
+            seeds.append((tuple(2 * x for x in sigma), None))
+    mirrors = [(star, mirror(config, i, star)) for star in (False, True)]
+    return set(closure(seeds, mirrors, lambda v: abs(v[0]) <= bound and abs(v[-1]) <= N))
 
 
 def _node_root(config: QebsConfig, i: int, star: bool = False, sign: int = 1) -> Root:
@@ -115,9 +80,6 @@ def classify_rank1(
     if rootset is None:
         rootset = generate(config, RootWindow(3, 3, 2))
 
-    alpha = _node_root(config, i)
-    minus_star = _node_root(config, i, star=True, sign=-1)
-
     # the pair must pair into a singular rank-two block with negative
     # off-diagonal entries, the shape of an affine 2x2 datum
     c = config.c_of(i)
@@ -127,13 +89,13 @@ def classify_rank1(
         raise AssertionError("pair {alpha, -alpha*} is not an affine block")
 
     slice_roots = set(rootset.restrict({i}))
-    sub = _generated_subsystem(rootset, [alpha, minus_star])
+    sub = _generated_subsystem(rootset, i)
     if slice_roots != sub:
         raise AssertionError(
             f"rank-one slice at node {i} disagrees with the generated subsystem"
         )
 
-    p = rootset.parity(alpha)
+    p = rootset.parity(_node_root(config, i))
     if p_stated is not None and p != p_stated:
         raise AssertionError(f"p(alpha_{i}) = {p}, table says {p_stated}")
     return CaseRecord(case, name, {"node": i, "g": tag, "p": p})
@@ -161,9 +123,7 @@ def classify_rank2(
 
     if rootset is None:
         rootset = generate(config, RootWindow(3, 3, 2))
-    alpha = _node_root(config, i)
-    beta = _node_root(config, j)
-    gamma = _apply_word(rootset, word, alpha, beta, config, i, j)
+    gamma = _apply_word(config, word, i, j)
 
     if gamma[-1] != -1:
         raise AssertionError(f"gamma = {gamma} is not at marking coordinate -1")
@@ -186,21 +146,16 @@ def classify_rank2(
     )
 
 
-def _apply_word(rootset, word, alpha, beta, config, i, j):
+def _apply_word(config, word, i, j):
     start = {
-        "sa(-b*)": (alpha,),
-        "sb(-a*)": (beta,),
-        "sb.sa(-b*)": (beta, alpha),
-        "sa.sb(-a*)": (alpha, beta),
+        "sa(-b*)": (i,),
+        "sb(-a*)": (j,),
+        "sb.sa(-b*)": (j, i),
+        "sa.sb(-a*)": (i, j),
     }[word]
-    seed = (
-        _node_root(config, j, star=True, sign=-1)
-        if word.endswith("(-b*)")
-        else _node_root(config, i, star=True, sign=-1)
-    )
-    out = seed
-    for mirror in reversed(start):
-        out = _reflect(rootset, mirror, out)
+    out = _node_root(config, j if word.endswith("(-b*)") else i, star=True, sign=-1)
+    for node in reversed(start):
+        out = mirror(config, node, False)(out)
     return out
 
 

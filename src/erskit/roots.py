@@ -14,7 +14,8 @@ ones), so closure checks can be exact without materializing huge sets.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -75,8 +76,74 @@ def doubled_progression(cls: OrbitClass) -> Progression:
     return Progression(g.modulus * cls.k, g.residue * cls.k)
 
 
+def mirror(config: QebsConfig, i: int, star: bool):
+    """The reflection in alpha_i, or in alpha_i* when star, as a map on
+    Root tuples (c_0..c_l, n).
+
+    On such a tuple <alpha_i^vee, v> = p = sum_j a_ij c_j, so the plain
+    mirror sends v to v - p alpha_i; it leaves n alone and so also acts on
+    alpha-parts.  The starred mirror alpha_i* = c alpha_i + k_i a sends v to
+    v - p alpha_i - (p k_i / c) a; when c does not divide p k_i that image
+    leaves the lattice and the map returns None.
+    """
+    row = config.space.cartan[i]
+    c, k = (config.c_of(i), config.k[i]) if star else (1, 0)
+
+    def image(vec: tuple) -> tuple | None:
+        p = sum(a * x for a, x in zip(row, vec))
+        if not p:
+            return vec
+        shift, rem = divmod(p * k, c)
+        if rem:
+            return None
+        out = list(vec)
+        out[i] -= p
+        out[-1] -= shift
+        return tuple(out)
+
+    return image
+
+
+def root_of(config: QebsConfig, vec) -> Root:
+    """The integer Root tuple of an ambient vector whose Ld and La
+    coordinates are zero."""
+    sp = config.space
+    return tuple(int(x) for x in vec[: sp.n_nodes]) + (int(vec[sp.idx_a]),)
+
+
+def closure(seeds, mirrors, keep) -> dict:
+    """Breadth-first reflection closure.
+
+    `seeds` yields (vector, seed label) pairs and `mirrors` is a list of
+    (mirror label, map); a vector enters only while `keep(vector)` holds.
+    Returns vector -> (seed label, list of mirror labels applied in order)
+    in insertion order, so every word extends one met earlier.
+    """
+    seen: dict = {}
+    queue = deque()
+    for vec, seed in seeds:
+        if vec not in seen and keep(vec):
+            seen[vec] = (seed, [])
+            queue.append(vec)
+    while queue:
+        cur = queue.popleft()
+        seed, word = seen[cur]
+        for label, image in mirrors:
+            img = image(cur)
+            if img is None or img in seen or not keep(img):
+                continue
+            seen[img] = (seed, word + [label])
+            queue.append(img)
+    return seen
+
+
 class EllipticRootSet:
-    """A generated window slice plus the arithmetic membership tables."""
+    """A generated window slice plus the arithmetic membership tables.
+
+    `fintable` maps (delta0 * phi, c_0) to an orbit class, where
+    phi_i = c_i - (c_0 / delta0) m_i is the finite part of a real
+    alpha-part c; scaled by delta0 it is an integer vector.
+    """
 
     def __init__(self, config: QebsConfig, window: RootWindow, validate: bool = True):
         # validate=False still builds the formula-defined set, which lets the
@@ -95,7 +162,8 @@ class EllipticRootSet:
         # detected after the table is built
         self.period = 2 * sp.type.twist * self.delta0
         self.classes: list[OrbitClass] = []
-        self.fintable: dict[tuple[tuple[Fraction, ...], int], int] = {}
+        self.fintable: dict[tuple[tuple[int, ...], int], int] = {}
+        self._plain = [mirror(config, i, False) for i in range(sp.n_nodes)]
         self._build_fintable()
         self.inner: dict[Root, dict] = {}
         self._enumerate_inner()
@@ -110,7 +178,12 @@ class EllipticRootSet:
         self._vkeep = vkeep
         vbfs = vkeep + 2 * self.period
 
-        class_of_node = {}
+        mirrors = list(enumerate(self._plain))
+
+        def keep(c):
+            return abs(c[0]) <= vbfs
+
+        label: dict[APart, int] = {}
         for cls_nodes in sp.node_orbit_classes():
             rep = min(cls_nodes)
             ident = len(self.classes)
@@ -123,33 +196,12 @@ class EllipticRootSet:
                 key=sp.j(alpha_rep, alpha_rep),
             )
             self.classes.append(oc)
-            for i in cls_nodes:
-                class_of_node[i] = ident
-
-        label: dict[APart, int] = {}
-        queue: list[APart] = []
-        for i in range(n_nodes):
-            c = tuple(1 if j == i else 0 for j in range(n_nodes))
-            label[c] = class_of_node[i]
-            queue.append(c)
-        cartan = sp.cartan
-        while queue:
-            c = queue.pop()
-            lab = label[c]
-            for i in range(n_nodes):
-                pair = sum(cartan[i][m] * c[m] for m in range(n_nodes))
-                if pair == 0:
-                    continue
-                img = list(c)
-                img[i] -= pair
-                if abs(img[0]) > vbfs:
-                    continue
-                img_t = tuple(img)
-                prev = label.get(img_t)
-                if prev is None:
-                    label[img_t] = lab
-                    queue.append(img_t)
-                elif prev != lab:
+            seeds = [
+                (tuple(1 if j == i else 0 for j in range(n_nodes)), ident)
+                for i in sorted(cls_nodes)
+            ]
+            for c in closure(seeds, mirrors, keep):
+                if label.setdefault(c, ident) != ident:
                     raise AssertionError("orbit labelling is inconsistent")
 
         for c, lab in label.items():
@@ -176,11 +228,9 @@ class EllipticRootSet:
                 return p
         raise AssertionError("orbit pattern is not level-periodic")
 
-    def _fin_key(self, c) -> tuple[Fraction, ...]:
-        q = Fraction(c[0], self.delta0)
-        return tuple(
-            Fraction(ci) - q * mi for ci, mi in zip(c[1:], self._marks[1:])
-        )
+    def _fin_key(self, c) -> tuple[int, ...]:
+        d0, nu = self.delta0, c[0]
+        return tuple(d0 * ci - nu * mi for ci, mi in zip(c[1:], self._marks[1:]))
 
     def fin_class(self, c) -> OrbitClass | None:
         """Orbit class of the alpha-part c, or None if it is not a real part."""
@@ -208,12 +258,13 @@ class EllipticRootSet:
                     self._add_root(c2, n, cls, doubled=True)
 
     def _alpha_part(self, phi, nu) -> APart:
-        q = Fraction(nu, self.delta0)
+        """The alpha-part with finite key phi at level nu."""
         out = [nu]
         for p, m in zip(phi, self._marks[1:]):
-            x = p + q * m
-            assert x.denominator == 1
-            out.append(int(x))
+            x, rem = divmod(p + nu * m, self.delta0)
+            if rem:
+                raise DomainError(f"key {phi} has no integral alpha-part at level {nu}")
+            out.append(x)
         return tuple(out)
 
     def _add_root(self, c: APart, n: int, cls: OrbitClass, doubled: bool):
@@ -236,22 +287,14 @@ class EllipticRootSet:
 
     def _assert_fixpoint(self):
         """One more reflection pass must add nothing inside the window."""
-        sp = self.config.space
-        cartan = sp.cartan
-        n_nodes = sp.n_nodes
+        bound = self.window.M * self.delta0
         for coords in self.inner:
-            c, n = coords[:-1], coords[-1]
-            for i in range(n_nodes):
-                pair = sum(cartan[i][m] * c[m] for m in range(n_nodes))
-                if pair == 0:
-                    continue
-                img = list(c)
-                img[i] -= pair
-                if abs(img[0]) <= self.window.M * self.delta0:
-                    if tuple(img) + (n,) not in self.inner:
-                        raise AssertionError(
-                            f"window is not a closure fixpoint at {coords}"
-                        )
+            for image in self._plain:
+                img = image(coords)
+                if abs(img[0]) <= bound and img not in self.inner:
+                    raise AssertionError(
+                        f"window is not a closure fixpoint at {coords}"
+                    )
 
     # -- membership ---------------------------------------------------
     def member(self, coords: Root) -> bool:
@@ -279,6 +322,15 @@ class EllipticRootSet:
             raise DomainError(f"{coords} is not a root")
         doubled = tuple(2 * x for x in coords)
         return 1 if self.member(doubled) else 0
+
+    def _lookup_group(self, phi, nu, doubled) -> bool:
+        """Whether level nu holds a root of the group with finite key phi."""
+        if not doubled:
+            return (phi, nu) in self.fintable
+        if nu % 2 or any(x % 2 for x in phi):
+            return False
+        lab = self.fintable.get((tuple(x // 2 for x in phi), nu // 2))
+        return lab is not None and not self.classes[lab].g.is_empty
 
     # -- views --------------------------------------------------------
     def sorted_roots(self) -> list[tuple[Root, dict]]:
@@ -319,10 +371,7 @@ def generate(
     rs = EllipticRootSet(config, window, validate=validate)
     # the window must hold every generator alpha and alpha^*
     for i in config.nodes:
-        star = config.alpha_star(i)
-        coords = tuple(int(x) for x in star[: config.space.n_nodes]) + (
-            int(star[config.space.idx_a]),
-        )
+        coords = root_of(config, config.alpha_star(i))
         if abs(rs.level(coords)) > window.M or abs(coords[-1]) > window.N:
             raise ConfigError("window too small to contain the generator set")
         if not rs.member(coords):
@@ -394,7 +443,7 @@ class _Group:
     """All window roots sharing a finite direction, a level residue and a
     real/doubled kind; their marking coordinates form one progression."""
 
-    phi: tuple[Fraction, ...]
+    phi: tuple[int, ...]
     nu_res: int
     doubled: bool
     cls: OrbitClass
@@ -430,11 +479,9 @@ def check_ebs(rootset: EllipticRootSet) -> ValidationReport:
                 seen.add(key2)
                 groups.append(_Group(phi2, (2 * nu) % period, True, cls, 2 * nu))
 
-    # all pairings at once: scale the finite parts to integer vectors
+    # all pairings at once on the integer finite parts
     n_nodes = sp.n_nodes
-    phimat = np.array(
-        [[int(x * d0) for x in g.phi] for g in groups], dtype=np.int64
-    )
+    phimat = np.array([g.phi for g in groups], dtype=np.int64)
     symblock = np.array(
         [[int(sp.sym[i][j]) for j in range(1, n_nodes)] for i in range(1, n_nodes)],
         dtype=np.int64,
@@ -468,8 +515,7 @@ def check_ebs(rootset: EllipticRootSet) -> ValidationReport:
     tmat = np.where(frac, 0, tnum // np.where(frac, 1, norms[:, None]))
     realmap: dict[tuple, OrbitClass] = {}
     for (phi, nu), lab in rootset.fintable.items():
-        rkey = (tuple(int(x * d0) for x in phi), nu % period)
-        realmap.setdefault(rkey, rootset.classes[lab])
+        realmap.setdefault((phi, nu % period), rootset.classes[lab])
 
     closure_ok, closure_w = True, ""
     for i, j in np.argwhere(tmat != 0):
@@ -538,9 +584,9 @@ def _closure_fallback(rootset, gb, gr, t, pb, pr):
         and rootset._lookup_group(gr.phi, nu, gr.doubled)
     ]
     for nub in nus_b:
-        cb = rootset._alpha_part_any(gb.phi, nub)
+        cb = rootset._alpha_part(gb.phi, nub)
         for nur in nus_r:
-            cr = rootset._alpha_part_any(gr.phi, nur)
+            cr = rootset._alpha_part(gr.phi, nur)
             ci = tuple(r - t * b for r, b in zip(cr, cb))
             for n_b in pb.window(N):
                 for n_r in pr.window(N):
@@ -585,37 +631,3 @@ def _connected(gram) -> bool:
                 seen[j] = True
                 stack.append(int(j))
     return bool(seen.all())
-
-
-# helpers used by the closure fallback ---------------------------------------
-
-def _alpha_part_maybe(self, phi, nu):
-    q = Fraction(nu, self.delta0)
-    out = [nu]
-    for p, m in zip(phi, self._marks[1:]):
-        x = p + q * m
-        if x.denominator != 1:
-            return None
-        out.append(int(x))
-    return tuple(out)
-
-
-def _alpha_part_any(self, phi, nu):
-    c = _alpha_part_maybe(self, phi, nu)
-    assert c is not None
-    return c
-
-
-def _lookup_group(self, phi, nu, doubled):
-    if doubled:
-        if nu % 2:
-            return False
-        half_phi = tuple(x / 2 for x in phi)
-        lab = self.fintable.get((half_phi, nu // 2))
-        return lab is not None and not self.classes[lab].g.is_empty
-    return (phi, nu) in self.fintable
-
-
-EllipticRootSet._alpha_part_maybe = _alpha_part_maybe
-EllipticRootSet._alpha_part_any = _alpha_part_any
-EllipticRootSet._lookup_group = _lookup_group

@@ -18,6 +18,7 @@ from .ambient import ConfigError, DomainError, Vec
 from .base_system import QebsConfig
 from .cyclo import Cyc, ONE, SQRT2, SQRT_M1, exp_pi_i_over
 from .presentation import RootSym, b_all
+from .roots import closure, mirror, root_of
 
 
 class ResourceError(RuntimeError):
@@ -1071,10 +1072,10 @@ def transport_images(real: Realization, words: dict, targets=None) -> dict:
     DomainError.
     """
     config = real.config
-    mirrors = {sym: _int_mirror(config, sym) for sym in b_all(config)}
+    mirrors = {sym: mirror(config, sym.node, sym.star) for sym in b_all(config)}
 
     def parent(vec, word):
-        return mirrors[word[-1]](vec)
+        return _lift(mirrors[word[-1]](root_of(config, vec)))
 
     needed = None
     doubled = {}
@@ -1115,12 +1116,7 @@ def transport_images(real: Realization, words: dict, targets=None) -> dict:
 
 def root_to_ambient(config: QebsConfig, coords) -> Vec:
     """Lift a root tuple (alpha coords, a-coord) to the full basis."""
-    sp = config.space
-    out = [Fraction(0)] * sp.dim
-    for i in range(sp.n_nodes):
-        out[i] = Fraction(coords[i])
-    out[sp.idx_a] = Fraction(coords[-1])
-    return tuple(out)
+    return tuple(Fraction(x) for x in _lift(coords))
 
 
 def _weight_index(real: Realization):
@@ -1161,7 +1157,11 @@ def _weight_index(real: Realization):
 
 
 def loop_weight_dim(real: Realization, lam: Vec) -> int:
-    """Dimension of the simultaneous ad-eigenspace matching a root weight."""
+    """Dimension of the ambient simultaneous ad-eigenspace matching a root
+    weight: the built loop-algebra space with lam's Cartan eigenvalues, not
+    the span of the transported image.  It equals the real multiplicity one
+    only when k_vee = 1 on every node; where k_vee = 2 doubles Ibar it can
+    read 2 for a root whose image is one nonzero vector."""
     sp = real.config.space
     m = sp.j(sp.Lambda_a, lam)
     if m.denominator != 1:
@@ -1204,83 +1204,33 @@ def witness_height(config: QebsConfig, rootset, words=None) -> int:
 def witness_words(config: QebsConfig, rootset) -> dict:
     """Reflection words reaching every root of the rootset's window.
 
-    The keys are integer tuples of ambient length with zero Ld and La
-    coordinates; they compare and hash equal to the Fraction tuples of
-    `root_to_ambient`.  The sweep is allowed to route through roots slightly
-    outside the window; the membership table extends two twist periods past
-    it, which is enough slack for the mirror chains.
+    The sweep runs on root tuples; the keys are lifted to integer tuples of
+    ambient length with zero Ld and La coordinates, which compare and hash
+    equal to the Fraction tuples of `root_to_ambient`.  The sweep is allowed
+    to route through roots slightly outside the window; the membership table
+    extends two twist periods past it, which is enough slack for the mirror
+    chains.
+
+    Returns vector -> (starting base root, list of mirrors applied in order).
     """
-    sp = config.space
-    n_nodes, idx_a = sp.n_nodes, sp.idx_a
     c0_bound = rootset.window.M * rootset.delta0 + 2 * rootset.period
     n_bound = rootset.window.N + 2 * rootset.period
 
     def keep(vec: tuple) -> bool:
-        if abs(vec[0]) > c0_bound or abs(vec[idx_a]) > n_bound:
+        if abs(vec[0]) > c0_bound or abs(vec[-1]) > n_bound:
             return False
-        return rootset.member(vec[:n_nodes] + (vec[idx_a],))
-
-    return reflection_words(config, keep)
-
-
-def _int_mirror(config: QebsConfig, sym: RootSym):
-    """The reflection in sym's vector as a map on integer ambient tuples
-    with zero Ld and La coordinates.
-
-    On such a tuple v, <alpha_i^vee, v> = p = sum_j a_ij v_j, so the plain
-    mirror alpha_i sends v to v - p alpha_i.  The starred mirror
-    alpha_i* = c alpha_i + k_i a sends v to v - p alpha_i - (p k_i / c) a;
-    when c does not divide p k_i that image leaves the lattice and the map
-    returns None.  The sign of sym does not matter.
-    """
-    sp = config.space
-    i, idx_a = sym.node, sp.idx_a
-    row = sp.cartan[i]
-    c, k = (config.c_of(i), config.k[i]) if sym.star else (1, 0)
-
-    def image(vec: tuple) -> tuple | None:
-        p = sum(a * x for a, x in zip(row, vec))
-        shift, rem = divmod(p * k, c)
-        if rem:
-            return None
-        out = list(vec)
-        out[i] -= p
-        out[idx_a] -= shift
-        return tuple(out)
-
-    return image
-
-
-def reflection_words(config: QebsConfig, keep) -> dict:
-    """Reflection words from the base roots to everything reachable while
-    `keep(vector)` holds; one breadth-first sweep serves a whole window.
-
-    Vectors are integer tuples of ambient length whose Ld and La
-    coordinates are zero, and `keep` receives them in that form.  A starred
-    mirror whose image would have a non-integral a-coordinate is skipped.
-
-    Returns vector -> (starting base root, list of mirrors applied in order).
-    """
-    from collections import deque
+        return rootset.member(vec)
 
     mirrors = [
-        (sym, _int_mirror(config, sym)) for sym in b_all(config) if sym.sign > 0
+        (sym, mirror(config, sym.node, sym.star)) for sym in b_all(config) if sym.sign > 0
     ]
-    seen: dict[tuple, tuple] = {}
-    queue = deque()
+    seeds = []
     for sym, _ in mirrors:
-        vec = tuple(int(x) for x in sym.vector(config))
-        for s, v in ((sym, vec), (sym.negate(), tuple(-x for x in vec))):
-            if v not in seen and keep(v):
-                seen[v] = (s, [])
-                queue.append(v)
-    while queue:
-        cur = queue.popleft()
-        sym0, word = seen[cur]
-        for msym, mirror in mirrors:
-            img = mirror(cur)
-            if img is None or img in seen or not keep(img):
-                continue
-            seen[img] = (sym0, word + [msym])
-            queue.append(img)
-    return seen
+        vec = root_of(config, sym.vector(config))
+        seeds += [(vec, sym), (tuple(-x for x in vec), sym.negate())]
+    return {_lift(vec): val for vec, val in closure(seeds, mirrors, keep).items()}
+
+
+def _lift(root: tuple) -> tuple:
+    """The integer ambient tuple (alpha coords, Ld, a, La) of a root tuple."""
+    return root[:-1] + (0, root[-1], 0)

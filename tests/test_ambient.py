@@ -3,7 +3,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from erskit.ambient import AffineType, ConfigError, DomainError, build_ambient
+from erskit.ambient import (
+    AffineType,
+    ConfigError,
+    DomainError,
+    _kernel_marks,
+    build_ambient,
+)
 from conftest import SUITE_NAMES
 
 
@@ -90,3 +96,13 @@ def test_basis_labels_shape():
     labels = sp.basis_labels()
     assert labels == ["a0", "a1", "a2", "Ld", "a", "La"]
     assert sp.dim == sp.n_nodes + 3
+
+
+@pytest.mark.parametrize("block", [
+    [[2, -1], [-1, 2]],  # finite A2: no kernel
+    [[0, 0], [0, 0]],    # corank 2
+    [[1, 1], [1, 1]],    # kernel (1, -1): a mark of each sign
+])
+def test_kernel_marks_rejects_non_affine_blocks(block):
+    with pytest.raises(ConfigError):
+        _kernel_marks([[Fraction(x) for x in row] for row in block])

@@ -5,13 +5,23 @@ from hypothesis import given, settings, strategies as st
 
 from erskit.ambient import ConfigError
 from erskit.base_system import simple_config
+from erskit.presentation import b_all
 from erskit.roots import (
     RootWindow,
     check_ebs,
     generate,
+    mirror,
     reflection_closure_oracle,
 )
-from conftest import SUITE_NAMES
+from erskit.unfold import root_to_ambient
+from conftest import SMALL_SUITE_NAMES, SUITE_NAMES
+
+DOUBLING_VARIANTS = [
+    {"g": {0: "2Z+1"}},
+    {"g": {0: "Z"}},
+    {"k": {0: 1, 1: 2, 2: 1}, "g": {0: "4Z"}},
+    {"k": {0: 1, 1: 2, 2: 1}, "g": {0: "2Z"}},
+]
 
 
 @pytest.mark.parametrize("name", SUITE_NAMES)
@@ -22,15 +32,7 @@ def test_generate_matches_reflection_oracle(name):
     assert set(rs.inner) == reflection_closure_oracle(cfg, window)
 
 
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        {"g": {0: "2Z+1"}},
-        {"g": {0: "Z"}},
-        {"k": {0: 1, 1: 2, 2: 1}, "g": {0: "4Z"}},
-        {"k": {0: 1, 1: 2, 2: 1}, "g": {0: "2Z"}},
-    ],
-)
+@pytest.mark.parametrize("kwargs", DOUBLING_VARIANTS)
 def test_oracle_equality_with_doubling(kwargs):
     cfg = simple_config("D3(2)", **kwargs)
     window = RootWindow(3, 3, 2)
@@ -128,3 +130,64 @@ def test_reflection_stability_inside_window(name, i, j):
         img = list(c)
         img[i] -= pair
         assert rs.member(tuple(img) + (n,))
+
+
+@pytest.mark.parametrize(
+    "name, kwargs, valid",
+    [(name, {}, True) for name in SMALL_SUITE_NAMES]
+    + [
+        ("D3(2)", {"g": {0: "Z"}}, True),
+        ("D3(2)", {"g": {0: "2Z+1"}}, True),
+        ("G2(1)", {"k": {0: 3, 1: 3, 2: 1}}, True),
+        # c(a0) = 2 on a Cartan row with odd entries: some starred images
+        # leave the lattice (valid configs put c = 2 on even rows only)
+        ("A2(1)", {"g": {0: "2Z+1"}}, False),
+    ],
+)
+def test_mirror_matches_ambient_reflect(name, kwargs, valid):
+    # the integer kernel against the Fraction reflection of the ambient
+    # space: equal images where the reference is integral, None exactly
+    # where its a-coordinate is not
+    cfg = simple_config(name, **kwargs)
+    sp = cfg.space
+    rs = generate(cfg, RootWindow(3, 3), validate=valid)
+    nones = 0
+    for sym in b_all(cfg):
+        image = mirror(cfg, sym.node, sym.star)
+        for coords in rs.inner:
+            ref = sp.reflect(sym.vector(cfg), root_to_ambient(cfg, coords))
+            assert ref[sp.idx_Ld] == ref[sp.idx_La] == 0
+            got = image(coords)
+            if ref[sp.idx_a].denominator == 1:
+                assert all(x.denominator == 1 for x in ref)
+                assert got == ref[: sp.n_nodes] + (ref[sp.idx_a],), (sym, coords)
+            else:
+                assert got is None, (sym, coords)
+                nones += 1
+    assert (nones > 0) == (not valid)
+
+
+@pytest.mark.parametrize(
+    "name, kwargs, window",
+    [(name, {}, RootWindow(1, 1)) for name in SUITE_NAMES]
+    + [("D3(2)", kwargs, RootWindow(2, 2)) for kwargs in DOUBLING_VARIANTS]
+    + [("G2(1)", {"k": {0: 3, 1: 3, 2: 1}}, RootWindow(1, 3))],
+)
+def test_member_beyond_kept_table(name, kwargs, window):
+    # a small window keeps a short level table; a wider window reaching two
+    # levels past it makes membership go through the level-period
+    # extrapolation, checked against the wider window's enumeration
+    cfg = simple_config(name, **kwargs)
+    small = generate(cfg, window)
+    M = small._vkeep // small.delta0 + 2
+    inner = set(generate(cfg, RootWindow(M, 6)).inner)
+
+    beyond = 0
+    for coords in inner:
+        c, n = coords[:-1], coords[-1]
+        for v in (coords, tuple(2 * x for x in coords),
+                  tuple(3 * x for x in coords), c + (n + 1,)):
+            if abs(v[0]) <= M * small.delta0 and abs(v[-1]) <= 6:
+                assert small.member(v) == (v in inner), v
+                beyond += abs(v[0]) > small._vkeep
+    assert beyond

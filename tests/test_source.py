@@ -1,0 +1,17 @@
+"""Static checks on the package source."""
+import ast
+from pathlib import Path
+
+import erskit
+
+SRC = Path(erskit.__file__).parent
+
+
+def test_no_assert_statements():
+    # python -O strips assert statements, so invariants must raise explicitly
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert not found, found

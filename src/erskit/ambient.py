@@ -23,6 +23,12 @@ class DomainError(ValueError):
     """Operation applied outside its domain (e.g. isotropic reflection)."""
 
 
+class CheckError(RuntimeError):
+    """An internal consistency check failed: a computed object lacks a
+    property the construction guarantees.  Deliberately not a DomainError,
+    so no caller that skips out-of-domain cases can swallow it."""
+
+
 # ---------------------------------------------------------------------------
 # affine types
 # ---------------------------------------------------------------------------

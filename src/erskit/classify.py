@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ambient import ConfigError, DomainError
+from .ambient import CheckError, ConfigError, DomainError
 from .base_system import EMPTY, GClass, QebsConfig, pi_b
 from .roots import EllipticRootSet, Root, RootWindow, closure, generate, mirror
 
@@ -86,18 +86,18 @@ def classify_rank1(
     block = [[2, -2 * c], [-2 // c if c == 2 else -2, 2]]
     a12, a21 = block[0][1], block[1][0]
     if not (a12 < 0 and a21 < 0 and 4 - a12 * a21 == 0):
-        raise AssertionError("pair {alpha, -alpha*} is not an affine block")
+        raise CheckError("pair {alpha, -alpha*} is not an affine block")
 
     slice_roots = set(rootset.restrict({i}))
     sub = _generated_subsystem(rootset, i)
     if slice_roots != sub:
-        raise AssertionError(
+        raise CheckError(
             f"rank-one slice at node {i} disagrees with the generated subsystem"
         )
 
     p = rootset.parity(_node_root(config, i))
     if p_stated is not None and p != p_stated:
-        raise AssertionError(f"p(alpha_{i}) = {p}, table says {p_stated}")
+        raise CheckError(f"p(alpha_{i}) = {p}, table says {p_stated}")
     return CaseRecord(case, name, {"node": i, "g": tag, "p": p})
 
 
@@ -114,7 +114,7 @@ def classify_rank2(
             "swap the arguments or pick an adjacent pair"
         )
     if not config.g[j].is_empty:
-        raise AssertionError(f"side condition failed: g(a{j}) = {config.g[j]}")
+        raise CheckError(f"side condition failed: g(a{j}) = {config.g[j]}")
 
     jkg = (sp.cartan[i][j], Fraction(config.k[j], config.k[i]), config.g[i].tag)
     if jkg not in _RANK2:
@@ -126,14 +126,14 @@ def classify_rank2(
     gamma = _apply_word(config, word, i, j)
 
     if gamma[-1] != -1:
-        raise AssertionError(f"gamma = {gamma} is not at marking coordinate -1")
+        raise CheckError(f"gamma = {gamma} is not at marking coordinate -1")
     if any(x > 0 for x in gamma[:-1]):
-        raise AssertionError(f"gamma = {gamma} is not in the negative cone")
+        raise CheckError(f"gamma = {gamma} is not in the negative cone")
     if not rootset.member(gamma):
-        raise AssertionError(f"gamma = {gamma} is not a root")
+        raise CheckError(f"gamma = {gamma} is not a root")
     support = {m for m in range(sp.n_nodes) if gamma[m] != 0}
     if not support <= {i, j}:
-        raise AssertionError(f"gamma = {gamma} leaves the {{a{i}, a{j}}} slice")
+        raise CheckError(f"gamma = {gamma} leaves the {{a{i}, a{j}}} slice")
     return CaseRecord(
         case,
         name,
@@ -192,16 +192,16 @@ def reduce_marked(rootset: EllipticRootSet):
     for coords in r_second:
         half = tuple(v // 2 for v in coords[:-1])
         if not _member_mod_marking(rootset, half):
-            raise AssertionError("half of an R'' element left R modulo the marking")
+            raise CheckError("half of an R'' element left R modulo the marking")
         if all(v % 2 == 0 for v in half) and _member_mod_marking(
             rootset, tuple(v // 2 for v in half)
         ):
-            raise AssertionError("half of an R'' element is itself halvable")
+            raise CheckError("half of an R'' element is itself halvable")
 
     if r_prime and not _same_lattice(
         list(r_prime), list(rootset.inner)
     ):
-        raise AssertionError("R' spans a smaller lattice than R on the window")
+        raise CheckError("R' spans a smaller lattice than R on the window")
     return r_prime, r_second
 
 
@@ -276,13 +276,13 @@ def twist_4z(config: QebsConfig, i: int, window: RootWindow | None = None):
 
     image = {forward(c) for c in rs.inner}
     if len(image) != len(rs.inner):
-        raise AssertionError("twist map is not injective on the window")
+        raise CheckError("twist map is not injective on the window")
     for c in image:
         if not rs2.member(c):
-            raise AssertionError(f"twist image {c} misses the twisted root set")
+            raise CheckError(f"twist image {c} misses the twisted root set")
     for c in rs2.inner:
         if not rs.member(backward(c)):
-            raise AssertionError(f"twist preimage of {c} misses the root set")
+            raise CheckError(f"twist preimage of {c} misses the root set")
 
     lam = _dual_weight(config, i)
     sp_basis = sp.basis_labels()
@@ -362,7 +362,7 @@ def _solve_singular(sp, rhs):
         r += 1
     for k in range(r, n):
         if aug[k][n] != 0:
-            raise AssertionError("inconsistent dual-weight system")
+            raise CheckError("inconsistent dual-weight system")
     v = [Fraction(0)] * n
     for row, c in zip(aug, piv_cols):
         v[c] = row[n]

@@ -5,8 +5,8 @@ each, and emits a single report with a fixed top-level schema
 {tool_version, manifest, results[]}.  Reports are byte-deterministic for a
 fixed manifest.
 
-Exit codes: 0 all pass, 1 verification failure, 2 configuration error,
-3 resource error.
+Exit codes: 0 all pass, 1 verification failure or failed internal check,
+2 configuration error, 3 resource error.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .ambient import ConfigError, DomainError
+from .ambient import CheckError, ConfigError, DomainError
 from .base_system import QebsConfig, config_from_dict, validate_qebs
 from .roots import RootWindow, generate, check_ebs
 from .classify import classify_rank1, classify_rank2, ears_data
@@ -120,6 +120,9 @@ def _run_batch(paths, manifest, fmt, out, name, worker):
         except (ConfigError, DomainError, OSError, json.JSONDecodeError) as e:
             entry = {"config": path, "status": "config-error", "error": str(e)}
             entry_code = _CONFIG
+        except CheckError as e:
+            entry = {"config": path, "status": "check-failed", "error": str(e)}
+            entry_code = _FAIL
         results.append(entry)
         code = max(code, entry_code)
     report = {"tool_version": __version__, "manifest": manifest,

@@ -2,16 +2,22 @@
 
 Elements are represented by 8 rational coordinates in the power basis
 1, z, ..., z^7 where z is a primitive 24th root of unity, reduced modulo
-the minimal polynomial x^8 - x^4 + 1.  The field contains sqrt(-1) = z^6,
-sqrt(2) = z^3 + z^21 and every exp(pi*i/k) for k = 1, 2, 3, 4, which is all
-the realization formulas ever need.
+the minimal polynomial x^8 - x^4 + 1.  They are stored as 8 integer
+numerators over one positive integer denominator, in lowest terms, so equal
+elements have equal storage and compare and hash as tuples.  An int or
+Fraction operand scales or shifts the numerators directly.  The field
+contains sqrt(-1) = z^6, sqrt(2) = z^3 + z^21 and every exp(pi*i/k) for
+k = 1, 2, 3, 4, which is all the realization formulas ever need.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Union
 
-_ZERO8 = (Fraction(0),) * 8
+_ZERO8 = (0,) * 8
+# the exponents k with z -> z^k a Galois automorphism other than the identity
+_CONJUGATES = (5, 7, 11, 13, 17, 19, 23)
 
 Scalar = Union[int, Fraction, "Cyc"]
 
@@ -19,82 +25,87 @@ Scalar = Union[int, Fraction, "Cyc"]
 class Cyc:
     """An element of Q(zeta_24), immutable and hashable."""
 
-    __slots__ = ("c",)
+    __slots__ = ("num", "den")
 
     def __init__(self, coeffs: Iterable[Fraction] = _ZERO8):
-        c = tuple(Fraction(x) for x in coeffs)
+        c = [Fraction(x) for x in coeffs]
         if len(c) != 8:
             raise ValueError("need exactly 8 coordinates")
-        self.c = c
+        # over the lcm of the denominators the numerators share no factor
+        self.den = lcm(*(x.denominator for x in c))
+        self.num = tuple(x.numerator * (self.den // x.denominator) for x in c)
 
     # -- constructors -------------------------------------------------
     @staticmethod
     def from_rational(q) -> "Cyc":
-        return Cyc((Fraction(q),) + (Fraction(0),) * 7)
+        q = Fraction(q)
+        return _make((q.numerator,) + _ZERO8[1:], q.denominator)
 
     @staticmethod
     def zeta_pow(n: int) -> "Cyc":
         """z^n for any integer n (z has order 24)."""
-        n %= 24
-        coeffs = [Fraction(0)] * 8
-        if n < 8:
-            coeffs[n] = Fraction(1)
-            return Cyc(coeffs)
-        # reduce z^n by repeated x^8 = x^4 - 1
-        poly = {n: Fraction(1)}
-        return Cyc(_reduce(poly))
+        p = [0] * 24
+        p[n % 24] = 1
+        return _make(_fold(p), 1)
 
     # -- ring ops -----------------------------------------------------
     def __add__(self, other: Scalar) -> "Cyc":
-        o = _coerce(other)
-        if o is None:
+        if isinstance(other, Cyc):
+            if self.den == other.den:
+                return _lowest(tuple(a + b for a, b in zip(self.num, other.num)),
+                               self.den)
+            d1, d2 = self.den, other.den
+            return _lowest(tuple(a * d2 + b * d1 for a, b in zip(self.num, other.num)),
+                           d1 * d2)
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return Cyc(tuple(a + b for a, b in zip(self.c, o.c)))
+        p, q = other.numerator, other.denominator
+        if q == 1:
+            return _make((self.num[0] + p * self.den,) + self.num[1:], self.den)
+        num = [a * q for a in self.num]
+        num[0] += p * self.den
+        return _lowest(tuple(num), self.den * q)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Cyc":
-        return Cyc(tuple(-a for a in self.c))
+        return _make(tuple(-a for a in self.num), self.den)
 
     def __sub__(self, other: Scalar) -> "Cyc":
-        o = _coerce(other)
-        if o is None:
+        if not isinstance(other, (Cyc, int, Fraction)):
             return NotImplemented
-        return Cyc(tuple(a - b for a, b in zip(self.c, o.c)))
+        return self + -other
 
     def __rsub__(self, other: Scalar) -> "Cyc":
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+        return -self + other
 
     def __mul__(self, other: Scalar) -> "Cyc":
-        o = _coerce(other)
-        if o is None:
+        if isinstance(other, Cyc):
+            p = [0] * 15
+            for i, a in enumerate(self.num):
+                if a:
+                    for j, b in enumerate(other.num):
+                        if b:
+                            p[i + j] += a * b
+            return _lowest(_fold(p), self.den * other.den)
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        prod: dict[int, Fraction] = {}
-        for i, a in enumerate(self.c):
-            if a == 0:
-                continue
-            for j, b in enumerate(o.c):
-                if b == 0:
-                    continue
-                prod[i + j] = prod.get(i + j, Fraction(0)) + a * b
-        return Cyc(_reduce(prod))
+        p = other.numerator
+        return _lowest(tuple(a * p for a in self.num), self.den * other.denominator)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: Scalar) -> "Cyc":
-        o = _coerce(other)
-        if o is None:
+        if isinstance(other, Cyc):
+            return self * other.inverse()
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return self * o.inverse()
+        return self * (1 / Fraction(other))
 
     def __rtruediv__(self, other: Scalar) -> "Cyc":
-        o = _coerce(other)
-        if o is None:
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return o * self.inverse()
+        return self.inverse() * other
 
     def __pow__(self, n: int) -> "Cyc":
         if n < 0:
@@ -109,132 +120,83 @@ class Cyc:
         return result
 
     def inverse(self) -> "Cyc":
-        """Multiplicative inverse via extended Euclid in Q[x] mod x^8-x^4+1."""
+        """Multiplicative inverse: the product of the 7 other Galois
+        conjugates of self, divided by the norm (the product of all 8)."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic")
-        # extended gcd of self (as poly) and the minimal polynomial
-        a = list(self.c)
-        m = [Fraction(1), 0, 0, 0, Fraction(-1), 0, 0, 0, Fraction(1)]
-        m = [Fraction(x) for x in m]
-        # invariant: g = u * self mod minpoly, tracked only for the
-        # first argument
-        r0, r1 = m, _trim(a)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while _deg(r1) >= 0:
-            q, rem = _polydivmod(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _polysub(s0, _polymul(q, s1))
-        # r0 is gcd (a nonzero constant since minpoly is irreducible)
-        g = r0[0]
-        inv = [x / g for x in s0]
-        return Cyc(_reduce({i: c for i, c in enumerate(inv)}))
+        # self = a / den with a integral, so 1/self = den * rest / N(a)
+        a = _make(self.num, 1)
+        rest = ONE
+        for k in _CONJUGATES:
+            p = [0] * 24
+            for i, x in enumerate(self.num):
+                p[i * k % 24] += x
+            rest = rest * _make(_fold(p), 1)
+        return rest * Fraction(self.den, (a * rest).rational_value())
 
     # -- predicates ---------------------------------------------------
     def is_zero(self) -> bool:
-        return all(a == 0 for a in self.c)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return all(a == 0 for a in self.c[1:])
+        return not any(self.num[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("not a rational element")
-        return self.c[0]
+        return Fraction(self.num[0], self.den)
 
     def __eq__(self, other) -> bool:
-        o = _coerce(other)
-        if o is None:
+        if isinstance(other, Cyc):
+            return self.den == other.den and self.num == other.num
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return self.c == o.c
+        return (self.den == other.denominator and self.num[0] == other.numerator
+                and self.is_rational())
 
     def __hash__(self):
-        return hash(self.c)
+        return hash((self.num, self.den))
 
     def __bool__(self):
-        return not self.is_zero()
+        return any(self.num)
 
     def __repr__(self):
         if self.is_rational():
-            return f"Cyc({self.c[0]})"
-        terms = [f"{a}*z^{i}" for i, a in enumerate(self.c) if a != 0]
+            return f"Cyc({self.rational_value()})"
+        terms = [f"{Fraction(a, self.den)}*z^{i}" for i, a in enumerate(self.num) if a]
         return "Cyc(" + " + ".join(terms) + ")"
 
     def serialize(self) -> list[str]:
         """The 8 coordinates as exact fraction strings."""
-        return [str(a) for a in self.c]
+        return [str(Fraction(a, self.den)) for a in self.num]
 
 
-def _coerce(x) -> Cyc | None:
-    if isinstance(x, Cyc):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return Cyc.from_rational(x)
-    return None
+def _make(num: tuple, den: int) -> Cyc:
+    """The element num / den, for integers already in lowest terms."""
+    out = object.__new__(Cyc)
+    out.num = num
+    out.den = den
+    return out
 
 
-def _reduce(poly: dict[int, Fraction]) -> tuple[Fraction, ...]:
-    """Reduce a sparse polynomial in z modulo x^8 = x^4 - 1."""
-    work = dict(poly)
-    while True:
-        high = [e for e in work if e >= 8 and work[e] != 0]
-        if not high:
-            break
-        for e in high:
-            coef = work.pop(e)
-            work[e - 4] = work.get(e - 4, Fraction(0)) + coef
-            work[e - 8] = work.get(e - 8, Fraction(0)) - coef
-    out = [Fraction(0)] * 8
-    for e, coef in work.items():
-        if coef != 0:
-            out[e] += coef
-    return tuple(out)
+def _lowest(num: tuple, den: int) -> Cyc:
+    """The element num / den, for den > 0, brought to lowest terms."""
+    g = gcd(den, *num)
+    if g != 1:
+        num = tuple(a // g for a in num)
+        den //= g
+    return _make(num, den)
 
 
-# -- dense Q[x] helpers for the inverse -------------------------------
-
-def _trim(p: list[Fraction]) -> list[Fraction]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _deg(p: list[Fraction]) -> int:
-    return len(p) - 1
-
-
-def _polysub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, x in enumerate(b):
-        out[i] -= x
-    return _trim(out)
-
-
-def _polymul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _trim(out)
-
-
-def _polydivmod(a: list[Fraction], b: list[Fraction]):
-    a = list(a)
-    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
-    while _deg(a) >= _deg(b) >= 0:
-        shift = _deg(a) - _deg(b)
-        coef = a[-1] / b[-1]
-        q[shift] += coef
-        for i, y in enumerate(b):
-            a[i + shift] -= coef * y
-        _trim(a)
-    return _trim(q), a
+def _fold(p: list[int]) -> tuple:
+    """The 8 coordinates of sum p[e] z^e, folded in place through
+    z^e = z^(e-4) - z^(e-8) from the top power down."""
+    for e in range(len(p) - 1, 7, -1):
+        c = p[e]
+        if c:
+            p[e - 4] += c
+            p[e - 8] -= c
+    return tuple(p[:8])
 
 
 ZERO = Cyc()

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 import json
 
-from .ambient import ConfigError, DomainError, Vec
+from .ambient import CheckError, ConfigError, DomainError, Vec
 from .base_system import QebsConfig
 from .cyclo import Cyc, ONE
 
@@ -112,7 +112,7 @@ def _word(config: QebsConfig, monomials: list[tuple[Cyc, Tree]]) -> LieWord:
     syms = {m.ident: m for m in b_all(config)}
     parities = {_tree_parity(config, t, syms) for _, t in monomials}
     if len(parities) != 1:
-        raise AssertionError("relation is not parity-homogeneous")
+        raise CheckError("relation is not parity-homogeneous")
     return LieWord(monomials, parities.pop())
 
 
@@ -315,7 +315,7 @@ def emit_sr_sharp(config: QebsConfig) -> RelationSet:
     rels = emit_sr(config, pairs=pairs, tag="SR5'")
     full = emit_sr(config)
     if rels.count("SR5'") > full.count("SR5"):
-        raise AssertionError("reduced family larger than the full one")
+        raise CheckError("reduced family larger than the full one")
     return rels
 
 

@@ -21,7 +21,7 @@ from math import gcd
 
 import numpy as np
 
-from .ambient import ConfigError, DomainError
+from .ambient import CheckError, ConfigError, DomainError
 from .base_system import GClass, QebsConfig, ValidationReport, CheckEntry, validate_qebs
 
 APart = tuple[int, ...]           # alpha-coordinates c_0..c_l
@@ -202,7 +202,7 @@ class EllipticRootSet:
             ]
             for c in closure(seeds, mirrors, keep):
                 if label.setdefault(c, ident) != ident:
-                    raise AssertionError("orbit labelling is inconsistent")
+                    raise CheckError("orbit labelling is inconsistent")
 
         for c, lab in label.items():
             if abs(c[0]) <= vkeep:
@@ -226,7 +226,7 @@ class EllipticRootSet:
                     break
             if ok:
                 return p
-        raise AssertionError("orbit pattern is not level-periodic")
+        raise CheckError("orbit pattern is not level-periodic")
 
     def _fin_key(self, c) -> tuple[int, ...]:
         d0, nu = self.delta0, c[0]
@@ -292,7 +292,7 @@ class EllipticRootSet:
             for image in self._plain:
                 img = image(coords)
                 if abs(img[0]) <= bound and img not in self.inner:
-                    raise AssertionError(
+                    raise CheckError(
                         f"window is not a closure fixpoint at {coords}"
                     )
 
@@ -375,7 +375,7 @@ def generate(
         if abs(rs.level(coords)) > window.M or abs(coords[-1]) > window.N:
             raise ConfigError("window too small to contain the generator set")
         if not rs.member(coords):
-            raise AssertionError(f"alpha_star(a{i}) missing from the root set")
+            raise CheckError(f"alpha_star(a{i}) missing from the root set")
     return rs
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 
-from .ambient import ConfigError, DomainError, Vec
+from .ambient import CheckError, ConfigError, DomainError, Vec
 from .base_system import QebsConfig
 from .cyclo import Cyc, ONE, SQRT2, SQRT_M1, exp_pi_i_over
 from .presentation import RootSym, b_all
@@ -698,7 +698,7 @@ class LoopElement:
     def scaled(self, c) -> "LoopElement":
         return LoopElement(
             self.alg,
-            {k: c * val for k, val in self.terms.items() if c * val},
+            {k: cv for k, val in self.terms.items() if (cv := c * val)},
             c * self.v,
             c * self.w,
         )
@@ -869,7 +869,7 @@ class Realization:
         vec = sym.vector(self.config)
         half_norm = sp.j(vec, vec) / 2
         br = loop_bracket(self.image(sym.ident), self.image(sym.negate().ident))
-        return br.scaled(Cyc.from_rational(half_norm))
+        return br.scaled(half_norm)
 
     def _cartan_image(self, label: str) -> LoopElement:
         sp = self.config.space
@@ -877,7 +877,7 @@ class Realization:
         if label.startswith("a") and label[1:].isdigit():
             return self._h_of_root(RootSym(int(label[1:]), False, 1))
         if label == "Ld":
-            coef = Cyc.from_rational(sp.j(sp.Lambda_delta, sp.alpha(0)))
+            coef = sp.j(sp.Lambda_delta, sp.alpha(0))
             elem = {}
             for x in range(1, self.hd.kvee[0] + 1):
                 elem[("t", self.hd.index(0, x))] = coef
@@ -892,9 +892,7 @@ class Realization:
             k0 = self.config.k[0]
             star = self._h_of_root(RootSym(0, True, 1))
             plain = self._h_of_root(RootSym(0, False, 1))
-            return star.plus(plain.scaled(Cyc.from_rational(-c))).scaled(
-                Cyc.from_rational(Fraction(1, k0))
-            )
+            return star.plus(plain.scaled(-c)).scaled(Fraction(1, k0))
         raise DomainError(f"unknown Cartan label {label!r}")
 
     def evaluate(self, tree) -> LoopElement:
@@ -1033,11 +1031,21 @@ def verify_pi(config: QebsConfig, height: int | None = None,
 # reflection automorphisms
 # ---------------------------------------------------------------------------
 
-def _exp_ad(x: LoopElement, target: LoopElement, bound: int = 40) -> LoopElement:
+def _exp_ad(x: LoopElement, target: LoopElement,
+            bound: int | None = None) -> LoopElement:
+    """exp(ad x) applied to target, for x a root-vector image or its square.
+
+    Every term of such an x moves the Ibar height the same way, by at least
+    one, so after 2 * height + 1 steps a term has left the built heights:
+    the series has ended, or a bracket has raised ResourceError.  The
+    default bound 2 * height + 2 therefore never cuts a series short.
+    """
+    if bound is None:
+        bound = 2 * x.alg.height + 2
     out = target
     term = target
     for n in range(1, bound + 1):
-        term = loop_bracket(x, term).scaled(Cyc.from_rational(Fraction(1, n)))
+        term = loop_bracket(x, term).scaled(Fraction(1, n))
         if term.is_zero():
             return out
         out = out.plus(term)
@@ -1050,9 +1058,9 @@ def aut_n(real: Realization, nu: RootSym, target: LoopElement) -> LoopElement:
     neg = real.image(nu.negate().ident if nu.sign > 0 else nu.ident)
     if nu.parity(real.config) == 0:
         out = _exp_ad(pos, target)
-        out = _exp_ad(neg.scaled(-ONE), out)
+        out = _exp_ad(neg.scaled(-1), out)
         return _exp_ad(pos, out)
-    quarter = Cyc.from_rational(Fraction(1, 4))
+    quarter = Fraction(1, 4)
     sq_pos = loop_bracket(pos, pos).scaled(quarter)
     sq_neg = loop_bracket(neg, neg).scaled(quarter)
     out = _exp_ad(sq_pos, target)
@@ -1134,7 +1142,7 @@ def _weight_index(real: Realization):
         cart = {}
         for (k, p), c in img.terms.items():
             if p != 0 or k[0] not in ("h", "t"):
-                raise AssertionError("Cartan image has non-Cartan terms")
+                raise CheckError("Cartan image has non-Cartan terms")
             cart[k] = c
         h_data.append((cart, img.w))
     index: dict[tuple, int] = {}

@@ -68,6 +68,20 @@ def test_classify_reports_both_ranks(runner, cfgdir):
     assert any(r["case"] == "vi" for r in entry["rank2"])
 
 
+def test_failed_check_does_not_abort_batch(runner, cfgdir):
+    # classify_rank2 finds a gamma off the marking coordinate on this config
+    g2 = cfgdir / "g2_331.json"
+    g2.write_text(json.dumps({"type": "G2(1)", "k": {"a0": 3, "a1": 3, "a2": 1}}))
+    result = runner.invoke(cli.main, [
+        "classify", "--config", str(cfgdir / "a21.json"), "--config", str(g2),
+    ])
+    assert result.exit_code == 1
+    ok, failed = _report(result)["results"]
+    assert ok["status"] == "ok"
+    assert failed["status"] == "check-failed"
+    assert "marking coordinate" in failed["error"]
+
+
 def test_verify_ebs_passes(runner, cfgdir):
     result = runner.invoke(cli.main, [
         "verify-ebs", "--config", str(cfgdir / "d32.json"),

@@ -7,11 +7,19 @@ import erskit
 SRC = Path(erskit.__file__).parent
 
 
+def _raises_assertion_error(node) -> bool:
+    if not isinstance(node, ast.Raise) or node.exc is None:
+        return False
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+
 def test_no_assert_statements():
-    # python -O strips assert statements, so invariants must raise explicitly
+    # python -O strips assert statements, and a bare AssertionError escapes
+    # the typed errors the CLI reports, so invariants raise CheckError
     found = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
-                  if isinstance(node, ast.Assert)]
+                  if isinstance(node, ast.Assert) or _raises_assertion_error(node)]
     assert not found, found

@@ -15,6 +15,8 @@ from erskit.unfold import (
     HandyDatum,
     Realization,
     ResourceError,
+    _exp_ad,
+    aut_n,
     build_graded,
     build_handy,
     k_vee,
@@ -261,6 +263,29 @@ def test_transport_rejects_unreached_target():
     real = Realization(cfg, witness_height(cfg, rs, words))
     with pytest.raises(DomainError, match="no reflection word"):
         transport_images(real, words, targets=[root_to_ambient(cfg, (3, 0, 0, 0))])
+
+
+def test_exp_ad_bound_follows_height():
+    cfg = simple_config("A2(1)")
+    real = Realization(cfg, 3)
+    pos, neg = real.image("E:+a1"), real.image("E:-a1")
+    # [E, F] = h and [E, h] = -2E are nonzero, [E, E] = 0: three steps
+    with pytest.raises(ResourceError, match="iteration bound"):
+        _exp_ad(pos, neg, bound=2)
+
+    def same(x, y):
+        return x.plus(y.scaled(-1)).is_zero()
+
+    # the default bound 2 * height + 2 = 8 reproduces the old fixed bound 40
+    nu = RootSym(1, False, 1)
+    for target in (neg, pos, real.image("E:+a2"), real.image("h:a1")):
+        old = _exp_ad(pos, target, 40)
+        old = _exp_ad(neg.scaled(-1), old, 40)
+        old = _exp_ad(pos, old, 40)
+        assert same(aut_n(real, nu, target), old)
+    # s_a1 sends E_a1 to a nonzero multiple of F_a1
+    img = aut_n(real, nu, pos)
+    assert set(img.terms) == set(neg.terms) and not img.v and not img.w
 
 
 @pytest.mark.parametrize("g", ["Z", "2Z+1"])

@@ -99,18 +99,76 @@ class RelationSet:
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def _tree_parity(config: QebsConfig, tree: Tree, syms: dict[str, RootSym]) -> int:
+def _key(config: QebsConfig, sym: RootSym) -> tuple[int, int, int]:
+    """(i, n, a) with sym's vector n alpha_i + a a: (n, a) is sign times
+    (c, k_i) when starred and (1, 0) otherwise, so equal vectors have equal
+    keys."""
+    if sym.node not in config.nodes:
+        raise ConfigError(f"node index {sym.node} out of range 0..{config.space.l}")
+    c, k = (config.c_of(sym.node), config.k[sym.node]) if sym.star else (1, 0)
+    return sym.node, sym.sign * c, sym.sign * k
+
+
+class _BTable:
+    """B = {+-alpha_i, +-alpha_i^*} on integers, built once per public emit
+    call and passed down: the key of every symbol and, by ident, its
+    parity."""
+
+    def __init__(self, config: QebsConfig):
+        self.config = config
+        self.key = {m: _key(config, m) for m in b_all(config)}
+        self.parity = {m.ident: m.parity(config) for m in self.key}
+
+    def x(self, mu: RootSym, nu: RootSym) -> int:
+        # a symbol from a caller's pair set may lie outside B: _key keys it
+        # or rejects its node
+        kmu = self.key.get(mu) or _key(self.config, mu)
+        knu = self.key.get(nu) or _key(self.config, nu)
+        return _x(self.config.space.cartan, kmu, knu)
+
+    def b_prime(self):
+        """The ordered pairs of B with mu != nu and mu + nu != 0."""
+        return [
+            (mu, nu)
+            for mu, kmu in self.key.items()
+            for nu, knu in self.key.items()
+            if _in_b_prime(kmu, knu)
+        ]
+
+
+def _in_b_prime(kmu: tuple, knu: tuple) -> bool:
+    (i, n, a), (j, m, b) = kmu, knu
+    return kmu != knu and (i != j or n != -m or a != -b)
+
+
+def _x(cartan, kmu: tuple, knu: tuple) -> int:
+    """The Serre exponent 1 - 2J(mu, nu)/J(mu, mu) on keys.
+
+    a is isotropic and orthogonal to every alpha_j, so the pairing is
+    (m / n) a_ij: row i of the Cartan matrix pairs alpha_i^vee with
+    alpha_j, the convention of roots.mirror.
+    """
+    if not _in_b_prime(kmu, knu):
+        raise DomainError("pair must satisfy mu != nu and mu + nu != 0")
+    (i, n, _), (j, m, _) = kmu, knu
+    num = m * cartan[i][j]
+    if num * n >= 0:
+        return 0
+    quo, rem = divmod(num, n)
+    if rem:
+        raise DomainError(f"non-integral pairing {Fraction(num, n)}")
+    return 1 - quo
+
+
+def _tree_parity(tree: Tree, parity: dict[str, int]) -> int:
     if isinstance(tree, str):
-        if tree.startswith("h:"):
-            return 0
-        return syms[tree].parity(config)
+        return 0 if tree.startswith("h:") else parity[tree]
     a, b = tree
-    return (_tree_parity(config, a, syms) + _tree_parity(config, b, syms)) % 2
+    return (_tree_parity(a, parity) + _tree_parity(b, parity)) % 2
 
 
-def _word(config: QebsConfig, monomials: list[tuple[Cyc, Tree]]) -> LieWord:
-    syms = {m.ident: m for m in b_all(config)}
-    parities = {_tree_parity(config, t, syms) for _, t in monomials}
+def _word(table: _BTable, monomials: list[tuple[Cyc, Tree]]) -> LieWord:
+    parities = {_tree_parity(t, table.parity) for _, t in monomials}
     if len(parities) != 1:
         raise CheckError("relation is not parity-homogeneous")
     return LieWord(monomials, parities.pop())
@@ -135,16 +193,7 @@ def _h_combination(config: QebsConfig, vec: Vec) -> list[tuple[Cyc, Tree]]:
 
 def x_coeff(config: QebsConfig, mu: RootSym, nu: RootSym) -> int:
     """Serre exponent for the ordered pair (mu, nu)."""
-    vmu, vnu = mu.vector(config), nu.vector(config)
-    if vmu == vnu or all(x + y == 0 for x, y in zip(vmu, vnu)):
-        raise DomainError("pair must satisfy mu != nu and mu + nu != 0")
-    sp = config.space
-    pairing = 2 * sp.j(vmu, vnu) / sp.j(vmu, vmu)
-    if pairing >= 0:
-        return 0
-    if pairing.denominator != 1:
-        raise DomainError(f"non-integral pairing {pairing}")
-    return 1 - int(pairing)
+    return _x(config.space.cartan, _key(config, mu), _key(config, nu))
 
 
 def triples_A(config: QebsConfig) -> list[tuple[int, int, int]]:
@@ -165,43 +214,48 @@ def emit_sr(config: QebsConfig, pairs=None, tag: str = "SR5") -> RelationSet:
     """SR2 through SR9 fully instantiated; SR1/SR3 run over the l+4 basis
     Cartan generators.  `pairs` narrows the SR5 family to a chosen pair set
     (used for the reduced presentation)."""
+    return _emit_sr(_BTable(config), pairs, tag)
+
+
+def _emit_sr(table: _BTable, pairs, tag: str) -> RelationSet:
+    config = table.config
     sp = config.space
     rels = RelationSet()
     labels = sp.basis_labels()
-    roots = b_all(config)
 
     for x in range(sp.dim):
         for y in range(x + 1, sp.dim):
             rels.add(
                 f"SR2[h:{labels[x]},h:{labels[y]}]",
-                _word(config, [(ONE, [f"h:{labels[x]}", f"h:{labels[y]}"])]),
+                _word(table, [(ONE, [f"h:{labels[x]}", f"h:{labels[y]}"])]),
             )
 
     for x in range(sp.dim):
-        sigma = sp.basis_vector(x)
-        for mu in roots:
-            coef = sp.j(sigma, mu.vector(config))
+        row = sp.gram[x]
+        for mu, (i, n, a) in table.key.items():
+            # J(sigma_x, n alpha_i + a a), read off the gram row
+            coef = row[i] * n + row[sp.idx_a] * a
             mons = [(ONE, [f"h:{labels[x]}", mu.ident])]
             if coef != 0:
                 mons.append((-Cyc.from_rational(coef), mu.ident))
-            rels.add(f"SR3[h:{labels[x]},{mu.ident}]", _word(config, mons))
+            rels.add(f"SR3[h:{labels[x]},{mu.ident}]", _word(table, mons))
 
     for mu in b_plus(config):
         vec = mu.vector(config)
         covec = sp.covector(vec)
         mons = [(ONE, [mu.ident, mu.negate().ident])]
         mons += [(-c, t) for c, t in _h_combination(config, covec)]
-        rels.add(f"SR4[{mu.ident}]", _word(config, mons))
+        rels.add(f"SR4[{mu.ident}]", _word(table, mons))
 
     if pairs is None:
-        pairs = [(m, n) for m in roots for n in roots if _in_b_prime(config, m, n)]
+        pairs = table.b_prime()
     for mu, nu in pairs:
-        x = x_coeff(config, mu, nu)
+        x = table.x(mu, nu)
         if x == 0:
             continue
         rels.add(
             f"{tag}[{mu.ident},{nu.ident};x={x}]",
-            _word(config, [(ONE, _nest(mu.ident, x, nu.ident))]),
+            _word(table, [(ONE, _nest(mu.ident, x, nu.ident))]),
         )
 
     for i, j, y in triples_A(config):
@@ -213,7 +267,7 @@ def emit_sr(config: QebsConfig, pairs=None, tag: str = "SR5") -> RelationSet:
         rels.add(
             f"SR6[a{i},a{j};y={y}]",
             _word(
-                config,
+                table,
                 [
                     (Cyc.from_rational(c), _nest(a_star.ident, y, b_sym.ident)),
                     (-ONE, _nest(a_sym.ident, c * y, b_star.ident)),
@@ -224,7 +278,7 @@ def emit_sr(config: QebsConfig, pairs=None, tag: str = "SR5") -> RelationSet:
         rels.add(
             f"SR7[a{i},a{j};y={y}]",
             _word(
-                config,
+                table,
                 [
                     (
                         Cyc.from_rational(sign * c),
@@ -248,14 +302,9 @@ def emit_sr(config: QebsConfig, pairs=None, tag: str = "SR5") -> RelationSet:
                 )
                 rels.add(
                     f"{name}[a{i},a{j};y={y},i={part}]",
-                    _word(config, [(ONE, tree)]),
+                    _word(table, [(ONE, tree)]),
                 )
     return rels
-
-
-def _in_b_prime(config: QebsConfig, mu: RootSym, nu: RootSym) -> bool:
-    vmu, vnu = mu.vector(config), nu.vector(config)
-    return vmu != vnu and any(x + y != 0 for x, y in zip(vmu, vnu))
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +312,8 @@ def _in_b_prime(config: QebsConfig, mu: RootSym, nu: RootSym) -> bool:
 # ---------------------------------------------------------------------------
 
 def sharp_sets(config: QebsConfig):
-    sp = config.space
+    table = _BTable(config)
+    cartan = config.space.cartan
     pi_pairs = []
     for i in config.nodes:
         for j in config.nodes:
@@ -271,10 +321,10 @@ def sharp_sets(config: QebsConfig):
                 continue
             if config.k[i] == config.k[j]:
                 # J((alpha*)_vee, beta) scales the Cartan entry by 1/c
-                if Fraction(sp.cartan[i][j], config.c_of(i)) == -1:
+                if cartan[i][j] == -config.c_of(i):
                     pi_pairs.append((i, j))
                     continue
-            if config.k[i] < config.k[j] and sp.cartan[j][i] == -1:
+            if config.k[i] < config.k[j] and cartan[j][i] == -1:
                 pi_pairs.append((i, j))
 
     seeds = set()
@@ -292,29 +342,33 @@ def sharp_sets(config: QebsConfig):
         seeds.add((RootSym(i, False, 1), RootSym(i, True, 1)))
         seeds.add((RootSym(i, True, 1), RootSym(i, False, 1)))
 
+    b_prime = table.b_prime()
+    in_b_prime = set(b_prime)
     pairs = set()
     for mu, nu in seeds:
         for s1 in (1, -1):
             for s2 in (1, -1):
                 cand = (RootSym(mu.node, mu.star, s1 * mu.sign),
                         RootSym(nu.node, nu.star, s2 * nu.sign))
-                if _in_b_prime(config, *cand):
+                if cand in in_b_prime:
                     pairs.add(cand)
-    for mu in b_all(config):
-        for nu in b_all(config):
-            if _in_b_prime(config, mu, nu) and sp.j(
-                mu.vector(config), nu.vector(config)
-            ) == 0:
-                pairs.add((mu, nu))
+    # J(mu, nu) = 0 exactly when a_ij = 0
+    pairs.update(
+        (mu, nu) for mu, nu in b_prime if cartan[mu.node][nu.node] == 0
+    )
     ordered = sorted(pairs, key=lambda p: (p[0].ident, p[1].ident))
     return pi_pairs, ordered
 
 
 def emit_sr_sharp(config: QebsConfig) -> RelationSet:
-    _, pairs = sharp_sets(config)
-    rels = emit_sr(config, pairs=pairs, tag="SR5'")
-    full = emit_sr(config)
-    if rels.count("SR5'") > full.count("SR5"):
+    return _emit_sr_sharp(_BTable(config))
+
+
+def _emit_sr_sharp(table: _BTable) -> RelationSet:
+    _, pairs = sharp_sets(table.config)
+    rels = _emit_sr(table, pairs, "SR5'")
+    full = sum(1 for mu, nu in table.b_prime() if table.x(mu, nu))
+    if rels.count("SR5'") > full:
         raise CheckError("reduced family larger than the full one")
     return rels
 
@@ -362,11 +416,12 @@ def gamma_restrict(config: QebsConfig, nodes) -> set[str]:
 
 def emit_tsr(config: QebsConfig) -> RelationSet:
     sp = config.space
+    table = _BTable(config)
     data = elliptic_basis(config)
     allowed = {sym.ident for sym in data["gamma"]}
     allowed |= {sym.negate().ident for sym in data["gamma"]}
 
-    base = emit_sr_sharp(config)
+    base = _emit_sr_sharp(table)
     rels = RelationSet()
     for label, word in base.label_words:
         if _uses_only(word, allowed):
@@ -383,8 +438,7 @@ def emit_tsr(config: QebsConfig) -> RelationSet:
             aij, aji = sp.cartan[i][j], sp.cartan[j][i]
             if aij == 0 or aji == 0:
                 continue
-            c = config.c_of(i)
-            if Fraction(aij, aji) == c:
+            if aij == config.c_of(i) * aji:
                 for sgn in (1, -1):
                     a_sym = RootSym(i, False, sgn)
                     a_star = RootSym(i, True, sgn)
@@ -392,11 +446,11 @@ def emit_tsr(config: QebsConfig) -> RelationSet:
                     rels.add(
                         f"TSR10[a{i},a{j};{'+' if sgn > 0 else '-'}]",
                         _word(
-                            config,
+                            table,
                             [(ONE, [a_star.ident, [a_sym.ident, b_sym.ident]])],
                         ),
                     )
-            if config.g[i].is_empty and Fraction(aji, aij) in (2, 3):
+            if config.g[i].is_empty and aji in (2 * aij, 3 * aij):
                 for sgn in (1, -1):
                     a_sym = RootSym(i, False, sgn)
                     a_star = RootSym(i, True, sgn)
@@ -405,14 +459,14 @@ def emit_tsr(config: QebsConfig) -> RelationSet:
                     rels.add(
                         f"TSR11a[a{i},a{j};{tagp}]",
                         _word(
-                            config,
+                            table,
                             [(ONE, [a_star.ident, [a_sym.ident, b_sym.ident]])],
                         ),
                     )
                     rels.add(
                         f"TSR11b[a{i},a{j};{tagp}]",
                         _word(
-                            config,
+                            table,
                             [
                                 (
                                     ONE,
@@ -436,13 +490,10 @@ def emit_tsr(config: QebsConfig) -> RelationSet:
                 if sp.cartan[j][i] == 0 or sp.cartan[j][m] == 0:
                     continue
                 e1 = -sp.cartan[j][i]
-                beta_star = RootSym(j, True, 1)
-                vstar = beta_star.vector(config)
-                vg = sp.alpha(m)
-                p2 = 2 * sp.j(vstar, vg) / sp.j(vstar, vstar)
-                if p2.denominator != 1 or p2 >= 0:
+                # 2J(beta*, gamma)/J(beta*, beta*) = a_jm / c
+                e2, rem = divmod(-sp.cartan[j][m], config.c_of(j))
+                if rem or e2 <= 0:
                     continue
-                e2 = -int(p2)
                 for sgn in (1, -1):
                     bb = RootSym(j, False, sgn)
                     bs = RootSym(j, True, sgn)
@@ -454,7 +505,7 @@ def emit_tsr(config: QebsConfig) -> RelationSet:
                     ]
                     rels.add(
                         f"TSR12[a{i},a{j},a{m};{'+' if sgn > 0 else '-'}]",
-                        _word(config, [(ONE, tree)]),
+                        _word(table, [(ONE, tree)]),
                     )
     return rels
 

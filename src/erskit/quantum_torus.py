@@ -21,7 +21,8 @@ from .presentation import RootSym, b_all
 
 
 class QLaurent:
-    """Laurent polynomial in q with rational coefficients."""
+    """Laurent polynomial in q with rational coefficients, stored as a dict
+    from exponent to nonzero Fraction."""
 
     __slots__ = ("c",)
 
@@ -29,30 +30,44 @@ class QLaurent:
         self.c = {n: Fraction(v) for n, v in (coeffs or {}).items() if v}
 
     @staticmethod
+    def _make(c: dict[int, Fraction]) -> "QLaurent":
+        """Wrap a dict whose values are already nonzero Fractions."""
+        out = object.__new__(QLaurent)
+        out.c = c
+        return out
+
+    @staticmethod
     def of(v) -> "QLaurent":
         if isinstance(v, QLaurent):
             return v
-        return QLaurent({0: Fraction(v)})
+        v = Fraction(v)
+        return QLaurent._make({0: v} if v else {})
 
     @staticmethod
     def q_power(n: int) -> "QLaurent":
-        return QLaurent({n: Fraction(1)})
+        return QLaurent._make({n: Fraction(1)})
+
+    def shifted(self, n: int) -> "QLaurent":
+        """This polynomial times q^n."""
+        if not n:
+            return self
+        return QLaurent._make({m + n: v for m, v in self.c.items()})
 
     def __add__(self, other):
         other = QLaurent.of(other)
         out = dict(self.c)
         for n, v in other.c.items():
-            nv = out.get(n, Fraction(0)) + v
+            nv = out.get(n, 0) + v
             if nv:
                 out[n] = nv
-            elif n in out:
+            else:
                 del out[n]
-        return QLaurent(out)
+        return QLaurent._make(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QLaurent({n: -v for n, v in self.c.items()})
+        return QLaurent._make({n: -v for n, v in self.c.items()})
 
     def __sub__(self, other):
         return self + (-QLaurent.of(other))
@@ -61,16 +76,18 @@ class QLaurent:
         return QLaurent.of(other) + (-self)
 
     def __mul__(self, other):
-        other = QLaurent.of(other)
+        if not isinstance(other, QLaurent):
+            v = Fraction(other)
+            return QLaurent._make({n: w * v for n, w in self.c.items() if v})
         out: dict[int, Fraction] = {}
         for n, v in self.c.items():
             for m, w in other.c.items():
-                nv = out.get(n + m, Fraction(0)) + v * w
+                nv = out.get(n + m, 0) + v * w
                 if nv:
                     out[n + m] = nv
-                elif n + m in out:
+                else:
                     del out[n + m]
-        return QLaurent(out)
+        return QLaurent._make(out)
 
     __rmul__ = __mul__
 
@@ -135,11 +152,7 @@ class HatElement:
     def plus(self, other: "HatElement") -> "HatElement":
         mat = dict(self.mat)
         for k, v in other.mat.items():
-            nv = mat.get(k, QLaurent()) + v
-            if nv:
-                mat[k] = nv
-            elif k in mat:
-                del mat[k]
+            _add_into(mat, k, v)
         return HatElement(
             self.size, mat,
             self.c1 + other.c1, self.c2 + other.c2,
@@ -174,47 +187,50 @@ def unit(size: int, x1: int, x2: int, i: int, j: int, coeff=Q_ONE) -> HatElement
     return HatElement(size, {(x1, x2, i, j): QLaurent.of(coeff)})
 
 
+def _add_into(mat: dict, key, val: QLaurent) -> None:
+    """mat[key] += val, keeping only nonzero entries."""
+    if not val:
+        return
+    old = mat.get(key)
+    if old is None:
+        mat[key] = val
+        return
+    nv = old + val
+    if nv:
+        mat[key] = nv
+    else:
+        del mat[key]
+
+
 def hat_bracket(x: HatElement, y: HatElement) -> HatElement:
     if x.size != y.size:
         raise DomainError("operands have different matrix sizes")
-    out = HatElement(x.size)
     mat: dict = {}
-    c1 = QLaurent()
-    c2 = QLaurent()
-
-    def put(key, val):
-        nv = mat.get(key, QLaurent()) + val
-        if nv:
-            mat[key] = nv
-        elif key in mat:
-            del mat[key]
+    c1 = c2 = QLaurent()
 
     for (x1, x2, i, j), cx in x.mat.items():
         for (y1, y2, m, n), cy in y.mat.items():
             c = cx * cy
             if j == m:
-                put((x1 + y1, x2 + y2, i, n), c * QLaurent.q_power(x2 * y1))
+                _add_into(mat, (x1 + y1, x2 + y2, i, n), c.shifted(x2 * y1))
             if i == n:
-                put((x1 + y1, x2 + y2, m, j), -(c * QLaurent.q_power(x1 * y2)))
+                _add_into(mat, (x1 + y1, x2 + y2, m, j), -c.shifted(x1 * y2))
             if x1 + y1 == 0 and x2 + y2 == 0 and j == m and i == n:
-                zc = c * QLaurent.q_power(x2 * y1)
+                zc = c.shifted(x2 * y1)
                 c1 = c1 + zc * x1
                 c2 = c2 + zc * x2
     # derivations
     for (y1, y2, m, n), cy in y.mat.items():
         if x.d1:
-            put((y1, y2, m, n), x.d1 * cy * y1)
+            _add_into(mat, (y1, y2, m, n), x.d1 * cy * y1)
         if x.d2:
-            put((y1, y2, m, n), x.d2 * cy * y2)
+            _add_into(mat, (y1, y2, m, n), x.d2 * cy * y2)
     for (x1, x2, i, j), cx in x.mat.items():
         if y.d1:
-            put((x1, x2, i, j), -(y.d1 * cx * x1))
+            _add_into(mat, (x1, x2, i, j), -(y.d1 * cx * x1))
         if y.d2:
-            put((x1, x2, i, j), -(y.d2 * cx * x2))
-    out.mat = mat
-    out.c1 = c1
-    out.c2 = c2
-    return out
+            _add_into(mat, (x1, x2, i, j), -(y.d2 * cx * x2))
+    return HatElement(x.size, mat, c1, c2)
 
 
 def form_q(x: HatElement, y: HatElement) -> QLaurent:
@@ -222,7 +238,7 @@ def form_q(x: HatElement, y: HatElement) -> QLaurent:
     for (x1, x2, i, j), cx in x.mat.items():
         for (y1, y2, m, n), cy in y.mat.items():
             if x1 + y1 == 0 and x2 + y2 == 0 and j == m and i == n:
-                out = out + cx * cy * QLaurent.q_power(x2 * y1)
+                out = out + (cx * cy).shifted(x2 * y1)
     return out
 
 
@@ -408,46 +424,53 @@ def verify_q(config: QebsConfig, q_numeric: Fraction | None = None) -> QReport:
 
 
 def structure_suite(size: int = 3, span: int = 2) -> QReport:
-    """Antisymmetry, Jacobi, and invariance on a monomial sample."""
+    """Antisymmetry, Jacobi, and invariance on a monomial sample.
+
+    Antisymmetry runs over the units E_12, E_21, E_11 at degrees |x1|,
+    |x2| <= span and c1, c2, d1, d2; Jacobi and invariance over every unit
+    kind at |x1| + |x2| <= 1 and the same four, so the central cocycle
+    meets each kind.  Each bracket of two such elements is computed once.
+    """
     rep = QReport()
-    basis = []
-    for x1 in range(-span, span + 1):
-        for x2 in range(-span, span + 1):
-            basis.append(unit(size, x1, x2, 1, 2))
-            basis.append(unit(size, x1, x2, 2, 1))
-            basis.append(unit(size, x1, x2, 1, 1))
     extra = []
     for which in ("c1", "c2", "d1", "d2"):
         e = HatElement(size)
         setattr(e, which, Q_ONE)
         extra.append(e)
-    sample = basis + extra
+    units = []
+    for x1 in range(-span, span + 1):
+        for x2 in range(-span, span + 1):
+            for i, j in ((1, 2), (2, 1), (1, 1)):
+                units.append(((x1, x2), unit(size, x1, x2, i, j)))
+    sample = [u for _, u in units] + extra
 
     anti = all(
         hat_bracket(a, b).plus(hat_bracket(b, a)).is_zero()
-        for a in sample
-        for b in sample
+        for n, a in enumerate(sample)
+        for b in sample[n:]
     )
     rep.entries.append(("antisymmetry", anti, "" if anti else "broken pair"))
 
-    jac_ok = True
-    witness = ""
-    for a in sample[:: 3]:
-        for b in sample[:: 3]:
-            for c in sample[:: 3]:
-                lhs = hat_bracket(a, hat_bracket(b, c))
-                lhs = lhs.plus(hat_bracket(b, hat_bracket(c, a)))
-                lhs = lhs.plus(hat_bracket(c, hat_bracket(a, b)))
-                if not lhs.is_zero():
-                    jac_ok = False
-                    witness = "broken triple"
-    rep.entries.append(("jacobi", jac_ok, witness))
+    small = [u for (x1, x2), u in units if abs(x1) + abs(x2) <= 1] + extra
+    idx = range(len(small))
+    br = {(a, b): hat_bracket(small[a], small[b]) for a in idx for b in idx}
 
-    inv_ok = True
-    for a in sample[:: 3]:
-        for b in sample[:: 3]:
-            for c in sample[:: 3]:
-                if form_q(hat_bracket(a, b), c) != form_q(a, hat_bracket(b, c)):
-                    inv_ok = False
+    jac_ok = all(
+        hat_bracket(small[a], br[b, c])
+        .plus(hat_bracket(small[b], br[c, a]))
+        .plus(hat_bracket(small[c], br[a, b]))
+        .is_zero()
+        for a in idx
+        for b in idx
+        for c in idx
+    )
+    rep.entries.append(("jacobi", jac_ok, "" if jac_ok else "broken triple"))
+
+    inv_ok = all(
+        form_q(br[a, b], small[c]) == form_q(small[a], br[b, c])
+        for a in idx
+        for b in idx
+        for c in idx
+    )
     rep.entries.append(("form-invariance", inv_ok, "" if inv_ok else "broken triple"))
     return rep

@@ -392,11 +392,12 @@ class GradedAlgebra:
         for h in range(2, self.height + 1):
             for wt in sorted(self._weights_at(h)):
                 self._build_weight(wt, h)
+                if self._size > self._cap:
+                    raise ResourceError(
+                        f"basis size {self._size} over the budget",
+                        self.completed,
+                    )
             self.completed = h
-            if self._size > self._cap:
-                raise ResourceError(
-                    f"basis size {self._size} over the budget", h
-                )
 
     def _weights_at(self, h: int) -> list[tuple]:
         prev = [wt for wt in self.basis if sum(wt) == h - 1 and self.basis[wt]]

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from erskit.ambient import DomainError
+from erskit import presentation
+from erskit.ambient import CheckError, ConfigError, DomainError
 from erskit.base_system import simple_config
 from erskit.presentation import (
     RootSym,
@@ -16,6 +17,21 @@ from erskit.presentation import (
     x_coeff,
 )
 from conftest import SUITE_NAMES
+
+# node 0 doubled (c = 2; odd with g = Z, even with 2Z+1) and unequal k: the
+# configs where a starred and a plain symbol pair with a factor != 1
+VARIANTS = {
+    "D3(2)/g0=Z": ("D3(2)", 1, {0: "Z"}),
+    "D3(2)/g0=2Z+1": ("D3(2)", 1, {0: "2Z+1"}),
+    "G2(1)/k=3,3,1": ("G2(1)", {0: 3, 1: 3, 2: 1}, None),
+}
+
+
+def _config(name):
+    if name in VARIANTS:
+        type_name, k, g = VARIANTS[name]
+        return simple_config(type_name, k=k, g=g)
+    return simple_config(name)
 
 
 def _counts(rels):
@@ -47,11 +63,11 @@ def test_structural_counts(name):
     assert counts["SR4"] == len(b_plus(cfg))
 
 
-@pytest.mark.parametrize("name", ["A2(1)", "D3(2)", "G2(1)"])
+@pytest.mark.parametrize("name", ["A2(1)", "D3(2)", "G2(1)", *VARIANTS])
 def test_sr5_count_matches_pairing_census(name):
     # recount the nilpotency relations straight from the form: one per
     # ordered pair with strictly negative pairing
-    cfg = simple_config(name)
+    cfg = _config(name)
     sp = cfg.space
     expected = 0
     for mu in b_all(cfg):
@@ -69,6 +85,26 @@ def test_sr5_count_matches_pairing_census(name):
     assert counts.get("SR5", 0) == expected
 
 
+@pytest.mark.parametrize("name", SUITE_NAMES + list(VARIANTS))
+def test_x_coeff_matches_fraction_form(name):
+    # the integer pairing from the Cartan entries against 2J(mu,nu)/J(mu,mu)
+    # on the Fraction ambient vectors, over every ordered pair of B'
+    cfg = _config(name)
+    sp = cfg.space
+    for mu in b_all(cfg):
+        for nu in b_all(cfg):
+            vm, vn = mu.vector(cfg), nu.vector(cfg)
+            if vm == vn or all(a + b == 0 for a, b in zip(vm, vn)):
+                continue
+            pairing = 2 * sp.j(vm, vn) / sp.j(vm, vm)
+            if pairing < 0 and pairing.denominator != 1:
+                with pytest.raises(DomainError):
+                    x_coeff(cfg, mu, nu)
+                continue
+            want = 1 - pairing if pairing < 0 else 0
+            assert x_coeff(cfg, mu, nu) == want, (mu.ident, nu.ident)
+
+
 def test_x_coeff_domain_errors():
     cfg = simple_config("A2(1)")
     mu = RootSym(0, False, 1)
@@ -78,6 +114,10 @@ def test_x_coeff_domain_errors():
         x_coeff(cfg, mu, mu.negate())
     # non-negative pairing contributes no relation
     assert x_coeff(cfg, mu, RootSym(0, True, 1)) == 0
+    with pytest.raises(ConfigError, match="out of range"):
+        x_coeff(cfg, mu, RootSym(3, True, 1))
+    with pytest.raises(ConfigError, match="out of range"):
+        emit_sr(cfg, pairs=[(mu, RootSym(3, False, 1))])
 
 
 @pytest.mark.parametrize("name", SUITE_NAMES)
@@ -94,6 +134,21 @@ def test_sharp_is_a_restriction():
     assert sharp["SR5'"] < full["SR5"]
     for key in ("SR2", "SR3", "SR4"):
         assert sharp[key] == full[key]
+
+
+def test_sharp_guard_rejects_oversized_reduced_family(monkeypatch):
+    # a pair set with more x != 0 pairs than the full SR5 family has
+    cfg = simple_config("D3(2)")
+    pi_pairs, _ = presentation.sharp_sets(cfg)
+    b_prime = [
+        (mu, nu) for mu in b_all(cfg) for nu in b_all(cfg)
+        if mu.vector(cfg) != nu.vector(cfg)
+        and any(a + b for a, b in zip(mu.vector(cfg), nu.vector(cfg)))
+    ]
+    monkeypatch.setattr(presentation, "sharp_sets",
+                        lambda config: (pi_pairs, b_prime + b_prime))
+    with pytest.raises(CheckError, match="reduced family larger"):
+        emit_sr_sharp(cfg)
 
 
 @pytest.mark.parametrize("name", SUITE_NAMES)

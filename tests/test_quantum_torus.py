@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from erskit import quantum_torus
 from erskit.ambient import DomainError
 from erskit.base_system import simple_config
 from erskit.presentation import RootSym
@@ -70,6 +71,33 @@ def test_derivation_grading():
 def test_structure_suite_passes():
     rep = structure_suite()
     assert rep.passed, rep.failures()
+
+
+def _drop_cocycle(out):
+    out.c1 = out.c2 = QLaurent()
+
+
+def _double_cocycle(out):
+    out.c1, out.c2 = out.c1 * 2, out.c2 * 2
+
+
+def _swap_cocycle(out):
+    out.c1, out.c2 = out.c2, out.c1
+
+
+@pytest.mark.parametrize("mutate", [_drop_cocycle, _double_cocycle, _swap_cocycle])
+def test_structure_suite_catches_broken_cocycle(monkeypatch, mutate):
+    real = quantum_torus.hat_bracket
+
+    def broken(x, y):
+        out = real(x, y)
+        mutate(out)
+        return out
+
+    monkeypatch.setattr(quantum_torus, "hat_bracket", broken)
+    rep = structure_suite()
+    assert not rep.passed
+    assert "form-invariance" in [lbl for lbl, _ in rep.failures()]
 
 
 def test_untwisted_a_gate():

@@ -12,6 +12,7 @@ from erskit.cyclo import Cyc, ONE
 from erskit.presentation import RelationSet, RootSym, b_all, emit_sr
 from erskit.roots import RootWindow, generate
 from erskit.unfold import (
+    GradedAlgebra,
     HandyDatum,
     Realization,
     ResourceError,
@@ -105,6 +106,30 @@ def test_graded_cap_raises_resource_error():
     with pytest.raises(ResourceError) as exc:
         build_graded(hd, 6, cap=1)
     assert exc.value.completed_height >= 2
+
+
+def test_graded_cap_checked_per_weight(monkeypatch):
+    # A4: height 2 spreads its basis over several weights; a cap one under
+    # that height's total must stop the build before its last weights
+    a4 = [[2 if i == j else (-1 if abs(i - j) == 1 else 0) for j in range(4)]
+          for i in range(4)]
+    hd = _plain_datum(a4)
+    full = build_graded(hd, 2)
+    at2 = [wt for wt in full.basis if sum(wt) == 2]
+    total = sum(len(full.basis[wt]) for wt in at2)
+    assert total >= 2
+    built = []
+    build_weight = GradedAlgebra._build_weight
+
+    def counting(self, wt, h):
+        built.append(wt)
+        return build_weight(self, wt, h)
+
+    monkeypatch.setattr(GradedAlgebra, "_build_weight", counting)
+    with pytest.raises(ResourceError) as exc:
+        build_graded(hd, 3, cap=total - 1)
+    assert exc.value.completed_height == 1
+    assert len(built) < len(at2)
 
 
 def test_bad_max_mem_fails_at_build_not_import(monkeypatch):

@@ -10,7 +10,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+
+from . import exact
 
 Vec = tuple[Fraction, ...]
 
@@ -201,44 +202,42 @@ def cartan_matrix(t: AffineType) -> list[list[int]]:
     return A
 
 
-def _symmetrize(A: list[list[int]]) -> list[list[Fraction]]:
-    """B_ij = d_i * a_ij, with the minimal scaling that keeps B integral."""
+def cartan_symmetrizer(A, connected: bool = False) -> list[Fraction]:
+    """d with d_i a_ij = d_j a_ji, propagated over the support of A from
+    d = 1 at the first node of each connected component.  ConfigError when
+    the support is not symmetric, when no such d exists, or, with
+    connected, when A has more than one component."""
     n = len(A)
-    d = [None] * n
-    d[0] = Fraction(1)
-    queue = [0]
-    while queue:
-        i = queue.pop()
-        for j in range(n):
-            if i != j and A[i][j] != 0 and d[j] is None:
-                d[j] = d[i] * A[i][j] / A[j][i]
-                queue.append(j)
-    if any(x is None for x in d):
-        raise ConfigError("Cartan diagram is not connected")
-    B = [[d[i] * A[i][j] for j in range(n)] for i in range(n)]
-    entries = [x for row in B for x in row if x != 0]
-    # minimal positive t with t*entry integral for every entry
-    g = Fraction(0)
-    for e in entries:
-        g = _frac_gcd(g, abs(e))
-    t = 1 / g
-    # t*B is integral; divide further by the gcd of the integer entries
-    ints = [int(t * e) for e in entries]
-    common = 0
-    for v in ints:
-        common = gcd(common, abs(v))
-    t = t / common
-    return [[t * x for x in row] for row in B]
+    d: list[Fraction | None] = [None] * n
+    for start in range(n):
+        if d[start] is not None:
+            continue
+        if start and connected:
+            raise ConfigError("Cartan diagram is not connected")
+        d[start] = Fraction(1)
+        stack = [start]
+        while stack:
+            i = stack.pop()
+            for j in range(n):
+                if i == j or A[i][j] == 0:
+                    continue
+                if A[j][i] == 0:
+                    raise ConfigError(f"support not symmetric at ({i},{j})")
+                want = d[i] * A[i][j] / A[j][i]
+                if d[j] is None:
+                    d[j] = want
+                    stack.append(j)
+                elif d[j] != want:
+                    raise ConfigError(f"no symmetrizer through ({i},{j})")
+    return d
 
 
-def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:
-    if a == 0:
-        return b
-    if b == 0:
-        return a
-    from math import lcm
-
-    return Fraction(gcd(a.numerator, b.numerator), lcm(a.denominator, b.denominator))
+def _symmetrize(A: list[list[int]]) -> list[list[Fraction]]:
+    """B_ij = d_i * a_ij, scaled to the coprime integer block."""
+    n = len(A)
+    d = cartan_symmetrizer(A, connected=True)
+    flat = exact.primitive(d[i] * A[i][j] for i in range(n) for j in range(n))
+    return [[Fraction(x) for x in flat[i * n:(i + 1) * n]] for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +272,7 @@ class AmbientSpace:
         g[self.idx_a][self.idx_La] = g[self.idx_La][self.idx_a] = Fraction(1)
         # everything else involving Ld, a, La is 0 (including J(Ld, La) = 0)
         rows = tuple(tuple(r) for r in g)
-        if _det(rows) == 0:
+        if exact.rank(rows) < n:
             raise ConfigError("degenerate gram matrix")
         return rows
 
@@ -329,10 +328,6 @@ class AmbientSpace:
         coef = 2 * self.j(x, y) / nx
         return tuple(yc - coef * xc for yc, xc in zip(y, x))
 
-    def cartan_pairing(self, i: int, j: int) -> int:
-        """J(alpha_i_vee, alpha_j) = a_ij."""
-        return self.cartan[i][j]
-
     # -- derived data -------------------------------------------------
     def null_root(self) -> Vec:
         """delta in Z_+ Pi with Z delta the isotropic part of Z Pi."""
@@ -376,12 +371,6 @@ class AmbientSpace:
             len({f[i] for i in cls}) == 1 for cls in self.node_orbit_classes()
         )
 
-    def orbit_key(self, beta: Vec) -> Fraction:
-        nb = self.j(beta, beta)
-        if nb == 0:
-            raise DomainError("orbit key of an isotropic vector")
-        return nb
-
     def __repr__(self):
         return f"AmbientSpace({self.type.name})"
 
@@ -393,29 +382,8 @@ def build_ambient(affine_type: AffineType | str) -> AmbientSpace:
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra helpers
+# affine block checks
 # ---------------------------------------------------------------------------
-
-def _det(m: tuple[Vec, ...]) -> Fraction:
-    n = len(m)
-    a = [list(row) for row in m]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                f = a[r][col] * inv
-                for c in range(col, n):
-                    a[r][c] -= f * a[col][c]
-    return det
-
 
 def _check_affine_block(B: list[list[Fraction]]) -> None:
     """The symmetrized block must be PSD with a 1-dimensional kernel."""
@@ -446,59 +414,12 @@ def _check_affine_block(B: list[list[Fraction]]) -> None:
 
 def _kernel_marks(B: list[list[Fraction]]) -> list[int]:
     """Coprime positive integer kernel vector of the symmetrized block."""
-    n = len(B)
-    a = [list(row) + [Fraction(0)] for row in B]
-    # Gaussian elimination to RREF on the first n columns
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, n) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(n):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(n) if c not in pivots]
-    if len(free) != 1:
-        raise ConfigError(f"Cartan block has corank {len(free)}, expected 1")
-    fc = free[0]
-    sol = [Fraction(0)] * n
-    sol[fc] = Fraction(1)
-    for row_i, c in enumerate(pivots):
-        sol[c] = -a[row_i][fc]
-    denom_lcm = 1
-    for x in sol:
-        denom_lcm = denom_lcm * x.denominator // gcd(denom_lcm, x.denominator)
-    ints = [int(x * denom_lcm) for x in sol]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    ints = [v // g for v in ints]
-    if any(v < 0 for v in ints):
-        ints = [-v for v in ints]
-    if not all(v > 0 for v in ints):
+    ker = exact.kernel(B)
+    if len(ker) != 1:
+        raise ConfigError(f"Cartan block has corank {len(ker)}, expected 1")
+    marks = exact.primitive(ker[0])
+    if any(v < 0 for v in marks):
+        marks = [-v for v in marks]
+    if not all(v > 0 for v in marks):
         raise ConfigError("kernel of the Cartan block has a non-positive mark")
-    return ints
-
-
-def vec_add(x: Vec, y: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(x, y))
-
-
-def vec_sub(x: Vec, y: Vec) -> Vec:
-    return tuple(a - b for a, b in zip(x, y))
-
-
-def vec_scale(c, x: Vec) -> Vec:
-    c = Fraction(c)
-    return tuple(c * a for a in x)
-
-
-def vec_neg(x: Vec) -> Vec:
-    return tuple(-a for a in x)
+    return marks

@@ -7,7 +7,6 @@ of k, and the three coupling axioms between k and g.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
@@ -112,7 +111,6 @@ class CheckEntry:
 @dataclass
 class ValidationReport:
     entries: list[CheckEntry] = field(default_factory=list)
-    pi_c: dict[int, frozenset[int]] = field(default_factory=dict)
     pi_b: frozenset[int] = frozenset()
 
     @property
@@ -190,7 +188,7 @@ def pi_b(space: AmbientSpace) -> frozenset[int]:
 def validate_qebs(config: QebsConfig) -> ValidationReport:
     sp = config.space
     rep = ValidationReport()
-    rep.pi_c = {i: pi_c(sp, i) for i in config.nodes}
+    coupled = {i: pi_c(sp, i) for i in config.nodes}
     rep.pi_b = pi_b(sp)
 
     k, g = config.k, config.g
@@ -232,7 +230,7 @@ def validate_qebs(config: QebsConfig) -> ValidationReport:
     for i in rep.pi_b:
         if g[i].is_empty:
             continue
-        for beta in rep.pi_c[i]:
+        for beta in coupled[i]:
             q = Fraction(k[i], k[beta])
             if not g[i].scaled_in_closed_set(q):
                 ok3, w3 = False, f"g(a{i})*k(a{i})/k(a{beta}) = {g[i]}*{q}"
@@ -280,15 +278,6 @@ def config_from_dict(data: dict) -> QebsConfig:
         for i in cls:
             g.setdefault(i, fill)
     return QebsConfig(space, k, g)
-
-
-def config_from_json(text: str) -> QebsConfig:
-    return config_from_dict(json.loads(text))
-
-
-def load_config(path) -> QebsConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return config_from_json(fh.read())
 
 
 def _node_index(key: str, n: int) -> int:

@@ -1,6 +1,6 @@
-"""Rank-one and rank-two classification of window slices, the marked
-reduction, the doubling-class twist, and the extended-affine quadruple for
-the two-node-ended chain types.
+"""Rank-one and rank-two classification of window slices, the
+doubling-class twist, and the extended-affine quadruple for the
+two-node-ended chain types.
 
 The rank tables are a closed enumeration: slices are matched on the exact
 datum the tables key on, then the structural claims (affine 2x2 block,
@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import exact
 from .ambient import CheckError, ConfigError, DomainError
 from .base_system import EMPTY, GClass, QebsConfig, pi_b
 from .roots import EllipticRootSet, Root, RootWindow, closure, generate, mirror
@@ -160,87 +161,6 @@ def _apply_word(config, word, i, j):
 
 
 # ---------------------------------------------------------------------------
-# marked reduction
-# ---------------------------------------------------------------------------
-
-def _member_mod_marking(rootset: EllipticRootSet, c) -> bool:
-    """Whether c + x*a lies in R for some integer x."""
-    if all(v == 0 for v in c):
-        return False
-    if rootset.fin_class(c) is not None:
-        return True
-    if all(v % 2 == 0 for v in c):
-        half = tuple(v // 2 for v in c)
-        hcls = rootset.fin_class(half)
-        if hcls is not None and not hcls.g.is_empty:
-            return True
-    return False
-
-
-def reduce_marked(rootset: EllipticRootSet):
-    """Split the window slice into the reduced part R' (roots whose half is
-    not a root modulo the marking line) and the remainder R''."""
-    r_prime: dict[Root, dict] = {}
-    r_second: dict[Root, dict] = {}
-    for coords, ann in rootset.inner.items():
-        c = coords[:-1]
-        halvable = all(v % 2 == 0 for v in c) and _member_mod_marking(
-            rootset, tuple(v // 2 for v in c)
-        )
-        (r_second if halvable else r_prime)[coords] = ann
-
-    for coords in r_second:
-        half = tuple(v // 2 for v in coords[:-1])
-        if not _member_mod_marking(rootset, half):
-            raise CheckError("half of an R'' element left R modulo the marking")
-        if all(v % 2 == 0 for v in half) and _member_mod_marking(
-            rootset, tuple(v // 2 for v in half)
-        ):
-            raise CheckError("half of an R'' element is itself halvable")
-
-    if r_prime and not _same_lattice(
-        list(r_prime), list(rootset.inner)
-    ):
-        raise CheckError("R' spans a smaller lattice than R on the window")
-    return r_prime, r_second
-
-
-def _same_lattice(gen_a: list[Root], gen_b: list[Root]) -> bool:
-    return _hnf(gen_a) == _hnf(gen_b)
-
-
-def _hnf(rows: list[Root]):
-    """Row-style Hermite form of the integer lattice spanned by the rows."""
-    mat = [list(r) for r in rows]
-    cols = len(mat[0])
-    h = []
-    r = 0
-    for c in range(cols):
-        piv = None
-        for k in range(r, len(mat)):
-            if mat[k][c] != 0:
-                piv = k
-                break
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        for k in range(r + 1, len(mat)):
-            while mat[k][c] != 0:
-                q = mat[r][c] // mat[k][c] if abs(mat[k][c]) <= abs(mat[r][c]) else 0
-                if q:
-                    mat[r] = [x - q * y for x, y in zip(mat[r], mat[k])]
-                mat[r], mat[k] = mat[k], mat[r]
-        if mat[r][c] < 0:
-            mat[r] = [-x for x in mat[r]]
-        for k in range(r):
-            q = mat[k][c] // mat[r][c]
-            if q:
-                mat[k] = [x - q * y for x, y in zip(mat[k], mat[r])]
-        r += 1
-    return [row for row in mat[:r]]
-
-
-# ---------------------------------------------------------------------------
 # doubling-class twist
 # ---------------------------------------------------------------------------
 
@@ -324,7 +244,10 @@ def _dual_weight(config: QebsConfig, i: int):
 
     rhs = [k_i * (1 if j == i else 0) - c_d * (Fraction(1, r) if j == 0 else 0)
            for j in range(n)]
-    v = _solve_singular(sp, rhs)
+    # the block has corank one and the right side is compatible by construction
+    v = exact.solve(sp.sym, rhs)
+    if v is None:
+        raise CheckError("inconsistent dual-weight system")
     # shift along the null direction to make the vector isotropic
     jvv = Fraction(0)
     for x in range(n):
@@ -339,34 +262,6 @@ def _dual_weight(config: QebsConfig, i: int):
         out[x] = v[x]
     out[sp.idx_Ld] = c_d
     return tuple(out)
-
-
-def _solve_singular(sp, rhs):
-    """One solution of (sym block) v = rhs; the block has corank one and the
-    right side is compatible by construction."""
-    n = sp.n_nodes
-    aug = [[Fraction(sp.sym[x][y]) for y in range(n)] + [rhs[x]] for x in range(n)]
-    piv_cols = []
-    r = 0
-    for c in range(n):
-        piv = next((k for k in range(r, n) if aug[k][c] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        aug[r] = [x / aug[r][c] for x in aug[r]]
-        for k in range(n):
-            if k != r and aug[k][c] != 0:
-                f = aug[k][c]
-                aug[k] = [x - f * y for x, y in zip(aug[k], aug[r])]
-        piv_cols.append(c)
-        r += 1
-    for k in range(r, n):
-        if aug[k][n] != 0:
-            raise CheckError("inconsistent dual-weight system")
-    v = [Fraction(0)] * n
-    for row, c in zip(aug, piv_cols):
-        v[c] = row[n]
-    return v
 
 
 # ---------------------------------------------------------------------------

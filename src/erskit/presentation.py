@@ -403,17 +403,6 @@ def elliptic_basis(config: QebsConfig):
     }
 
 
-def gamma_restrict(config: QebsConfig, nodes) -> set[str]:
-    """Gamma(R,G;S) for S given by node indices, as symbol idents
-    (positive representatives)."""
-    data = elliptic_basis(config)
-    out = set()
-    for sym in data["gamma"]:
-        if sym.node in nodes:
-            out.add(sym.ident)
-    return out
-
-
 def emit_tsr(config: QebsConfig) -> RelationSet:
     sp = config.space
     table = _BTable(config)

@@ -21,6 +21,7 @@ from math import gcd
 
 import numpy as np
 
+from . import exact
 from .ambient import CheckError, ConfigError, DomainError
 from .base_system import GClass, QebsConfig, ValidationReport, CheckEntry, validate_qebs
 
@@ -495,7 +496,7 @@ def check_ebs(rootset: EllipticRootSet) -> ValidationReport:
     # the radical of the pairing is the null line plus the marking direction,
     # and the roots span the full lattice
     rep.entries.append(CheckEntry("SER2-radical", True, "validated at build (corank 1)"))
-    rank_ok = _lattice_rank(rootset) == n_nodes + 1
+    rank_ok = exact.rank(rootset.inner, stop=n_nodes + 1) == n_nodes + 1
     rep.entries.append(
         CheckEntry("SER3-rank", rank_ok, "" if rank_ok else "root lattice rank deficit")
     )
@@ -598,23 +599,6 @@ def _closure_fallback(rootset, gb, gr, t, pb, pr):
                             f"s_{beta} sends {rho} to {ci + (n_img,)} outside R"
                         )
     return True, ""
-
-
-def _lattice_rank(rootset) -> int:
-    cols = rootset.config.space.n_nodes + 1
-    pivots: list[tuple[int, list[Fraction]]] = []
-    for coords in rootset.inner:
-        row = [Fraction(x) for x in coords]
-        for col, prow in pivots:
-            if row[col] != 0:
-                f = row[col] / prow[col]
-                row = [x - f * y for x, y in zip(row, prow)]
-        lead = next((c for c in range(cols) if row[c] != 0), None)
-        if lead is not None:
-            pivots.append((lead, row))
-            if len(pivots) == cols:
-                break
-    return len(pivots)
 
 
 def _connected(gram) -> bool:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 
-from .ambient import CheckError, ConfigError, DomainError, Vec
+from .ambient import CheckError, ConfigError, DomainError, Vec, cartan_symmetrizer
 from .base_system import QebsConfig
 from .cyclo import Cyc, ONE, SQRT2, SQRT_M1, exp_pi_i_over
 from .presentation import RootSym, b_all
@@ -203,7 +203,7 @@ def build_handy(config: QebsConfig) -> HandyDatum:
     iodd = {i for i in range(n) if abar[i][i] == 0}
     iodd |= {pos[(a, x)] for a, x in ibar if config.g[a].tag == "Z"}
 
-    eps = _symmetrizers(abar)
+    eps = [1 / d for d in cartan_symmetrizer(abar)]
     hd = HandyDatum(config, kv, ibar, abar, iodd, eps)
     _verify_hd(hd)
     return hd
@@ -224,31 +224,6 @@ def _ad3_pair(config, kv, abar, pos, al, be, x, y):
     if fwd.denominator != 1:
         raise ConfigError(f"non-integral cross entry at (a{al},{x}),(a{be},{y})")
     return int(fwd), -1
-
-
-def _symmetrizers(abar: list[list[int]]) -> list[Fraction]:
-    """eps with abar[i][j]/eps[i] symmetric, propagated over the support."""
-    n = len(abar)
-    eps: list[Fraction | None] = [None] * n
-    for start in range(n):
-        if eps[start] is not None:
-            continue
-        eps[start] = Fraction(1)
-        stack = [start]
-        while stack:
-            i = stack.pop()
-            for j in range(n):
-                if i == j or abar[i][j] == 0:
-                    continue
-                if abar[j][i] == 0:
-                    raise ConfigError(f"support not symmetric at ({i},{j})")
-                want = eps[i] * Fraction(abar[j][i], abar[i][j])
-                if eps[j] is None:
-                    eps[j] = want
-                    stack.append(j)
-                elif eps[j] != want:
-                    raise ConfigError(f"no symmetrizer through ({i},{j})")
-    return [e for e in eps]
 
 
 def _verify_hd(hd: HandyDatum):

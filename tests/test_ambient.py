@@ -7,6 +7,7 @@ from erskit.ambient import (
     AffineType,
     ConfigError,
     DomainError,
+    _check_affine_block,
     _kernel_marks,
     build_ambient,
 )
@@ -106,3 +107,11 @@ def test_basis_labels_shape():
 def test_kernel_marks_rejects_non_affine_blocks(block):
     with pytest.raises(ConfigError):
         _kernel_marks([[Fraction(x) for x in row] for row in block])
+
+
+def test_affine_block_check_rejects_negative_semidefinite_block():
+    # corank 1 with the positive kernel (1, 1): only the PSD test rejects it
+    block = [[Fraction(x) for x in row] for row in [[-2, 2], [2, -2]]]
+    assert _kernel_marks(block) == [1, 1]
+    with pytest.raises(ConfigError, match="not positive semidefinite"):
+        _check_affine_block(block)

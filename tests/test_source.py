@@ -1,10 +1,12 @@
 """Static checks on the package source."""
 import ast
+import re
 from pathlib import Path
 
 import erskit
 
 SRC = Path(erskit.__file__).parent
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _raises_assertion_error(node) -> bool:
@@ -23,3 +25,51 @@ def test_no_assert_statements():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert) or _raises_assertion_error(node)]
     assert not found, found
+
+
+def _named(path) -> set[str]:
+    """Every identifier a Python file names: variables, attributes, imported
+    names, and strings that are identifiers (attribute names looked up by
+    getattr-style tables)."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.rsplit(".", 1)[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                out.add(node.value)
+    return out
+
+
+def _is_click_command(node) -> bool:
+    for dec in node.decorator_list:
+        func = dec.func if isinstance(dec, ast.Call) else dec
+        if (isinstance(func, ast.Attribute) and func.attr == "command"
+                and isinstance(func.value, ast.Name) and func.value.id == "main"):
+            return True
+    return False
+
+
+def test_public_names_are_referenced():
+    # a top-level public def or class that nothing in the package, the
+    # tests, the benchmark or the README names is dead code
+    sources = [*SRC.glob("*.py"), *(ROOT / "tests").glob("*.py"),
+               *(ROOT / "perfbench").glob("*.py")]
+    named = set().union(*(_named(path) for path in sources))
+    readme = ROOT / "README.md"
+    readme_text = readme.read_text(encoding="utf-8") if readme.is_file() else ""
+    dead = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("_") or _is_click_command(node):
+                continue
+            if node.name in named or re.search(rf"\b{node.name}\b", readme_text):
+                continue
+            dead.append(f"{path.name}:{node.name}")
+    assert not dead, dead

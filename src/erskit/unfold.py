@@ -12,11 +12,11 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from .ambient import CheckError, ConfigError, DomainError, Vec, cartan_symmetrizer
 from .base_system import QebsConfig
-from .cyclo import Cyc, ONE, SQRT2, SQRT_M1, exp_pi_i_over
+from .cyclo import Cyc, ONE, SQRT2, SQRT_M1, ZERO, exp_pi_i_over
 from .presentation import RootSym, b_all
 from .roots import closure, mirror, root_of
 
@@ -760,6 +760,7 @@ class Realization:
         self.alg = build_graded(self.hd, height, cap)
         self._images: dict[str, LoopElement] = {}
         self.kappa = None
+        self._weights = None  # the integer weight map of loop_weight_dim
 
     # unit E/F elements by Ibar pair
     def _gen(self, node: int, x: int, sign: int) -> dict:
@@ -1103,41 +1104,46 @@ def root_to_ambient(config: QebsConfig, coords) -> Vec:
     return tuple(Fraction(x) for x in _lift(coords))
 
 
-def _weight_index(real: Realization):
-    """Eigenvalue signatures of the built weight spaces under the Cartan
-    images, with multiplicities.
+def _weight_map(real: Realization):
+    """The integer weight map of loop_weight_dim, as (D, D la, D T, map).
 
-    The loop degree m enters only through basis directions carrying w, so
-    the signature omits it and the lookup side adjusts those slots.
+    Row x of M is the Cartan image h:x read as a row over Ibar, so M.wt
+    holds its eigenvalues on the Ibar weight wt.  Row x of T is
+    gram[x] - w_x la, la = gram[La]: the eigenvalues an ambient vector lam
+    asks for, as its loop degree J(La, lam) enters only through the w part
+    of h:x.  D is their common denominator, and the map sends D flip M.wt to
+    the summed basis size, for each built weight wt and flip = +-1.
     """
-    sp = real.config.space
-    alg = real.alg
-    h_data = []
+    sp, alg = real.config.space, real.alg
+    la = sp.gram[sp.idx_La]
+    rows = []  # [M | T] over Q(zeta24)
     for x, lab in enumerate(sp.basis_labels()):
         img = real.image(f"h:{lab}")
-        cart = {}
+        row = [ZERO] * alg.n
         for (k, p), c in img.terms.items():
             if p != 0 or k[0] not in ("h", "t"):
                 raise CheckError("Cartan image has non-Cartan terms")
-            cart[k] = c
-        h_data.append((cart, img.w))
+            if k[0] == "t":
+                row[k[1]] += c
+            else:
+                row = [r + c * a for r, a in zip(row, alg.hd.abar[k[1]])]
+        rows.append(row + [ONE * g - img.w * gl for g, gl in zip(sp.gram[x], la)])
+    if not all(q.is_rational() for row in rows for q in row):
+        raise CheckError("a Cartan image has a non-rational coefficient")
+    rows = [[q.rational_value() for q in row] for row in rows]
+    D = lcm(*(q.denominator for row in rows + [la] for q in row))
+
+    def sparse(row):
+        return tuple((k, int(D * q)) for k, q in enumerate(row) if q)
+
     index: dict[tuple, int] = {}
+    M = [sparse(row[:alg.n]) for row in rows]
     for wt, basis in alg.basis.items():
-        if not basis:
-            continue
-        for flip in (1, -1):
-            sig = []
-            for cart, _ in h_data:
-                eig = Cyc.from_rational(0)
-                for k, c in cart.items():
-                    if k[0] == "h":
-                        eig = eig + c * (flip * alg.weight_h(wt, k[1]))
-                    else:
-                        eig = eig + c * Fraction(flip * wt[k[1]])
-                sig.append(eig)
-            key = tuple(sig)
-            index[key] = index.get(key, 0) + len(basis)
-    return h_data, index
+        if basis:
+            key = tuple(sum(c * wt[k] for k, c in row) for row in M)
+            for signed in (key, tuple(-e for e in key)):
+                index[signed] = index.get(signed, 0) + len(basis)
+    return D, sparse(la), [sparse(row[alg.n:]) for row in rows], index
 
 
 def loop_weight_dim(real: Realization, lam: Vec) -> int:
@@ -1145,24 +1151,18 @@ def loop_weight_dim(real: Realization, lam: Vec) -> int:
     weight: the built loop-algebra space with lam's Cartan eigenvalues, not
     the span of the transported image.  It equals the real multiplicity one
     only when k_vee = 1 on every node; where k_vee = 2 doubles Ibar it can
-    read 2 for a root whose image is one nonzero vector."""
+    read 2 for a root whose image is one nonzero vector.  lam holds ints or
+    Fractions; the integer weight map is built on the first call."""
     sp = real.config.space
-    m = sp.j(sp.Lambda_a, lam)
-    if m.denominator != 1:
-        return 0
-    m = int(m)
-    cached = getattr(real, "_weight_cache", None)
-    if cached is None:
-        cached = _weight_index(real)
-        real._weight_cache = cached
-    h_data, index = cached
-    want = []
-    for x, (cart, wcoef) in enumerate(h_data):
-        target = Cyc.from_rational(sp.j(sp.basis_vector(x), lam))
-        if wcoef:
-            target = target - wcoef * m
-        want.append(target)
-    return index.get(tuple(want), 0)
+    if len(lam) != sp.dim:
+        raise DomainError(f"weight of length {len(lam)}, not {sp.dim}")
+    if real._weights is None:
+        real._weights = _weight_map(real)
+    D, la, T, index = real._weights
+    lam = [q.numerator if q.denominator == 1 else q for q in lam]
+    if sum(c * lam[k] for k, c in la) % D:
+        return 0  # a non-integral loop degree
+    return index.get(tuple(sum(c * lam[k] for k, c in row) for row in T), 0)
 
 
 def witness_height(config: QebsConfig, rootset, words=None) -> int:

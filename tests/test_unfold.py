@@ -1,14 +1,15 @@
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 import erskit
-from erskit.ambient import ConfigError, DomainError
+from erskit.ambient import CheckError, ConfigError, DomainError
 from erskit.base_system import simple_config
-from erskit.cyclo import Cyc, ONE
+from erskit.cyclo import Cyc, ONE, SQRT2
 from erskit.presentation import RelationSet, RootSym, b_all, emit_sr
 from erskit.roots import RootWindow, generate
 from erskit.unfold import (
@@ -313,23 +314,110 @@ def test_exp_ad_bound_follows_height():
     assert set(img.terms) == set(neg.terms) and not img.v and not img.w
 
 
-@pytest.mark.parametrize("g", ["Z", "2Z+1"])
-def test_criterion_8_doubled_and_odd_configs(g):
+@pytest.mark.parametrize("name, kwargs, window, counts", [
+    ("D3(2)", {"g": {0: "Z"}}, 3, {1: 336}),
+    ("D3(2)", {"g": {0: "2Z+1"}}, 3, {1: 32, 2: 280}),
+    ("G2(1)", {"k": {0: 3, 1: 3, 2: 1}}, 4, {1: 162, 3: 486}),
+], ids=["Z", "2Z+1", "G2(1)-k331"])
+def test_criterion_8_doubled_and_odd_configs(name, kwargs, window, counts):
     # g(a0) = Z has doubled-only roots 2*beta that no reflection word
     # reaches; their images come from [X_beta, X_beta]
-    cfg = simple_config("D3(2)", g={0: g})
-    rs = generate(cfg, RootWindow(3, 3))
+    cfg = simple_config(name, **kwargs)
+    rs = generate(cfg, RootWindow(window, window))
     words = witness_words(cfg, rs)
     real = Realization(cfg, witness_height(cfg, rs, words))
     vectors = [root_to_ambient(cfg, c) for c, _ in rs.sorted_roots()]
     images = transport_images(real, words, targets=vectors)
-    # with k_vee = 2 (g(a0) = 2Z+1) the loop algebra doubles Ibar, and the
-    # ambient eigenspace of a root may exceed its one-dimensional image
-    plain = set(k_vee(cfg).values()) == {1}
+    # where k_vee > 1 doubles or triples Ibar, the ambient eigenspace of a
+    # root may exceed its one-dimensional image: pin the counts
+    assert Counter(loop_weight_dim(real, vec) for vec in vectors) == counts
     for vec in vectors:
-        dim = loop_weight_dim(real, vec)
-        assert dim == 1 if plain else dim >= 1, vec
         assert not images[vec].is_zero(), vec
+
+
+def _reference_weight_dims(real):
+    """loop_weight_dim by Cyc eigen-signatures and AmbientSpace.j pairings,
+    as a function of the ambient vector."""
+    sp, alg = real.config.space, real.alg
+    h_data = []
+    for lab in sp.basis_labels():
+        img = real.image(f"h:{lab}")
+        h_data.append(({k: c for (k, _), c in img.terms.items()}, img.w))
+    index = Counter()
+    for wt, basis in alg.basis.items():
+        for flip in (1, -1):
+            sig = []
+            for cart, _ in h_data:
+                eig = Cyc.from_rational(0)
+                for k, c in cart.items():
+                    if k[0] == "h":
+                        eig = eig + c * (flip * alg.weight_h(wt, k[1]))
+                    else:
+                        eig = eig + c * Fraction(flip * wt[k[1]])
+                sig.append(eig)
+            index[tuple(sig)] += len(basis)
+
+    def dim(lam):
+        m = sp.j(sp.Lambda_a, lam)
+        if m.denominator != 1:
+            return 0
+        want = []
+        for x, (_, wcoef) in enumerate(h_data):
+            target = Cyc.from_rational(sp.j(sp.basis_vector(x), lam))
+            want.append(target - wcoef * m if wcoef else target)
+        return index.get(tuple(want), 0)
+
+    return dim
+
+
+@pytest.mark.parametrize("name, kwargs, window", [
+    ("A2(1)", {}, 4),
+    ("G2(1)", {"k": {0: 3, 1: 3, 2: 1}}, 4),
+    ("D3(2)", {"g": {0: "2Z+1"}}, 4),
+    ("D3(2)", {"g": {0: "Z"}}, 4),
+    ("D3(2)", {"g": {0: "2Z+1"}}, 3),
+])
+def test_weight_map_matches_ambient_pairings(name, kwargs, window):
+    cfg = simple_config(name, **kwargs)
+    rs = generate(cfg, RootWindow(window, window))
+    real = Realization(cfg, witness_height(cfg, rs, witness_words(cfg, rs)))
+    roots = [c for c, _ in rs.sorted_roots()]
+    # zero, a root shifted to a half-integral loop degree (the a-coordinate
+    # is J(La, -)), and a lattice vector off the roots
+    shifted = list(root_to_ambient(cfg, roots[0]))
+    shifted[cfg.space.idx_a] += Fraction(1, 2)
+    probes = [
+        (0,) * cfg.space.dim,
+        tuple(shifted),
+        root_to_ambient(cfg, (0, 3) + (0,) * (len(roots[0]) - 2)),
+    ]
+    reference = _reference_weight_dims(real)
+    for vec in [root_to_ambient(cfg, c) for c in roots] + probes:
+        # the Fraction tuple and the same vector as plain ints
+        ref = reference(vec)
+        assert loop_weight_dim(real, vec) == ref, vec
+        if all(x.denominator == 1 for x in vec):
+            assert loop_weight_dim(real, tuple(int(x) for x in vec)) == ref, vec
+    for vec in probes:
+        assert loop_weight_dim(real, vec) == 0, vec
+
+
+@pytest.mark.parametrize("lam", [(1, 0, 0), (1, 0, 0, 0, 0, 0, 0, 0)])
+def test_loop_weight_dim_rejects_wrong_length(lam):
+    real = Realization(simple_config("A2(1)"), 2)
+    with pytest.raises(DomainError, match="length"):
+        loop_weight_dim(real, lam)
+
+
+@pytest.mark.parametrize("elem, match", [
+    ({("h", 0): SQRT2}, "non-rational"),
+    ({("+", (1, 0, 0), 0): ONE}, "non-Cartan"),
+])
+def test_weight_map_rejects_bad_cartan_image(elem, match):
+    real = Realization(simple_config("A2(1)"), 2)
+    real._images["h:a1"] = loop_term(real.alg, elem, 0)
+    with pytest.raises(CheckError, match=match):
+        loop_weight_dim(real, (0,) * real.config.space.dim)
 
 
 @pytest.mark.parametrize("name, kwargs", [

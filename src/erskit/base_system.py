@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from .ambient import AmbientSpace, ConfigError, DomainError, Vec, build_ambient
 
@@ -101,34 +102,42 @@ class GClass:
 EMPTY = GClass("empty")
 
 
-@dataclass(frozen=True)
-class CheckEntry:
+class CheckEntry(NamedTuple):
+    """One elliptic-axiom check of `validate_qebs` or `check_ebs`."""
+
     axiom: str
     ok: bool
     witness: str = ""
 
 
+class Check(NamedTuple):
+    """One labelled check of `verify_pi`, `verify_q` or `structure_suite`."""
+
+    label: str
+    ok: bool
+    witness: str = ""
+
+
 @dataclass
-class ValidationReport:
-    entries: list[CheckEntry] = field(default_factory=list)
-    pi_b: frozenset[int] = frozenset()
+class Report:
+    """Check entries plus report fields that are already JSON-ready.
+
+    The entry type names the check key of `to_dict` (`axiom` or `label`).
+    """
+
+    entries: list[CheckEntry | Check] = field(default_factory=list)
+    fields: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
         return all(e.ok for e in self.entries)
 
-    def failures(self) -> list[CheckEntry]:
+    def failures(self) -> list[CheckEntry | Check]:
         return [e for e in self.entries if not e.ok]
 
     def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "pi_b": sorted(self.pi_b),
-            "checks": [
-                {"axiom": e.axiom, "ok": e.ok, "witness": e.witness}
-                for e in self.entries
-            ],
-        }
+        return {"passed": self.passed, **self.fields,
+                "checks": [e._asdict() for e in self.entries]}
 
 
 @dataclass(frozen=True)
@@ -185,11 +194,11 @@ def pi_b(space: AmbientSpace) -> frozenset[int]:
     return frozenset(out)
 
 
-def validate_qebs(config: QebsConfig) -> ValidationReport:
+def validate_qebs(config: QebsConfig) -> Report:
     sp = config.space
-    rep = ValidationReport()
+    panel = pi_b(sp)
+    rep = Report(fields={"pi_b": sorted(panel)})
     coupled = {i: pi_c(sp, i) for i in config.nodes}
-    rep.pi_b = pi_b(sp)
 
     k, g = config.k, config.g
     inv_k = sp.is_w_invariant({i: k[i] for i in config.nodes})
@@ -222,12 +231,12 @@ def validate_qebs(config: QebsConfig) -> ValidationReport:
 
     ok2, w2 = True, ""
     for i in config.nodes:
-        if i not in rep.pi_b and not g[i].is_empty:
+        if i not in panel and not g[i].is_empty:
             ok2, w2 = False, f"g(a{i}) = {g[i]} but a{i} is outside the -2 panel"
     rep.entries.append(CheckEntry("KG2", ok2, w2))
 
     ok3, w3 = True, ""
-    for i in rep.pi_b:
+    for i in panel:
         if g[i].is_empty:
             continue
         for beta in coupled[i]:
@@ -243,18 +252,20 @@ def validate_qebs(config: QebsConfig) -> ValidationReport:
 # ---------------------------------------------------------------------------
 
 def config_from_dict(data: dict) -> QebsConfig:
+    _need(isinstance(data, dict), "config", "a JSON object", data)
     if "type" not in data:
         raise ConfigError("config needs a 'type' entry")
+    _need(isinstance(data["type"], str), "type", "a string", data["type"])
     space = build_ambient(data["type"])
     n = space.n_nodes
     classes = space.node_orbit_classes()
 
     raw_k = data.get("k", {})
+    _need(isinstance(raw_k, dict), "k", "a JSON object", raw_k)
     k: dict[int, int] = {}
     for key, val in raw_k.items():
         idx = _node_index(key, n)
-        if not isinstance(val, int):
-            raise ConfigError(f"k[{key}] must be an integer, got {val!r}")
+        _need(isinstance(val, int), f"k[{key}]", "an integer", val)
         k[idx] = val
     for cls in classes:
         vals = {k[i] for i in cls if i in k}
@@ -266,9 +277,11 @@ def config_from_dict(data: dict) -> QebsConfig:
             k.setdefault(i, next(iter(vals)))
 
     raw_g = data.get("g", {})
+    _need(isinstance(raw_g, dict), "g", "a JSON object", raw_g)
     g: dict[int, GClass] = {}
     for key, val in raw_g.items():
         idx = _node_index(key, n)
+        _need(isinstance(val, str), f"g[{key}]", "a string", val)
         g[idx] = GClass(val)
     for cls in classes:
         vals = {g[i].tag for i in cls if i in g}
@@ -278,6 +291,11 @@ def config_from_dict(data: dict) -> QebsConfig:
         for i in cls:
             g.setdefault(i, fill)
     return QebsConfig(space, k, g)
+
+
+def _need(ok: bool, what: str, kind: str, val) -> None:
+    if not ok:
+        raise ConfigError(f"{what} must be {kind}, got {val!r}")
 
 
 def _node_index(key: str, n: int) -> int:

@@ -93,7 +93,10 @@ def _render(report: dict, fmt: str) -> str:
     return "\n".join(out) + "\n"
 
 
-def _emit(report: dict, fmt: str, out: str | None, name: str) -> None:
+def _emit(manifest, results, code, fmt, out, name) -> None:
+    """Write the {tool_version, manifest, results} report and exit with code."""
+    report = {"tool_version": __version__, "manifest": manifest,
+              "results": results}
     text = _render(report, fmt)
     if out:
         ext = {"json": "json", "csv": "csv", "latex": "tex"}[fmt]
@@ -102,6 +105,13 @@ def _emit(report: dict, fmt: str, out: str | None, name: str) -> None:
         path.write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
+    sys.exit(code)
+
+
+def _verdict(rep, **head):
+    """The result entry and exit code of one check report."""
+    return ({**head, "status": "ok" if rep.passed else "fail", **rep.to_dict()},
+            _OK if rep.passed else _FAIL)
 
 
 def _run_batch(paths, manifest, fmt, out, name, worker):
@@ -125,10 +135,7 @@ def _run_batch(paths, manifest, fmt, out, name, worker):
             entry_code = _FAIL
         results.append(entry)
         code = max(code, entry_code)
-    report = {"tool_version": __version__, "manifest": manifest,
-              "results": results}
-    _emit(report, fmt, out, name)
-    sys.exit(code)
+    _emit(manifest, results, code, fmt, out, name)
 
 
 def _common(f):
@@ -208,11 +215,7 @@ def verify_ebs(configs, fmt, out, window, pad):
                          pad=pad, format=fmt, out=out)
 
     def worker(path, cfg):
-        rs = generate(cfg, win)
-        rep = check_ebs(rs)
-        status = "ok" if rep.passed else "fail"
-        return ({"config": path, "status": status, **rep.to_dict()},
-                _OK if rep.passed else _FAIL)
+        return _verdict(check_ebs(generate(cfg, win)), config=path)
 
     _run_batch(configs, manifest, fmt, out, "verify-ebs", worker)
 
@@ -243,9 +246,7 @@ def verify_pi_cmd(configs, fmt, out, height):
 
     def worker(path, cfg):
         rep, _ = verify_pi(cfg, height=height)
-        status = "ok" if rep.passed else "fail"
-        return ({"config": path, "status": status, **rep.to_dict()},
-                _OK if rep.passed else _FAIL)
+        return _verdict(rep, config=path)
 
     _run_batch(configs, manifest, fmt, out, "verify-pi", worker)
 
@@ -272,21 +273,16 @@ def qtorus_verify(rank, q_numeric, fmt, out):
     code = _OK
     try:
         cfg = simple_config(f"A{rank}(1)")
-        rep = verify_q(cfg, q_numeric=qv)
-        suite = structure_suite()
-        for tag, r in (("relations", rep), ("structure", suite)):
-            status = "ok" if r.passed else "fail"
-            results.append({"suite": tag, "status": status, **r.to_dict()})
-            if not r.passed:
-                code = _FAIL
+        for tag, rep in (("relations", verify_q(cfg, q_numeric=qv)),
+                         ("structure", structure_suite())):
+            entry, entry_code = _verdict(rep, suite=tag)
+            results.append(entry)
+            code = max(code, entry_code)
     except (ConfigError, DomainError) as e:
         results.append({"suite": "relations", "status": "config-error",
                         "error": str(e)})
         code = _CONFIG
-    report = {"tool_version": __version__, "manifest": manifest,
-              "results": results}
-    _emit(report, fmt, out, "qtorus-verify")
-    sys.exit(code)
+    _emit(manifest, results, code, fmt, out, "qtorus-verify")
 
 
 _PRESETS = {

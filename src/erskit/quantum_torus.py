@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .ambient import ConfigError, DomainError
-from .base_system import QebsConfig
+from .base_system import Check, QebsConfig, Report
 from .presentation import RootSym, b_all
 
 
@@ -340,27 +340,6 @@ class QRealization:
 # verification
 # ---------------------------------------------------------------------------
 
-@dataclass
-class QReport:
-    entries: list[tuple[str, bool, str]] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return all(ok for _, ok, _ in self.entries)
-
-    def failures(self):
-        return [(lbl, w) for lbl, ok, w in self.entries if not ok]
-
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "checks": [
-                {"label": lbl, "ok": ok, "witness": w}
-                for lbl, ok, w in self.entries
-            ],
-        }
-
-
 def _is_q_modified(config: QebsConfig, label: str) -> bool:
     """The SR6/SR7 instance coupling node 0 and node l picks up a q factor."""
     l = config.space.n_nodes - 1
@@ -369,11 +348,11 @@ def _is_q_modified(config: QebsConfig, label: str) -> bool:
     )
 
 
-def verify_q(config: QebsConfig, q_numeric: Fraction | None = None) -> QReport:
+def verify_q(config: QebsConfig, q_numeric: Fraction | None = None) -> Report:
     from .presentation import emit_sr
 
     real = QRealization(config)
-    rep = QReport()
+    rep = Report()
     rels = emit_sr(config)
     l = real.l
     for label, word in rels.label_words:
@@ -383,7 +362,7 @@ def verify_q(config: QebsConfig, q_numeric: Fraction | None = None) -> QReport:
         if q_numeric is not None:
             val = val.specialize(q_numeric)
         ok = val.is_zero()
-        rep.entries.append((label, ok, "" if ok else f"{len(val.mat)} matrix terms"))
+        rep.entries.append(Check(label, ok, "" if ok else f"{len(val.mat)} matrix terms"))
 
     # q^{+-1} [E_{+-a0*}, E_{+-al}] = [E_{+-a0}, E_{+-al*}]
     for sgn, tagp in ((1, "+"), (-1, "-")):
@@ -400,8 +379,8 @@ def verify_q(config: QebsConfig, q_numeric: Fraction | None = None) -> QReport:
             diff = diff.specialize(q_numeric)
         ok = diff.is_zero()
         rep.entries.append(
-            (f"qSR{'6' if sgn > 0 else '7'}[a0,a{l}]", ok,
-             "" if ok else f"{len(diff.mat)} matrix terms")
+            Check(f"qSR{'6' if sgn > 0 else '7'}[a0,a{l}]", ok,
+                  "" if ok else f"{len(diff.mat)} matrix terms")
         )
     # grading: [pi(h_sigma), pi(E_mu)] = J(sigma, mu) pi(E_mu)
     sp = config.space
@@ -418,12 +397,12 @@ def verify_q(config: QebsConfig, q_numeric: Fraction | None = None) -> QReport:
             ok = diff.is_zero()
             if not ok:
                 grading_ok = False
-                rep.entries.append((f"grading[h:{lab},{mu.ident}]", ok, "mismatch"))
-    rep.entries.append(("grading", grading_ok, ""))
+                rep.entries.append(Check(f"grading[h:{lab},{mu.ident}]", ok, "mismatch"))
+    rep.entries.append(Check("grading", grading_ok))
     return rep
 
 
-def structure_suite(size: int = 3, span: int = 2) -> QReport:
+def structure_suite(size: int = 3, span: int = 2) -> Report:
     """Antisymmetry, Jacobi, and invariance on a monomial sample.
 
     Antisymmetry runs over the units E_12, E_21, E_11 at degrees |x1|,
@@ -431,7 +410,7 @@ def structure_suite(size: int = 3, span: int = 2) -> QReport:
     kind at |x1| + |x2| <= 1 and the same four, so the central cocycle
     meets each kind.  Each bracket of two such elements is computed once.
     """
-    rep = QReport()
+    rep = Report()
     extra = []
     for which in ("c1", "c2", "d1", "d2"):
         e = HatElement(size)
@@ -449,7 +428,7 @@ def structure_suite(size: int = 3, span: int = 2) -> QReport:
         for n, a in enumerate(sample)
         for b in sample[n:]
     )
-    rep.entries.append(("antisymmetry", anti, "" if anti else "broken pair"))
+    rep.entries.append(Check("antisymmetry", anti, "" if anti else "broken pair"))
 
     small = [u for (x1, x2), u in units if abs(x1) + abs(x2) <= 1] + extra
     idx = range(len(small))
@@ -464,7 +443,7 @@ def structure_suite(size: int = 3, span: int = 2) -> QReport:
         for b in idx
         for c in idx
     )
-    rep.entries.append(("jacobi", jac_ok, "" if jac_ok else "broken triple"))
+    rep.entries.append(Check("jacobi", jac_ok, "" if jac_ok else "broken triple"))
 
     inv_ok = all(
         form_q(br[a, b], small[c]) == form_q(small[a], br[b, c])
@@ -472,5 +451,5 @@ def structure_suite(size: int = 3, span: int = 2) -> QReport:
         for b in idx
         for c in idx
     )
-    rep.entries.append(("form-invariance", inv_ok, "" if inv_ok else "broken triple"))
+    rep.entries.append(Check("form-invariance", inv_ok, "" if inv_ok else "broken triple"))
     return rep

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import exact
 from .ambient import CheckError, ConfigError, DomainError
-from .base_system import GClass, QebsConfig, ValidationReport, CheckEntry, validate_qebs
+from .base_system import CheckEntry, GClass, QebsConfig, Report, validate_qebs
 
 APart = tuple[int, ...]           # alpha-coordinates c_0..c_l
 Root = tuple[int, ...]            # alpha-coordinates followed by the a-coordinate
@@ -456,8 +456,8 @@ class _Group:
         )
 
 
-def check_ebs(rootset: EllipticRootSet) -> ValidationReport:
-    rep = ValidationReport()
+def check_ebs(rootset: EllipticRootSet) -> Report:
+    rep = Report(fields={"pi_b": []})
     sp = rootset.config.space
     M = rootset.window.M
     period = rootset.period

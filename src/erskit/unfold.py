@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import factorial, lcm
 
 from .ambient import CheckError, ConfigError, DomainError, Vec, cartan_symmetrizer
-from .base_system import QebsConfig
+from .base_system import Check, QebsConfig, Report
 from .cyclo import Cyc, ONE, SQRT2, SQRT_M1, ZERO, exp_pi_i_over
 from .presentation import RootSym, b_all
 from .roots import closure, mirror, root_of
@@ -406,41 +406,27 @@ class GradedAlgebra:
             images.append({k: v for k, v in img.items() if v})
 
         # greedy row reduction; independent candidates become the basis.
-        # row_exprs tracks each reduced pivot row as a combination of the
-        # images of the basis candidates, so dependent candidates get an
-        # exact expansion in the chosen basis.
-        pivot_rows: list[dict] = []
-        pivot_cols: list = []
-        row_exprs: list[dict] = []
+        # Each reduced pivot row carries its expression as a combination of
+        # the images of the basis candidates, so a dependent candidate gets
+        # an exact expansion in the chosen basis.  Any nonzero entry serves
+        # as pivot: the basis and the expansions do not depend on the choice.
+        pivots: list[tuple] = []  # (pivot column, reduced row, expression)
         basis_mon = []
         expansions: dict[tuple, dict] = {}
         for cand, img in zip(cands, images):
             vec = dict(img)
             expr: dict[int, Fraction] = {}
-            for prow, pcol, rexpr in zip(pivot_rows, pivot_cols, row_exprs):
+            for pcol, prow, rexpr in pivots:
                 if pcol in vec:
                     fac = vec[pcol] / prow[pcol]
-                    for bb, c in rexpr.items():
-                        nv = expr.get(bb, 0) + fac * c
-                        if nv:
-                            expr[bb] = nv
-                        elif bb in expr:
-                            del expr[bb]
-                    for key, c in prow.items():
-                        val = vec.get(key, 0) - fac * c
-                        if val:
-                            vec[key] = val
-                        elif key in vec:
-                            del vec[key]
+                    _acc(expr, rexpr, fac)
+                    _acc(vec, prow, -fac)
             if vec:
                 bidx = len(basis_mon)
                 basis_mon.append(cand)
                 rexpr = {bidx: Fraction(1)}
-                for bb, c in expr.items():
-                    rexpr[bb] = rexpr.get(bb, 0) - c
-                pivot_rows.append(vec)
-                pivot_cols.append(min(vec, key=repr))
-                row_exprs.append({k: v for k, v in rexpr.items() if v})
+                _acc(rexpr, expr, -1)
+                pivots.append((next(iter(vec)), vec, rexpr))
                 expansions[cand] = {bidx: Fraction(1)}
             else:
                 expansions[cand] = expr
@@ -911,38 +897,15 @@ def required_height(config: QebsConfig, relations) -> int:
 # verification
 # ---------------------------------------------------------------------------
 
-@dataclass
-class PiReport:
-    entries: list[tuple[str, bool, str]] = field(default_factory=list)
-    kappa: Cyc | None = None
-
-    @property
-    def passed(self) -> bool:
-        return all(ok for _, ok, _ in self.entries)
-
-    def failures(self):
-        return [(lbl, w) for lbl, ok, w in self.entries if not ok]
-
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "kappa": self.kappa.serialize() if self.kappa is not None else None,
-            "checks": [
-                {"label": lbl, "ok": ok, "witness": w}
-                for lbl, ok, w in self.entries
-            ],
-        }
-
-
 def verify_pi(config: QebsConfig, height: int | None = None,
-              relations=None) -> tuple[PiReport, Realization]:
+              relations=None) -> tuple[Report, Realization]:
     from .presentation import emit_sr
 
     rels = relations if relations is not None else emit_sr(config)
     need = required_height(config, rels)
     h = max(height or 0, need)
     real = Realization(config, h)
-    rep = PiReport()
+    rep = Report()
 
     for label, word in rels.label_words:
         try:
@@ -953,7 +916,7 @@ def verify_pi(config: QebsConfig, height: int | None = None,
             )
         ok = val.is_zero()
         rep.entries.append(
-            (label, ok, "" if ok else f"nonzero image with {len(val.terms)} terms")
+            Check(label, ok, "" if ok else f"nonzero image with {len(val.terms)} terms")
         )
 
     sp = config.space
@@ -975,9 +938,9 @@ def verify_pi(config: QebsConfig, height: int | None = None,
                 consistent = False
     ok = kappa is not None and bool(kappa) and consistent and npairs >= 3
     rep.entries.append(
-        ("PD2", ok, "" if ok else f"kappa inconsistent over {npairs} pairs")
+        Check("PD2", ok, "" if ok else f"kappa inconsistent over {npairs} pairs")
     )
-    rep.kappa = kappa
+    rep.fields["kappa"] = kappa.serialize() if kappa is not None else None
     real.kappa = kappa
 
     ha = real.image("h:a")
@@ -988,18 +951,18 @@ def verify_pi(config: QebsConfig, height: int | None = None,
         and ha.v == kappa
         and real.image("h:La").w == ONE
     )
-    rep.entries.append(("PD3", pd3, "" if pd3 else "h_a or h_La image is off"))
+    rep.entries.append(Check("PD3", pd3, "" if pd3 else "h_a or h_La image is off"))
     for lab in labels:
         nz = not h_imgs[lab].is_zero()
         rep.entries.append(
-            (f"h-nonzero[{lab}]", nz, "" if nz else "zero Cartan image")
+            Check(f"h-nonzero[{lab}]", nz, "" if nz else "zero Cartan image")
         )
     for sym in b_all(config):
         img = real.image(sym.ident)
         pars = img.parities()
         ok = pars == {sym.parity(config)}
         rep.entries.append(
-            (f"parity[{sym.ident}]", ok, "" if ok else f"parities {pars}")
+            Check(f"parity[{sym.ident}]", ok, "" if ok else f"parities {pars}")
         )
     return rep, real
 

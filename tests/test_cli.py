@@ -1,10 +1,12 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from erskit import cli
-from erskit.roots import CheckEntry, ValidationReport
+from erskit.base_system import CheckEntry, Report
 from erskit.unfold import ResourceError
 
 
@@ -94,7 +96,7 @@ def test_verify_ebs_passes(runner, cfgdir):
 
 def test_verify_ebs_failure_exit_code(runner, cfgdir, monkeypatch):
     # exit 1 is reserved for a completed run whose checks fail
-    bad = ValidationReport([CheckEntry("SER4", False, "injected")])
+    bad = Report([CheckEntry("SER4", False, "injected")])
     monkeypatch.setattr(cli, "check_ebs", lambda rs: bad)
     result = runner.invoke(cli.main, [
         "verify-ebs", "--config", str(cfgdir / "d32.json"),
@@ -118,6 +120,26 @@ def test_config_errors_do_not_abort_batch(runner, cfgdir):
     doc = _report(result)
     statuses = [e["status"] for e in doc["results"]]
     assert statuses == ["config-error"] * 3 + ["ok"]
+
+
+@pytest.mark.parametrize("doc", [
+    {"type": 5},
+    {"type": "A2(1)", "k": [1, 1, 1]},
+    {"type": "A2(1)", "k": {"a0": 1}, "g": {"a0": ["Z"]}},
+    ["type"],
+], ids=["type-not-string", "k-not-object", "g-value-not-string", "not-object"])
+def test_malformed_config_is_config_error(runner, cfgdir, doc):
+    (cfgdir / "malformed.json").write_text(json.dumps(doc))
+    result = runner.invoke(cli.main, [
+        "roots",
+        "--config", str(cfgdir / "malformed.json"),
+        "--config", str(cfgdir / "d32.json"),
+        "--window", "3,3",
+    ])
+    assert result.exit_code == 2
+    bad, good = _report(result)["results"]
+    assert bad["status"] == "config-error"
+    assert good["status"] == "ok"
 
 
 def test_verify_pi_command(runner, cfgdir):
@@ -209,3 +231,48 @@ def test_export_bad_config_writes_error_file(runner, cfgdir, tmp_path):
     assert result.exit_code == 2
     doc = json.loads((out / "handy-0-bad.json").read_text())
     assert doc["status"] == "config-error"
+
+
+PINNED_CONFIGS = {
+    "a21.json": {"type": "A2(1)", "k": {"a0": 1, "a1": 1, "a2": 1}},
+    "d32.json": {"type": "D3(2)", "k": {"a0": 1, "a1": 1, "a2": 1}},
+    "odd.json": {"type": "D3(2)", "k": {"a0": 1, "a1": 1, "a2": 1},
+                 "g": {"a0": "2Z+1"}},
+}
+_EBS = ["verify-ebs", "--config", "a21.json", "--config", "odd.json"]
+
+# sha256 of the report bytes: a change here is a change of the CLI's output
+PINNED_REPORTS = [
+    pytest.param(_EBS,
+                 "da967f755606a8ba304ec5e7e7495aee5124544a03f4c74910edc625c3e1cc45",
+                 id="verify-ebs-json"),
+    pytest.param(_EBS + ["--format", "csv"],
+                 "cf77d25812aea24aa5212aaf17beec0861c1f6f3956c8f26b29ef8bc3f98700d",
+                 id="verify-ebs-csv"),
+    pytest.param(_EBS + ["--format", "latex"],
+                 "611ad2829989e71bef34606a8353bd200d1670ba643887b3d257aee9ec4080aa",
+                 id="verify-ebs-latex"),
+    pytest.param(["verify-pi", "--config", "d32.json"],
+                 "3e2548ed7cac3f9614648abac59b694f61a109bb11cd8acaed61f299fc9fa4ae",
+                 id="verify-pi"),
+    pytest.param(["qtorus-verify"],
+                 "bdab63206c7a429bbf25595bcff6323c0cc843e1be5ceb8da155e3592d12461c",
+                 id="qtorus-formal"),
+    pytest.param(["qtorus-verify", "--q-numeric", "2/3"],
+                 "3bd55a97998c2b5b820856250761b1bc3a4441a0608f633b01467b03d6ae85b8",
+                 id="qtorus-q-2-3"),
+    pytest.param(["qtorus-verify", "--rank", "3"],
+                 "9fa22820a5508656d4aabf18f9d0fb1594f555167a73bc6d4c6e618fce03dff0",
+                 id="qtorus-rank-3"),
+]
+
+
+@pytest.mark.parametrize("args, digest", PINNED_REPORTS)
+def test_report_bytes_pinned(runner, args, digest):
+    # relative config paths keep the manifest, and so the bytes, fixed
+    with runner.isolated_filesystem():
+        for name, doc in PINNED_CONFIGS.items():
+            Path(name).write_text(json.dumps(doc))
+        result = runner.invoke(cli.main, args)
+    assert result.exit_code == 0, result.output
+    assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest

@@ -97,7 +97,7 @@ def test_structure_suite_catches_broken_cocycle(monkeypatch, mutate):
     monkeypatch.setattr(quantum_torus, "hat_bracket", broken)
     rep = structure_suite()
     assert not rep.passed
-    assert "form-invariance" in [lbl for lbl, _ in rep.failures()]
+    assert "form-invariance" in [e.label for e in rep.failures()]
 
 
 def test_untwisted_a_gate():
@@ -149,7 +149,7 @@ def test_grading_entry_reports_mismatches(monkeypatch):
     rep = verify_q(simple_config("A2(1)"))
     entries = {lbl: ok for lbl, ok, _ in rep.entries}
     assert not entries["grading"]
-    assert any(lbl.startswith("grading[h:a0,") for lbl, _ in rep.failures())
+    assert any(e.label.startswith("grading[h:a0,") for e in rep.failures())
 
 
 def test_rank_three_formal_check():

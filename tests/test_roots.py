@@ -25,11 +25,9 @@ DOUBLING_VARIANTS = [
 
 
 @pytest.mark.parametrize("name", SUITE_NAMES)
-def test_generate_matches_reflection_oracle(name):
-    cfg = simple_config(name)
-    window = RootWindow(3, 3, 2)
-    rs = generate(cfg, window)
-    assert set(rs.inner) == reflection_closure_oracle(cfg, window)
+def test_generate_matches_reflection_oracle(name, oracle_pairs):
+    generated, oracle = oracle_pairs[name]
+    assert generated == oracle
 
 
 @pytest.mark.parametrize("kwargs", DOUBLING_VARIANTS)
@@ -70,9 +68,8 @@ def test_member_rejects_non_roots():
 
 
 @pytest.mark.parametrize("name", SUITE_NAMES)
-def test_check_ebs_suite(name):
-    cfg = simple_config(name)
-    rep = check_ebs(generate(cfg, RootWindow(6, 6, 2)))
+def test_check_ebs_suite(name, ebs_reports):
+    rep, _ = ebs_reports[name]
     assert rep.passed, rep.failures()
 
 

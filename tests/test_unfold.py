@@ -33,7 +33,7 @@ from erskit.unfold import (
     witness_height,
     witness_words,
 )
-from conftest import SUITE_NAMES
+from conftest import KAPPA_CASES, SUITE_NAMES
 
 
 def test_k_vee_values():
@@ -199,20 +199,12 @@ def test_loop_form_invariance():
                 assert lhs == rhs
 
 
-# the invariant-form normalization kappa, frozen per doubling class
-KAPPA_CASES = [
-    ({}, Fraction(1, 2)),
-    ({"g": {0: "2Z+1"}}, Fraction(2)),
-    ({"g": {0: "Z"}}, Fraction(1, 2)),
-]
-
-
 @pytest.mark.parametrize("kwargs, kappa", KAPPA_CASES)
-def test_verify_pi_relation_images_vanish(kwargs, kappa):
+def test_verify_pi_relation_images_vanish(kwargs, kappa, kappa_realizations):
     cfg = simple_config("D3(2)", **kwargs)
-    rep, real = verify_pi(cfg)
+    (rep, real), _ = kappa_realizations[repr(kwargs)]
     assert rep.passed, rep.failures()
-    assert rep.kappa == Cyc.from_rational(kappa)
+    assert real.kappa == Cyc.from_rational(kappa)
     # generator images are parity-homogeneous with the declared parity
     for sym in b_all(cfg):
         img = real.image(sym.ident)
@@ -240,7 +232,7 @@ def test_verify_pi_detects_mutated_relation():
             mutated.add(label, word)
     rep, _ = verify_pi(cfg, relations=mutated)
     assert not rep.passed
-    assert [lbl for lbl, _ in rep.failures()] == [broke]
+    assert [e.label for e in rep.failures()] == [broke]
 
 
 def test_required_height_grows_with_doubling():

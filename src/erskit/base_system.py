@@ -265,7 +265,8 @@ def config_from_dict(data: dict) -> QebsConfig:
     k: dict[int, int] = {}
     for key, val in raw_k.items():
         idx = _node_index(key, n)
-        _need(isinstance(val, int), f"k[{key}]", "an integer", val)
+        _need(isinstance(val, int) and not isinstance(val, bool),
+              f"k[{key}]", "an integer", val)
         k[idx] = val
     for cls in classes:
         vals = {k[i] for i in cls if i in k}

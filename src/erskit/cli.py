@@ -46,7 +46,10 @@ def _parse_window(text: str, pad: int) -> RootWindow:
         m, n = (int(x) for x in text.split(","))
     except ValueError:
         raise click.BadParameter(f"window {text!r} is not M,N")
-    return RootWindow(m, n, pad)
+    try:
+        return RootWindow(m, n, pad)
+    except ConfigError as e:
+        raise click.BadParameter(str(e))
 
 
 def _manifest(configs, command, **params) -> dict:
@@ -268,7 +271,11 @@ def qtorus_verify(rank, q_numeric, fmt, out):
                          q_numeric=q_numeric, format=fmt, out=out)
     qv = None
     if q_numeric is not None:
-        qv = Fraction(q_numeric)
+        try:
+            qv = Fraction(q_numeric)
+        except (ValueError, ZeroDivisionError):
+            raise click.BadParameter(f"{q_numeric!r} is not a rational p/r",
+                                     param_hint="--q-numeric")
     results = []
     code = _OK
     try:

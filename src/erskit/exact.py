@@ -4,11 +4,36 @@ One reduced-row-echelon routine, built a row at a time so that a caller
 who only needs to know whether a rank is reached can stop reading rows;
 rank, kernel and solve are read off its result.  Entries may be ints or
 Fractions; results are Fractions.
+
+One sparse accumulator, acc, for linear combinations stored as
+{key: nonzero coefficient} dicts with any exact scalars (ints, Fractions,
+Cyc): every such sum in the package goes through it, so it is the one
+place that drops a coefficient once it cancels to zero.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+
+
+def acc(out: dict, elem: dict, scalar=1) -> None:
+    """out += scalar * elem, in place, removing every entry of out that
+    becomes zero.  New keys are appended in the order of elem.  Only the
+    int 1 skips the product: Fraction(1) or Cyc 1 would change the type of
+    the coefficients they multiply."""
+    if not scalar:
+        return
+    one = type(scalar) is int and scalar == 1
+    for key, c in elem.items():
+        if not one:
+            c = scalar * c
+        old = out.get(key)
+        if old is not None:
+            c = old + c
+        if c:
+            out[key] = c
+        elif old is not None:
+            del out[key]
 
 
 def rref(rows, stop: int | None = None) -> dict[int, list[Fraction]]:

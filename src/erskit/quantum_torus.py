@@ -17,228 +17,121 @@ from fractions import Fraction
 
 from .ambient import ConfigError, DomainError
 from .base_system import Check, QebsConfig, Report
+from .exact import acc
 from .presentation import RootSym, b_all
 
 
-class QLaurent:
-    """Laurent polynomial in q with rational coefficients, stored as a dict
-    from exponent to nonzero Fraction."""
-
-    __slots__ = ("c",)
-
-    def __init__(self, coeffs: dict[int, Fraction] | None = None):
-        self.c = {n: Fraction(v) for n, v in (coeffs or {}).items() if v}
-
-    @staticmethod
-    def _make(c: dict[int, Fraction]) -> "QLaurent":
-        """Wrap a dict whose values are already nonzero Fractions."""
-        out = object.__new__(QLaurent)
-        out.c = c
-        return out
-
-    @staticmethod
-    def of(v) -> "QLaurent":
-        if isinstance(v, QLaurent):
-            return v
-        v = Fraction(v)
-        return QLaurent._make({0: v} if v else {})
-
-    @staticmethod
-    def q_power(n: int) -> "QLaurent":
-        return QLaurent._make({n: Fraction(1)})
-
-    def shifted(self, n: int) -> "QLaurent":
-        """This polynomial times q^n."""
-        if not n:
-            return self
-        return QLaurent._make({m + n: v for m, v in self.c.items()})
-
-    def __add__(self, other):
-        other = QLaurent.of(other)
-        out = dict(self.c)
-        for n, v in other.c.items():
-            nv = out.get(n, 0) + v
-            if nv:
-                out[n] = nv
-            else:
-                del out[n]
-        return QLaurent._make(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QLaurent._make({n: -v for n, v in self.c.items()})
-
-    def __sub__(self, other):
-        return self + (-QLaurent.of(other))
-
-    def __rsub__(self, other):
-        return QLaurent.of(other) + (-self)
-
-    def __mul__(self, other):
-        if not isinstance(other, QLaurent):
-            v = Fraction(other)
-            return QLaurent._make({n: w * v for n, w in self.c.items() if v})
-        out: dict[int, Fraction] = {}
-        for n, v in self.c.items():
-            for m, w in other.c.items():
-                nv = out.get(n + m, 0) + v * w
-                if nv:
-                    out[n + m] = nv
-                else:
-                    del out[n + m]
-        return QLaurent._make(out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return self.c == QLaurent.of(other).c
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.c.items())))
-
-    def __bool__(self):
-        return bool(self.c)
-
-    def at(self, q: Fraction) -> Fraction:
-        if not q:
-            raise DomainError("q must be nonzero")
-        return sum((v * Fraction(q) ** n for n, v in self.c.items()), Fraction(0))
-
-    def __repr__(self):
-        if not self.c:
-            return "0"
-        return " + ".join(
-            f"{v}*q^{n}" if n else str(v) for n, v in sorted(self.c.items())
-        )
+def _power(key) -> int:
+    """The power of q in a key: matrix keys end in it, q-polynomial keys are it."""
+    return key[4] if isinstance(key, tuple) else key
 
 
-Q_ONE = QLaurent({0: Fraction(1)})
-
-
-def qt_normalize(word: list[tuple[str, int]]) -> tuple[int, int, QLaurent]:
-    """Reorder a word in s/t powers to s^x1 t^x2 with its q-power factor.
-
-    Moving t^a left past s^b costs q^{ab}.
-    """
-    x1 = x2 = 0
-    qpow = 0
-    for gen, exp in word:
-        if gen == "s":
-            # s^exp moves past the accumulated t^x2: t^x2 s^exp = q^{x2 exp} s^exp t^x2
-            qpow += x2 * exp
-            x1 += exp
-        elif gen == "t":
-            x2 += exp
-        else:
-            raise DomainError(f"unknown generator {gen!r}")
-    return x1, x2, QLaurent.q_power(qpow)
+def _with_power(key, e: int):
+    """key with its power of q replaced by e."""
+    return key[:4] + (e,) if isinstance(key, tuple) else e
 
 
 @dataclass
 class HatElement:
-    """Sparse element: keys (x1, x2, i, j) with 1-based matrix indices."""
+    """Sparse element.  A q-polynomial is a {power of q: coefficient} map;
+    the matrix part has keys (x1, x2, i, j, e) for q^e s^x1 t^x2 E_ij, with
+    1-based matrix indices, and c1, c2, d1, d2 are q-polynomials.
+    Coefficients stay ints until a rational enters."""
 
     size: int
-    mat: dict[tuple[int, int, int, int], QLaurent] = field(default_factory=dict)
-    c1: QLaurent = field(default_factory=QLaurent)
-    c2: QLaurent = field(default_factory=QLaurent)
-    d1: QLaurent = field(default_factory=QLaurent)
-    d2: QLaurent = field(default_factory=QLaurent)
+    mat: dict[tuple[int, int, int, int, int], object] = field(default_factory=dict)
+    c1: dict[int, object] = field(default_factory=dict)
+    c2: dict[int, object] = field(default_factory=dict)
+    d1: dict[int, object] = field(default_factory=dict)
+    d2: dict[int, object] = field(default_factory=dict)
+
+    def parts(self) -> tuple[dict, ...]:
+        return (self.mat, self.c1, self.c2, self.d1, self.d2)
 
     def is_zero(self) -> bool:
-        return not (self.mat or self.c1 or self.c2 or self.d1 or self.d2)
+        return not any(self.parts())
 
     def plus(self, other: "HatElement") -> "HatElement":
-        mat = dict(self.mat)
-        for k, v in other.mat.items():
-            _add_into(mat, k, v)
-        return HatElement(
-            self.size, mat,
-            self.c1 + other.c1, self.c2 + other.c2,
-            self.d1 + other.d1, self.d2 + other.d2,
-        )
+        out = [dict(p) for p in self.parts()]
+        for p, o in zip(out, other.parts()):
+            acc(p, o)
+        return HatElement(self.size, *out)
 
-    def scaled(self, c) -> "HatElement":
-        c = QLaurent.of(c)
-        return HatElement(
-            self.size,
-            {k: c * v for k, v in self.mat.items() if c * v},
-            c * self.c1, c * self.c2, c * self.d1, c * self.d2,
-        )
+    def scaled(self, c, shift: int = 0) -> "HatElement":
+        """c q^shift times this element, for a rational c."""
+        out = []
+        for p in self.parts():
+            part: dict = {}
+            acc(part, {_with_power(k, _power(k) + shift): v for k, v in p.items()}, c)
+            out.append(part)
+        return HatElement(self.size, *out)
 
     def specialize(self, q: Fraction) -> "HatElement":
-        """Collapse formal q to a rational value; used for q -> 1 checks."""
-        out: dict = {}
-        for key, v in self.mat.items():
-            val = v.at(q)
-            if val:
-                out[key] = QLaurent.of(val)
-        return HatElement(
-            self.size, out,
-            QLaurent.of(self.c1.at(q)), QLaurent.of(self.c2.at(q)),
-            QLaurent.of(self.d1.at(q)), QLaurent.of(self.d2.at(q)),
-        )
+        """Collapse formal q to a nonzero rational value; used for q -> 1 checks."""
+        if not q:
+            raise DomainError("q must be nonzero")
+        q = Fraction(q)
+        out = []
+        for p in self.parts():
+            part: dict = {}
+            for k, v in p.items():
+                acc(part, {_with_power(k, 0): v}, q ** _power(k))
+            out.append(part)
+        return HatElement(self.size, *out)
 
 
-def unit(size: int, x1: int, x2: int, i: int, j: int, coeff=Q_ONE) -> HatElement:
+def unit(size: int, x1: int, x2: int, i: int, j: int, e: int = 0) -> HatElement:
+    """q^e s^x1 t^x2 E_ij."""
     if not (1 <= i <= size and 1 <= j <= size):
         raise DomainError(f"matrix index ({i},{j}) out of range 1..{size}")
-    return HatElement(size, {(x1, x2, i, j): QLaurent.of(coeff)})
+    return HatElement(size, {(x1, x2, i, j, e): 1})
 
 
-def _add_into(mat: dict, key, val: QLaurent) -> None:
-    """mat[key] += val, keeping only nonzero entries."""
-    if not val:
-        return
-    old = mat.get(key)
-    if old is None:
-        mat[key] = val
-        return
-    nv = old + val
-    if nv:
-        mat[key] = nv
-    else:
-        del mat[key]
+def _derive(out: dict, d1: dict, d2: dict, mat: dict, sign: int) -> None:
+    """out += sign (d1 x1 + d2 x2) mat: the degree derivations, with
+    q-polynomial coefficients d1 and d2, acting on the matrix terms of mat."""
+    for axis, d in enumerate((d1, d2)):
+        for g, c in d.items():
+            acc(out, {(x1, x2, i, j, e + g): (x1, x2)[axis] * v
+                      for (x1, x2, i, j, e), v in mat.items()}, sign * c)
 
 
 def hat_bracket(x: HatElement, y: HatElement) -> HatElement:
     if x.size != y.size:
         raise DomainError("operands have different matrix sizes")
     mat: dict = {}
-    c1 = c2 = QLaurent()
-
-    for (x1, x2, i, j), cx in x.mat.items():
-        for (y1, y2, m, n), cy in y.mat.items():
+    c1: dict = {}
+    c2: dict = {}
+    for (x1, x2, i, j, e), cx in x.mat.items():
+        for (y1, y2, m, n, f), cy in y.mat.items():
+            if j != m and i != n:
+                continue
+            # t^x2 s^y1 = q^{x2 y1} s^y1 t^x2
             c = cx * cy
+            s1, s2 = x1 + y1, x2 + y2
             if j == m:
-                _add_into(mat, (x1 + y1, x2 + y2, i, n), c.shifted(x2 * y1))
+                acc(mat, {(s1, s2, i, n, e + f + x2 * y1): c})
             if i == n:
-                _add_into(mat, (x1 + y1, x2 + y2, m, j), -c.shifted(x1 * y2))
-            if x1 + y1 == 0 and x2 + y2 == 0 and j == m and i == n:
-                zc = c.shifted(x2 * y1)
-                c1 = c1 + zc * x1
-                c2 = c2 + zc * x2
-    # derivations
-    for (y1, y2, m, n), cy in y.mat.items():
-        if x.d1:
-            _add_into(mat, (y1, y2, m, n), x.d1 * cy * y1)
-        if x.d2:
-            _add_into(mat, (y1, y2, m, n), x.d2 * cy * y2)
-    for (x1, x2, i, j), cx in x.mat.items():
-        if y.d1:
-            _add_into(mat, (x1, x2, i, j), -(y.d1 * cx * x1))
-        if y.d2:
-            _add_into(mat, (x1, x2, i, j), -(y.d2 * cx * x2))
+                acc(mat, {(s1, s2, m, j, e + f + x1 * y2): c}, -1)
+            if s1 == 0 and s2 == 0 and j == m and i == n:
+                central = {e + f + x2 * y1: c}
+                acc(c1, central, x1)
+                acc(c2, central, x2)
+    _derive(mat, x.d1, x.d2, y.mat, 1)
+    _derive(mat, y.d1, y.d2, x.mat, -1)
     return HatElement(x.size, mat, c1, c2)
 
 
-def form_q(x: HatElement, y: HatElement) -> QLaurent:
-    out = x.c1 * y.d1 + x.c2 * y.d2 + x.d1 * y.c1 + x.d2 * y.c2
-    for (x1, x2, i, j), cx in x.mat.items():
-        for (y1, y2, m, n), cy in y.mat.items():
+def form_q(x: HatElement, y: HatElement) -> dict[int, object]:
+    """The invariant form, as a q-polynomial."""
+    out: dict = {}
+    for a, b in ((x.c1, y.d1), (x.c2, y.d2), (x.d1, y.c1), (x.d2, y.c2)):
+        for e, c in a.items():
+            acc(out, {e + f: v for f, v in b.items()}, c)
+    for (x1, x2, i, j, e), cx in x.mat.items():
+        for (y1, y2, m, n, f), cy in y.mat.items():
             if x1 + y1 == 0 and x2 + y2 == 0 and j == m and i == n:
-                out = out + (cx * cy).shifted(x2 * y1)
+                acc(out, {e + f + x2 * y1: cx * cy})
     return out
 
 
@@ -286,7 +179,7 @@ class QRealization:
             if sign > 0:
                 return unit(size, 1, 1 if star else 0, l + 1, 1)
             if star:
-                return unit(size, -1, -1, 1, l + 1, QLaurent.q_power(1))
+                return unit(size, -1, -1, 1, l + 1, 1)
             return unit(size, -1, 0, 1, l + 1)
         if ident.startswith("h:"):
             return self._cartan(ident[2:])
@@ -296,13 +189,9 @@ class QRealization:
         sp = self.config.space
         size = self.size
         if label == "Ld":
-            out = HatElement(size)
-            out.d1 = Q_ONE
-            return out
+            return HatElement(size, d1={0: 1})
         if label == "La":
-            out = HatElement(size)
-            out.d2 = Q_ONE
-            return out
+            return HatElement(size, d2={0: 1})
         if label.startswith("a") and label[1:].isdigit():
             i = int(label[1:])
             sym = RootSym(i, False, 1)
@@ -370,9 +259,7 @@ def verify_q(config: QebsConfig, q_numeric: Fraction | None = None) -> Report:
         a0s = RootSym(0, True, sgn)
         al = RootSym(l, False, sgn)
         als = RootSym(l, True, sgn)
-        lhs = hat_bracket(real.image(a0s.ident), real.image(al.ident)).scaled(
-            QLaurent.q_power(sgn)
-        )
+        lhs = hat_bracket(real.image(a0s.ident), real.image(al.ident)).scaled(1, sgn)
         rhs = hat_bracket(real.image(a0.ident), real.image(als.ident))
         diff = lhs.plus(rhs.scaled(-1))
         if q_numeric is not None:
@@ -411,11 +298,7 @@ def structure_suite(size: int = 3, span: int = 2) -> Report:
     meets each kind.  Each bracket of two such elements is computed once.
     """
     rep = Report()
-    extra = []
-    for which in ("c1", "c2", "d1", "d2"):
-        e = HatElement(size)
-        setattr(e, which, Q_ONE)
-        extra.append(e)
+    extra = [HatElement(size, **{which: {0: 1}}) for which in ("c1", "c2", "d1", "d2")]
     units = []
     for x1 in range(-span, span + 1):
         for x2 in range(-span, span + 1):

@@ -17,6 +17,7 @@ from math import factorial, lcm
 from .ambient import CheckError, ConfigError, DomainError, Vec, cartan_symmetrizer
 from .base_system import Check, QebsConfig, Report
 from .cyclo import Cyc, ONE, SQRT2, SQRT_M1, ZERO, exp_pi_i_over
+from .exact import acc
 from .presentation import RootSym, b_all
 from .roots import closure, mirror, root_of
 
@@ -288,15 +289,7 @@ def _verify_hd(hd: HandyDatum):
 # keys: ("h", i), ("t", i), (sign, weight, idx) with sign "+" or "-",
 # weight a tuple of multiplicities over Ibar.
 
-def _acc(out: dict, elem: dict, scalar):
-    if not scalar:
-        return
-    for key, c in elem.items():
-        val = out.get(key, 0) + scalar * c
-        if val:
-            out[key] = val
-        elif key in out:
-            del out[key]
+_FLIP = {"+": "-", "-": "+"}
 
 
 def _default_cap() -> int:
@@ -401,9 +394,8 @@ class GradedAlgebra:
             img: dict = {}
             for j in range(self.n):
                 part = self._f_on_candidate(j, i, sub, idx)
-                for key, c in part.items():
-                    img[(j,) + (key,)] = img.get((j,) + (key,), 0) + c
-            images.append({k: v for k, v in img.items() if v})
+                acc(img, {(j, key): c for key, c in part.items()})
+            images.append(img)
 
         # greedy row reduction; independent candidates become the basis.
         # Each reduced pivot row carries its expression as a combination of
@@ -419,13 +411,13 @@ class GradedAlgebra:
             for pcol, prow, rexpr in pivots:
                 if pcol in vec:
                     fac = vec[pcol] / prow[pcol]
-                    _acc(expr, rexpr, fac)
-                    _acc(vec, prow, -fac)
+                    acc(expr, rexpr, fac)
+                    acc(vec, prow, -fac)
             if vec:
                 bidx = len(basis_mon)
                 basis_mon.append(cand)
                 rexpr = {bidx: Fraction(1)}
-                _acc(rexpr, expr, -1)
+                acc(rexpr, expr, -1)
                 pivots.append((next(iter(vec)), vec, rexpr))
                 expansions[cand] = {bidx: Fraction(1)}
             else:
@@ -437,8 +429,7 @@ class GradedAlgebra:
         # record raising action on the sub-basis and lowering on the new basis
         for cand, combo in expansions.items():
             i, sub, idx = cand
-            elem = {("+", wt, b): Fraction(v) for b, v in combo.items() if v}
-            self.eact[(sub, idx)][i] = elem
+            self.eact[(sub, idx)][i] = {("+", wt, b): v for b, v in combo.items()}
         for bidx, cand in enumerate(basis_mon):
             key = (wt, bidx)
             self.eact[key] = {}
@@ -457,9 +448,9 @@ class GradedAlgebra:
         out: dict = {}
         if i == j:
             # -sign [h_i, b] with b of weight sub
-            _acc(out, self._key_elem("+", sub, idx), -sign * self.weight_h(sub, i))
+            acc(out, self._key_elem("+", sub, idx), -sign * self.weight_h(sub, i))
         inner = self.fact[(sub, idx)][j]
-        _acc(out, self.ad_e(i, inner), sign)
+        acc(out, self.ad_e(i, inner), sign)
         return out
 
     def _key_elem(self, sgn: str, wt: tuple, idx: int) -> dict:
@@ -469,21 +460,18 @@ class GradedAlgebra:
 
     def mirror(self, elem: dict) -> dict:
         """E <-> F, h -> -h, t -> -t on monomial keys."""
-        out = {}
-        for key, c in elem.items():
-            if key[0] == "h" or key[0] == "t":
-                out[key] = out.get(key, 0) - c
-            else:
-                sgn = "-" if key[0] == "+" else "+"
-                out[(sgn, key[1], key[2])] = c
-        return {k: v for k, v in out.items() if v}
+        out: dict = {}
+        acc(out, {key: c for key, c in elem.items() if key[0] in ("h", "t")}, -1)
+        acc(out, {(_FLIP[key[0]], key[1], key[2]): c
+                  for key, c in elem.items() if key[0] in _FLIP})
+        return out
 
     def ad_e(self, i: int, arg) -> dict:
         """[E_i, arg] for arg a monomial key or an element dict."""
         if isinstance(arg, dict):
             out = {}
             for key, c in arg.items():
-                _acc(out, self.ad_e(i, key), c)
+                acc(out, self.ad_e(i, key), c)
             return out
         key = arg
         if key[0] == "h":
@@ -505,7 +493,7 @@ class GradedAlgebra:
         if isinstance(arg, dict):
             out = {}
             for key, c in arg.items():
-                _acc(out, self.ad_f(j, key), c)
+                acc(out, self.ad_f(j, key), c)
             return out
         key = arg
         if key[0] == "h":
@@ -537,12 +525,12 @@ class GradedAlgebra:
             sign = Fraction((-1) ** (hd.p(i) * hd.p(j)))
             out: dict = {}
             if i == j:
-                _acc(
+                acc(
                     out,
                     self._key_elem("-", sub, sidx),
                     -self.weight_h(sub, i),
                 )
-            _acc(out, self.ad_f(j, self._g_on(i, sub, sidx)), sign)
+            acc(out, self.ad_f(j, self._g_on(i, sub, sidx)), sign)
         self.gact.setdefault((wt, idx), {})[i] = out
         return out
 
@@ -560,7 +548,7 @@ class GradedAlgebra:
         out: dict = {}
         for kx, cx in x.items():
             for ky, cy in y.items():
-                _acc(out, self._br_keys(kx, ky), cx * cy)
+                acc(out, self._br_keys(kx, ky), cx * cy)
         return out
 
     def _br_keys(self, kx, ky) -> dict:
@@ -582,7 +570,7 @@ class GradedAlgebra:
         # [ [X_i, x'], y ] = [X_i, [x', y]] - (-1)^{p_i p_x'} [x', [X_i, y]]
         sign = (-1) ** (self.hd.p(i) * self.parity[sub])
         out = one(i, self._br_keys((sgn, sub, sidx), ky))
-        _acc(out, self.bracket(self._key_elem(sgn, sub, sidx), one(i, ky)), -Fraction(sign))
+        acc(out, self.bracket(self._key_elem(sgn, sub, sidx), one(i, ky)), -Fraction(sign))
         return out
 
     def _cartan_eig(self, hkey, ekey) -> Fraction:
@@ -658,21 +646,13 @@ class LoopElement:
         return not self.terms and not self.v and not self.w
 
     def scaled(self, c) -> "LoopElement":
-        return LoopElement(
-            self.alg,
-            {k: cv for k, val in self.terms.items() if (cv := c * val)},
-            c * self.v,
-            c * self.w,
-        )
+        terms: dict = {}
+        acc(terms, self.terms, c)
+        return LoopElement(self.alg, terms, c * self.v, c * self.w)
 
     def plus(self, other: "LoopElement") -> "LoopElement":
         terms = dict(self.terms)
-        for k, val in other.terms.items():
-            nv = terms.get(k, 0) + val
-            if nv:
-                terms[k] = nv
-            elif k in terms:
-                del terms[k]
+        acc(terms, other.terms)
         return LoopElement(self.alg, terms, self.v + other.v, self.w + other.w)
 
     def parities(self) -> set[int]:
@@ -687,7 +667,9 @@ def loop_zero(alg: GradedAlgebra) -> LoopElement:
 
 
 def loop_term(alg: GradedAlgebra, elem: dict, power: int) -> LoopElement:
-    return LoopElement(alg, {(k, power): c for k, c in elem.items() if c})
+    terms: dict = {}
+    acc(terms, {(k, power): c for k, c in elem.items()})
+    return LoopElement(alg, terms)
 
 
 def loop_bracket(x: LoopElement, y: LoopElement) -> LoopElement:
@@ -699,26 +681,18 @@ def loop_bracket(x: LoopElement, y: LoopElement) -> LoopElement:
     for (kx, m), cx in x.terms.items():
         for (ky, n), cy in y.terms.items():
             part = alg._br_keys(kx, ky)
-            for key, c in part.items():
-                val = terms.get((key, m + n), 0) + cx * cy * c
-                if val:
-                    terms[(key, m + n)] = val
-                elif (key, m + n) in terms:
-                    del terms[(key, m + n)]
-            if m + n == 0 and m != 0:
-                j = alg._form_keys(kx, ky)
-                if j:
-                    vc = vc + m * cx * cy * j
-    out = LoopElement(alg, terms, vc, 0)
+            j = alg._form_keys(kx, ky) if m + n == 0 and m != 0 else 0
+            if not part and not j:
+                continue
+            c = cx * cy
+            acc(terms, {(key, m + n): v for key, v in part.items()}, c)
+            if j:
+                vc = vc + m * c * j
     if x.w:
-        for (ky, n), cy in y.terms.items():
-            if n:
-                out = out.plus(LoopElement(alg, {(ky, n): x.w * n * cy}))
+        acc(terms, {(ky, n): n * cy for (ky, n), cy in y.terms.items() if n}, x.w)
     if y.w:
-        for (kx, m), cx in x.terms.items():
-            if m:
-                out = out.plus(LoopElement(alg, {(kx, m): -(y.w * m * cx)}))
-    return out
+        acc(terms, {(kx, m): m * cx for (kx, m), cx in x.terms.items() if m}, -y.w)
+    return LoopElement(alg, terms, vc, 0)
 
 
 def loop_form(x: LoopElement, y: LoopElement):
@@ -785,45 +759,45 @@ class Realization:
             if tag in ("empty", "Z", "2Z"):
                 elem: dict = {}
                 for x in range(1, kv + 1):
-                    _acc(elem, self._gen(node, x, s), ONE)
+                    acc(elem, self._gen(node, x, s), ONE)
             elif tag == "2Z+1":
                 elem = {}
-                _acc(elem, self._gen(node, 1, s), SQRT2)
-                _acc(elem, self._gen(node, 2, s), SQRT2)
+                acc(elem, self._gen(node, 1, s), SQRT2)
+                acc(elem, self._gen(node, 2, s), SQRT2)
             elif tag == "4Z+2":
                 elem = {}
-                _acc(elem, self._gen(node, 2, s), SQRT2)
-                _acc(elem, self._pair_bracket(node, 1, 3, s), s / SQRT2 * ONE)
+                acc(elem, self._gen(node, 2, s), SQRT2)
+                acc(elem, self._pair_bracket(node, 1, 3, s), s / SQRT2 * ONE)
             else:  # 4Z
                 elem = {}
-                _acc(elem, self._gen(node, 1, s), ONE)
-                _acc(elem, self._pair_bracket(node, 3, 2, s), Fraction(s) * ONE)
+                acc(elem, self._gen(node, 1, s), ONE)
+                acc(elem, self._pair_bracket(node, 3, 2, s), Fraction(s) * ONE)
             return loop_term(alg, elem, 0)
         zeta = exp_pi_i_over(kv)
         if tag in ("empty", "2Z"):
             elem = {}
             for x in range(1, kv + 1):
-                _acc(elem, self._gen(node, x, s), zeta ** (s * (2 * x - 1 - kv)))
+                acc(elem, self._gen(node, x, s), zeta ** (s * (2 * x - 1 - kv)))
             return loop_term(alg, elem, s * cfg.k[node])
         if tag == "Z":
             elem = {}
             for x in range(1, kv + 1):
                 coef = Fraction(s, 4) * zeta ** (s * (2 * x - 1 - kv))
-                _acc(elem, self._pair_bracket(node, x, x, s), coef)
+                acc(elem, self._pair_bracket(node, x, x, s), coef)
             return loop_term(alg, elem, s * cfg.k[node])
         if tag == "2Z+1":
             elem = {}
-            _acc(elem, self._pair_bracket(node, 1, 2, s), SQRT_M1)
+            acc(elem, self._pair_bracket(node, 1, 2, s), SQRT_M1)
             return loop_term(alg, elem, s)
         if tag == "4Z+2":
             elem = {}
-            _acc(elem, self._gen(node, 1, s), ONE)
-            _acc(elem, self._pair_bracket(node, 3, 2, s), SQRT_M1)
+            acc(elem, self._gen(node, 1, s), ONE)
+            acc(elem, self._pair_bracket(node, 3, 2, s), SQRT_M1)
             return loop_term(alg, elem, s)
         # 4Z
         elem = {}
-        _acc(elem, self._gen(node, 2, s), SQRT2)
-        _acc(elem, self._pair_bracket(node, 1, 3, s), SQRT2 * SQRT_M1 / 2)
+        acc(elem, self._gen(node, 2, s), SQRT2)
+        acc(elem, self._pair_bracket(node, 1, 3, s), SQRT2 * SQRT_M1 / 2)
         return loop_term(alg, elem, s)
 
     def _h_of_root(self, sym: RootSym) -> LoopElement:

@@ -127,7 +127,9 @@ def test_config_errors_do_not_abort_batch(runner, cfgdir):
     {"type": "A2(1)", "k": [1, 1, 1]},
     {"type": "A2(1)", "k": {"a0": 1}, "g": {"a0": ["Z"]}},
     ["type"],
-], ids=["type-not-string", "k-not-object", "g-value-not-string", "not-object"])
+    {"type": "A2(1)", "k": {"a0": True}},
+], ids=["type-not-string", "k-not-object", "g-value-not-string", "not-object",
+        "k-value-bool"])
 def test_malformed_config_is_config_error(runner, cfgdir, doc):
     (cfgdir / "malformed.json").write_text(json.dumps(doc))
     result = runner.invoke(cli.main, [
@@ -140,6 +142,19 @@ def test_malformed_config_is_config_error(runner, cfgdir, doc):
     bad, good = _report(result)["results"]
     assert bad["status"] == "config-error"
     assert good["status"] == "ok"
+
+
+@pytest.mark.parametrize("args", [
+    ["qtorus-verify", "--q-numeric", "abc"],
+    ["qtorus-verify", "--q-numeric", "1/0"],
+    ["roots", "--window", "0,1", "--config", "d32.json"],
+    ["roots", "--window", "3,3", "--pad", "0", "--config", "d32.json"],
+], ids=["q-not-rational", "q-zero-denominator", "window-zero", "pad-zero"])
+def test_bad_argument_is_usage_error(runner, args):
+    result = runner.invoke(cli.main, args)
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert "Traceback" not in result.output
 
 
 def test_verify_pi_command(runner, cfgdir):
@@ -255,6 +270,9 @@ PINNED_REPORTS = [
     pytest.param(["verify-pi", "--config", "d32.json"],
                  "3e2548ed7cac3f9614648abac59b694f61a109bb11cd8acaed61f299fc9fa4ae",
                  id="verify-pi"),
+    pytest.param(["verify-pi", "--config", "odd.json"],
+                 "e2b2cb7090f74823e39971cd93111beb4bc241f4e53aa3b74f837ad2a1cef27a",
+                 id="verify-pi-odd"),
     pytest.param(["qtorus-verify"],
                  "bdab63206c7a429bbf25595bcff6323c0cc843e1be5ceb8da155e3592d12461c",
                  id="qtorus-formal"),

@@ -27,6 +27,21 @@ def test_no_assert_statements():
     assert not found, found
 
 
+def test_one_sparse_accumulator():
+    # every sparse linear combination drops a cancelled coefficient with
+    # `del d[key]`; exact.acc is the one place allowed to
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        allowed = {id(node) for top in tree.body
+                   if path.name == "exact.py" and isinstance(top, ast.FunctionDef)
+                   and top.name == "acc" for node in ast.walk(top)}
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Delete) and id(node) not in allowed
+                  and any(isinstance(t, ast.Subscript) for t in node.targets)]
+    assert not found, found
+
+
 def _named(path) -> set[str]:
     """Every identifier a Python file names: variables, attributes, imported
     names, and strings that are identifiers (attribute names looked up by

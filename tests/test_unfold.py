@@ -15,6 +15,7 @@ from erskit.roots import RootWindow, generate
 from erskit.unfold import (
     GradedAlgebra,
     HandyDatum,
+    LoopElement,
     Realization,
     ResourceError,
     _exp_ad,
@@ -144,16 +145,28 @@ def test_bad_max_mem_fails_at_build_not_import(monkeypatch):
         build_graded(_plain_datum([[2, -1], [-3, 2]]), 2)
 
 
-def _sample_elements(alg):
-    out = []
-    for wt, keys in sorted(alg.basis.items()):
-        if sum(wt) > 3:
-            continue
-        for idx in range(len(keys)):
-            for sgn in ("+", "-"):
-                out.append(loop_term(alg, {(sgn, wt, idx): ONE}, 1))
-    for i in range(alg.n):
-        out.append(loop_term(alg, {("h", i): ONE}, 0))
+# D3(2) with an odd generator (g(a0) = Z) and with a doubled node (g(a0) = 2Z+1)
+SAMPLE_CONFIGS = [{0: "Z"}, {0: "2Z+1"}]
+
+
+def _sample_elements(real):
+    """Loop elements that reach every branch of loop_bracket and loop_form:
+    root vectors of heights 1 and 2 at loop powers 1, 0, -1 and 2, Cartan
+    terms, an even sum of terms at mixed powers, the central v and the
+    derivation w (the image of h:La)."""
+    alg = real.alg
+    keys = [(sgn, wt, idx)
+            for wt, basis in sorted(alg.basis.items()) if sum(wt) <= 2
+            for idx in range(len(basis)) for sgn in ("+", "-")]
+    out = [loop_term(alg, {key: ONE}, (1, 0, -1, 2)[n % 4])
+           for n, key in enumerate(keys)]
+    out.append(loop_term(alg, {("h", 0): ONE}, 0))
+    out.append(loop_term(alg, {("t", 1): ONE}, 1))
+    even = [key for key in keys if alg.key_parity(key) == 0]
+    mixed = loop_term(alg, {even[0]: ONE, ("h", 1): SQRT2}, -1)
+    out.append(mixed.plus(loop_term(alg, {even[-1]: Fraction(1, 2)}, 2)))
+    out.append(LoopElement(alg, v=ONE))
+    out.append(real.image("h:La"))
     return out
 
 
@@ -164,39 +177,37 @@ def _parity(x):
 
 
 def test_loop_bracket_super_skew_and_jacobi():
-    cfg = simple_config("D3(2)", g={0: "Z"})
-    alg = Realization(cfg, 5).alg
-    elems = _sample_elements(alg)[:10]
-    for x in elems:
-        px = _parity(x)
-        for y in elems:
-            py = _parity(y)
-            sgn = Cyc.from_rational(Fraction((-1) ** (px * py)))
-            lhs = loop_bracket(x, y).plus(loop_bracket(y, x).scaled(sgn))
-            assert lhs.is_zero()
-    for x in elems[:5]:
-        px = _parity(x)
-        for y in elems[:5]:
-            py = _parity(y)
-            for z in elems[:5]:
+    for g in SAMPLE_CONFIGS:
+        elems = _sample_elements(Realization(simple_config("D3(2)", g=g), 6))
+        for x in elems:
+            px = _parity(x)
+            for y in elems:
+                py = _parity(y)
                 sgn = Cyc.from_rational(Fraction((-1) ** (px * py)))
-                lhs = loop_bracket(x, loop_bracket(y, z))
-                rhs = loop_bracket(loop_bracket(x, y), z).plus(
-                    loop_bracket(y, loop_bracket(x, z)).scaled(sgn)
-                )
-                assert lhs.plus(rhs.scaled(-ONE)).is_zero()
+                lhs = loop_bracket(x, y).plus(loop_bracket(y, x).scaled(sgn))
+                assert lhs.is_zero()
+        for x in elems:
+            px = _parity(x)
+            for y in elems:
+                py = _parity(y)
+                for z in elems:
+                    sgn = Cyc.from_rational(Fraction((-1) ** (px * py)))
+                    lhs = loop_bracket(x, loop_bracket(y, z))
+                    rhs = loop_bracket(loop_bracket(x, y), z).plus(
+                        loop_bracket(y, loop_bracket(x, z)).scaled(sgn)
+                    )
+                    assert lhs.plus(rhs.scaled(-ONE)).is_zero()
 
 
 def test_loop_form_invariance():
-    cfg = simple_config("D3(2)")
-    alg = Realization(cfg, 5).alg
-    elems = _sample_elements(alg)[:8]
-    for x in elems:
-        for y in elems:
-            for z in elems:
-                lhs = loop_form(loop_bracket(x, y), z)
-                rhs = loop_form(x, loop_bracket(y, z))
-                assert lhs == rhs
+    for g in SAMPLE_CONFIGS:
+        elems = _sample_elements(Realization(simple_config("D3(2)", g=g), 6))
+        for x in elems:
+            for y in elems:
+                for z in elems:
+                    lhs = loop_form(loop_bracket(x, y), z)
+                    rhs = loop_form(x, loop_bracket(y, z))
+                    assert lhs == rhs
 
 
 @pytest.mark.parametrize("kwargs, kappa", KAPPA_CASES)

@@ -11,6 +11,8 @@ in different orbits, so length alone is not used to extend k and g).
 Membership along the marking direction is arithmetic: each orbit carries an
 n-progression (all multiples of k for real roots, g(alpha)*k for doubled
 ones), so closure checks can be exact without materializing huge sets.
+A simple reflection never changes n, so the sweeps that reflect alpha-parts
+run once per alpha-part, with its markings attached, not once per root.
 """
 from __future__ import annotations
 
@@ -154,6 +156,7 @@ class EllipticRootSet:
             if not report.passed:
                 bad = "; ".join(f"{e.axiom}: {e.witness}" for e in report.failures())
                 raise ConfigError(f"invalid configuration: {bad}")
+        _require_positive_k(config)
         self.config = config
         self.window = window
         sp = config.space
@@ -287,35 +290,37 @@ class EllipticRootSet:
             entry["real"] = entry["real"] or not doubled
 
     def _assert_fixpoint(self):
-        """One more reflection pass must add nothing inside the window."""
+        """One more reflection pass must add nothing inside the window: the
+        markings of each alpha-part are markings of its mirror images."""
         bound = self.window.M * self.delta0
+        marks: dict[APart, set[int]] = {}
         for coords in self.inner:
+            marks.setdefault(coords[:-1], set()).add(coords[-1])
+        for c, ns in marks.items():
             for image in self._plain:
-                img = image(coords)
-                if abs(img[0]) <= bound and img not in self.inner:
-                    raise CheckError(
-                        f"window is not a closure fixpoint at {coords}"
-                    )
+                img = image(c)
+                if abs(img[0]) <= bound and not ns <= marks.get(img, frozenset()):
+                    lost = min(ns - marks.get(img, frozenset()))
+                    raise CheckError(f"window is not a closure fixpoint at {c + (lost,)}")
 
     # -- membership ---------------------------------------------------
+    def markings(self, c: APart) -> list[Progression]:
+        """The progressions of n for which (c, n) lies in R(k, g)."""
+        if not any(c):
+            return []
+        out = []
+        cls = self.fin_class(c)
+        if cls is not None:
+            out.append(real_progression(cls))
+        if all(x % 2 == 0 for x in c):
+            hcls = self.fin_class(tuple(x // 2 for x in c))
+            if hcls is not None and not hcls.g.is_empty:
+                out.append(doubled_progression(hcls))
+        return out
+
     def member(self, coords: Root) -> bool:
         """Exact membership in the infinite set R(k, g)."""
-        c, n = coords[:-1], coords[-1]
-        if all(x == 0 for x in c):
-            return False
-        cls = self.fin_class(c)
-        if cls is not None and real_progression(cls).contains(n):
-            return True
-        if all(x % 2 == 0 for x in c):
-            half = tuple(x // 2 for x in c)
-            hcls = self.fin_class(half)
-            if (
-                hcls is not None
-                and not hcls.g.is_empty
-                and doubled_progression(hcls).contains(n)
-            ):
-                return True
-        return False
+        return any(p.contains(coords[-1]) for p in self.markings(coords[:-1]))
 
     def parity(self, coords: Root) -> int:
         """p(rho) = 1 iff 2*rho lies in R(k, g)."""
@@ -385,9 +390,11 @@ def generate(
 # ---------------------------------------------------------------------------
 
 def reflection_closure_oracle(config: QebsConfig, window: RootWindow) -> set[Root]:
-    """Inner-window slice computed the slow way: seed the translates of the
-    simple roots (and their doubles), then close under simple reflections
-    on the padded window."""
+    """Inner-window slice computed independently: seed the translates of the
+    simple roots (and their doubles), close their alpha-parts under simple
+    reflections on the padded level bound, and give each alpha-part of a
+    component the markings of every seed in it (reflections fix n)."""
+    _require_positive_k(config)
     sp = config.space
     n_nodes = sp.n_nodes
     delta0 = sp.delta_marks()[0]
@@ -395,44 +402,47 @@ def reflection_closure_oracle(config: QebsConfig, window: RootWindow) -> set[Roo
     vbound = (M + pad) * delta0
     nbound = N + pad
 
-    seeds: set[Root] = set()
+    seeds: dict[APart, set[int]] = {}
     for i in config.nodes:
         k = config.k[i]
         base = tuple(1 if j == i else 0 for j in range(n_nodes))
-        j = 0
-        while abs(j * k) <= nbound:
-            seeds.add(base + (j * k,))
-            seeds.add(base + (-j * k,))
-            j += 1
+        top = nbound // k
+        seeds.setdefault(base, set()).update(j * k for j in range(-top, top + 1))
         gset = config.g[i]
         if not gset.is_empty:
             twice = tuple(2 * x for x in base)
-            for m in gset.members(nbound // k if k else 0):
-                seeds.add(twice + (m * k,))
+            seeds.setdefault(twice, set()).update(m * k for m in gset.members(top))
 
     cartan = sp.cartan
-    found = set(seeds)
-    queue = list(seeds)
-    while queue:
-        coords = queue.pop()
-        c, n = coords[:-1], coords[-1]
-        for i in range(n_nodes):
-            pair = sum(cartan[i][m] * c[m] for m in range(n_nodes))
-            if pair == 0:
-                continue
-            img = list(c)
-            img[i] -= pair
-            if abs(img[0]) > vbound:
-                continue
-            img_t = tuple(img) + (n,)
-            if img_t not in found:
-                found.add(img_t)
-                queue.append(img_t)
-    return {
-        coords
-        for coords in found
-        if abs(coords[0]) <= M * delta0 and abs(coords[-1]) <= N
-    }
+    found: set[Root] = set()
+    seen: set[APart] = set()
+    for start in seeds:
+        if start in seen:
+            continue
+        seen.add(start)
+        component = [start]
+        for c in component:
+            for i in range(n_nodes):
+                pair = sum(cartan[i][m] * c[m] for m in range(n_nodes))
+                if pair == 0:
+                    continue
+                img = list(c)
+                img[i] -= pair
+                img_t = tuple(img)
+                if abs(img[0]) <= vbound and img_t not in seen:
+                    seen.add(img_t)
+                    component.append(img_t)
+        ns = {n for c in component for n in seeds.get(c, ()) if abs(n) <= N}
+        found.update(c + (n,) for c in component if abs(c[0]) <= M * delta0
+                     for n in ns)
+    return found
+
+
+def _require_positive_k(config: QebsConfig) -> None:
+    """The marking progressions step by k, so every k must be at least 1."""
+    for i in config.nodes:
+        if config.k[i] < 1:
+            raise ConfigError(f"k(a{i}) = {config.k[i]} is below 1")
 
 
 # ---------------------------------------------------------------------------
@@ -572,27 +582,22 @@ def _doubled_targets(realmap, phi_img, nu_img, period):
 def _closure_fallback(rootset, gb, gr, t, pb, pr):
     """Exact enumeration over the inner window; used on the rare pairs the
     progression argument cannot settle, and to produce concrete witnesses."""
-    M, N = rootset.window.M, rootset.window.N
-    d0 = rootset.delta0
-    nus_b = [
-        nu for nu in range(-M * d0, M * d0 + 1)
-        if nu % rootset.period == gb.nu_res
-        and rootset._lookup_group(gb.phi, nu, gb.doubled)
-    ]
-    nus_r = [
-        nu for nu in range(-M * d0, M * d0 + 1)
-        if nu % rootset.period == gr.nu_res
-        and rootset._lookup_group(gr.phi, nu, gr.doubled)
-    ]
-    for nub in nus_b:
-        cb = rootset._alpha_part(gb.phi, nub)
-        for nur in nus_r:
-            cr = rootset._alpha_part(gr.phi, nur)
+    N, bound = rootset.window.N, rootset.window.M * rootset.delta0
+
+    def alpha_parts(g: _Group) -> list[APart]:
+        return [rootset._alpha_part(g.phi, nu) for nu in range(-bound, bound + 1)
+                if nu % rootset.period == g.nu_res
+                and rootset._lookup_group(g.phi, nu, g.doubled)]
+
+    crs = alpha_parts(gr)
+    for cb in alpha_parts(gb):
+        for cr in crs:
             ci = tuple(r - t * b for r, b in zip(cr, cb))
+            progs = rootset.markings(ci)
             for n_b in pb.window(N):
                 for n_r in pr.window(N):
                     n_img = n_r - t * n_b
-                    if not rootset.member(ci + (n_img,)):
+                    if not any(p.contains(n_img) for p in progs):
                         beta = cb + (n_b,)
                         rho = cr + (n_r,)
                         return False, (

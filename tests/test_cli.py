@@ -253,6 +253,7 @@ PINNED_CONFIGS = {
     "d32.json": {"type": "D3(2)", "k": {"a0": 1, "a1": 1, "a2": 1}},
     "odd.json": {"type": "D3(2)", "k": {"a0": 1, "a1": 1, "a2": 1},
                  "g": {"a0": "2Z+1"}},
+    "g21.json": {"type": "G2(1)", "k": {"a0": 3, "a1": 3, "a2": 1}},
 }
 _EBS = ["verify-ebs", "--config", "a21.json", "--config", "odd.json"]
 
@@ -267,6 +268,10 @@ PINNED_REPORTS = [
     pytest.param(_EBS + ["--format", "latex"],
                  "611ad2829989e71bef34606a8353bd200d1670ba643887b3d257aee9ec4080aa",
                  id="verify-ebs-latex"),
+    pytest.param(["roots", "--config", "odd.json", "--config", "g21.json",
+                  "--window", "3,3"],
+                 "7ab0a0873e6fa72f22b7a6a7d1c56efbbed9c5fbe55baf9475c719baf4d60ebb",
+                 id="roots-batch"),
     pytest.param(["verify-pi", "--config", "d32.json"],
                  "3e2548ed7cac3f9614648abac59b694f61a109bb11cd8acaed61f299fc9fa4ae",
                  id="verify-pi"),

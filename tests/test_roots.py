@@ -1,9 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from erskit.ambient import ConfigError
+from erskit.ambient import CheckError, ConfigError
 from erskit.base_system import simple_config
 from erskit.presentation import b_all
 from erskit.roots import (
@@ -22,6 +23,79 @@ DOUBLING_VARIANTS = [
     {"k": {0: 1, 1: 2, 2: 1}, "g": {0: "4Z"}},
     {"k": {0: 1, 1: 2, 2: 1}, "g": {0: "2Z"}},
 ]
+
+# three KG-violating pre-elliptic systems
+KG_MUTANTS = [
+    ("D3(2)", {"g": {0: "Z"}, "k": {0: 1, 1: 2, 2: 1}}),
+    ("D3(2)", {"g": {0: "4Z"}}),
+    ("A2(1)", {"g": {0: "2Z+1"}}),
+]
+
+
+def per_marking_oracle(config, window):
+    """Reference for `reflection_closure_oracle`: one breadth-first closure
+    of the seed roots themselves, so each marking gets its own sweep."""
+    sp = config.space
+    n_nodes = sp.n_nodes
+    delta0 = sp.delta_marks()[0]
+    M, N, pad = window.M, window.N, window.pad
+    vbound = (M + pad) * delta0
+    nbound = N + pad
+
+    seeds = set()
+    for i in config.nodes:
+        k = config.k[i]
+        base = tuple(1 if j == i else 0 for j in range(n_nodes))
+        j = 0
+        while abs(j * k) <= nbound:
+            seeds.add(base + (j * k,))
+            seeds.add(base + (-j * k,))
+            j += 1
+        gset = config.g[i]
+        if not gset.is_empty:
+            twice = tuple(2 * x for x in base)
+            for m in gset.members(nbound // k if k else 0):
+                seeds.add(twice + (m * k,))
+
+    cartan = sp.cartan
+    found = set(seeds)
+    queue = list(seeds)
+    while queue:
+        coords = queue.pop()
+        c, n = coords[:-1], coords[-1]
+        for i in range(n_nodes):
+            pair = sum(cartan[i][m] * c[m] for m in range(n_nodes))
+            if pair == 0:
+                continue
+            img = list(c)
+            img[i] -= pair
+            if abs(img[0]) > vbound:
+                continue
+            img_t = tuple(img) + (n,)
+            if img_t not in found:
+                found.add(img_t)
+                queue.append(img_t)
+    return {
+        coords
+        for coords in found
+        if abs(coords[0]) <= M * delta0 and abs(coords[-1]) <= N
+    }
+
+
+ORACLE_CONFIGS = (
+    [(name, {}) for name in SUITE_NAMES]
+    + [("D3(2)", kwargs) for kwargs in DOUBLING_VARIANTS]
+    + [("G2(1)", {"k": {0: 3, 1: 3, 2: 1}})]
+    + KG_MUTANTS
+)
+
+
+@pytest.mark.parametrize("window", [RootWindow(3, 3, 2), RootWindow(2, 5, 1)],
+                         ids=["3,3,2", "2,5,1"])
+@pytest.mark.parametrize("name, kwargs", ORACLE_CONFIGS)
+def test_oracle_matches_per_marking_reference(name, kwargs, window):
+    cfg = simple_config(name, **kwargs)
+    assert reflection_closure_oracle(cfg, window) == per_marking_oracle(cfg, window)
 
 
 @pytest.mark.parametrize("name", SUITE_NAMES)
@@ -73,20 +147,25 @@ def test_check_ebs_suite(name, ebs_reports):
     assert rep.passed, rep.failures()
 
 
+MUTANT_FAILURES = [
+    [("SER4-reflection-closure",
+      "s_(-6, -8, -8, -5) sends (-6, -5, -6, -6) to (-12, -13, -14, -11) outside R")],
+    [("SER4-reflection-closure",
+      "s_(-6, -5, -6, -5) sends (-6, -8, -8, -4) to (-18, -18, -20, -14) outside R")],
+    [("SER5-integrality",
+      "2J(beta,rho)/J(beta,beta) = -4/8 for beta in group 1, rho in group 2"),
+     ("SER4-reflection-closure",
+      "s_(-6, -8, -8, -5) sends (-6, -4, -6, -5) to (-12, -12, -14, -10) outside R")],
+]
+
+
 def test_check_ebs_mutants():
-    # three KG-violating pre-elliptic systems; generation is forced through
-    # with validation off, then window closure must fail with a witness
-    mutants = [
-        ("D3(2)", {"g": {0: "Z"}, "k": {0: 1, 1: 2, 2: 1}}),
-        ("D3(2)", {"g": {0: "4Z"}}),
-        ("A2(1)", {"g": {0: "2Z+1"}}),
-    ]
-    for name, kwargs in mutants:
+    # generation is forced through with validation off, then window closure
+    # must fail with the first witness the enumeration meets
+    for (name, kwargs), failures in zip(KG_MUTANTS, MUTANT_FAILURES, strict=True):
         cfg = simple_config(name, **kwargs)
-        rs = generate(cfg, RootWindow(6, 6, 2), validate=False)
-        rep = check_ebs(rs)
-        assert not rep.passed, f"{name} {kwargs} unexpectedly closed"
-        assert any(e.witness for e in rep.failures())
+        rep = check_ebs(generate(cfg, RootWindow(6, 6, 2), validate=False))
+        assert [(e.axiom, e.witness) for e in rep.failures()] == failures, name
 
 
 def test_levels_and_json_entries():
@@ -106,6 +185,47 @@ def test_window_bounds_validation():
     # k = 3 puts alpha* outside a (1,1) window
     with pytest.raises(ConfigError):
         generate(cfg, RootWindow(1, 1))
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_k_below_one_is_a_config_error(k):
+    cfg = simple_config("A2(1)", k=k)
+    window = RootWindow(3, 3, 2)
+    with pytest.raises(ConfigError):
+        reflection_closure_oracle(cfg, window)
+    with pytest.raises(ConfigError):
+        generate(cfg, window, validate=False)
+
+
+@pytest.mark.parametrize("name, kwargs", [("A2(1)", {}), ("D3(2)", {"g": {0: "2Z+1"}})])
+def test_fixpoint_catches_a_dropped_or_stray_root(name, kwargs):
+    # the fixpoint check mirrors alpha-parts, not roots; it must still see
+    # one missing root, and one root whose marking its mirror images lack
+    cfg = simple_config(name, **kwargs)
+    rs = generate(cfg, RootWindow(3, 3, 2))
+    full = dict(rs.inner)
+    for coords in random.Random(7).sample(sorted(full), 40):
+        rs.inner = dict(full)
+        rs.inner.pop(coords)
+        with pytest.raises(CheckError):
+            rs._assert_fixpoint()
+
+    marks = {}
+    for coords in full:
+        marks.setdefault(coords[:-1], set()).add(coords[-1])
+    # with k = 1 only the doubled alpha-parts of g(a0)=2Z+1 (odd markings)
+    # leave gaps inside |n| <= 3; elsewhere the stray marking is +-4
+    gaps = [c for c in sorted(marks) if len(marks[c]) < 7]
+    assert bool(gaps) == (name == "D3(2)")
+    rng = random.Random(8)
+    for c in rng.sample(sorted(marks), 20) + rng.sample(gaps, min(20, len(gaps))):
+        stray = min((n for n in range(-4, 5) if n not in marks[c]), key=abs)
+        rs.inner = dict(full)
+        rs.inner[c + (stray,)] = {}
+        with pytest.raises(CheckError):
+            rs._assert_fixpoint()
+    rs.inner = full
+    rs._assert_fixpoint()
 
 
 @settings(max_examples=30, deadline=None)

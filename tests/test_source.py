@@ -60,6 +60,19 @@ def _named(path) -> set[str]:
     return out
 
 
+def test_oracle_is_independent_of_the_root_set_code():
+    # the oracle confirms what generate enumerates, so it must not reach the
+    # reflection kernel, the membership tables or the progressions
+    tree = ast.parse((SRC / "roots.py").read_text(encoding="utf-8"))
+    oracle = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
+                  and node.name == "reflection_closure_oracle")
+    named = {node.id for node in ast.walk(oracle) if isinstance(node, ast.Name)}
+    named |= {node.attr for node in ast.walk(oracle) if isinstance(node, ast.Attribute)}
+    banned = {"closure", "mirror", "EllipticRootSet", "fintable", "member",
+              "fin_class", "Progression"}
+    assert not named & banned, sorted(named & banned)
+
+
 def _is_click_command(node) -> bool:
     for dec in node.decorator_list:
         func = dec.func if isinstance(dec, ast.Call) else dec

@@ -232,12 +232,12 @@ def cartan_symmetrizer(A, connected: bool = False) -> list[Fraction]:
     return d
 
 
-def _symmetrize(A: list[list[int]]) -> list[list[Fraction]]:
+def _symmetrize(A: list[list[int]]) -> list[list[int]]:
     """B_ij = d_i * a_ij, scaled to the coprime integer block."""
     n = len(A)
     d = cartan_symmetrizer(A, connected=True)
     flat = exact.primitive(d[i] * A[i][j] for i in range(n) for j in range(n))
-    return [[Fraction(x) for x in flat[i * n:(i + 1) * n]] for i in range(n)]
+    return [flat[i * n:(i + 1) * n] for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -314,11 +314,21 @@ class AmbientSpace:
                     total += xi * row[k] * yk
         return total
 
-    def covector(self, x: Vec) -> Vec:
-        nx = self.j(x, x)
-        if nx == 0:
-            raise DomainError("covector of an isotropic vector")
-        return tuple(2 * c / nx for c in x)
+    def pair(self, x: int, root: tuple[int, ...]) -> Fraction:
+        """J(basis vector x, root) for a root tuple (c_0..c_l, n), read off
+        gram row x."""
+        row = self.gram[x]
+        total = row[self.idx_a] * root[-1]
+        for i, c in enumerate(root[:-1]):
+            if c:
+                total += row[i] * c
+        return total
+
+    def norm(self, root: tuple[int, ...]) -> int:
+        """J(root, root) on the integer block: a is isotropic and orthogonal
+        to every alpha_i, so only the nonzero alpha coordinates enter."""
+        support = [(i, c) for i, c in enumerate(root[:-1]) if c]
+        return sum(c * self.sym[i][j] * d for i, c in support for j, d in support)
 
     def reflect(self, x: Vec, y: Vec) -> Vec:
         """s_x(y) = y - J(x_vee, y) x; x must be non-isotropic."""
@@ -385,7 +395,7 @@ def build_ambient(affine_type: AffineType | str) -> AmbientSpace:
 # affine block checks
 # ---------------------------------------------------------------------------
 
-def _check_affine_block(B: list[list[Fraction]]) -> None:
+def _check_affine_block(B: list[list[int]]) -> None:
     """The symmetrized block must be PSD with a 1-dimensional kernel."""
     n = len(B)
     a = [[Fraction(x) for x in row] for row in B]
@@ -412,7 +422,7 @@ def _check_affine_block(B: list[list[Fraction]]) -> None:
         raise ConfigError(f"Cartan block has corank {n - rank}, expected 1")
 
 
-def _kernel_marks(B: list[list[Fraction]]) -> list[int]:
+def _kernel_marks(B: list[list[int]]) -> list[int]:
     """Coprime positive integer kernel vector of the symmetrized block."""
     ker = exact.kernel(B)
     if len(ker) != 1:

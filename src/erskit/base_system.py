@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
-from .ambient import AmbientSpace, ConfigError, DomainError, Vec, build_ambient
+from .ambient import AmbientSpace, ConfigError, DomainError, build_ambient
 
 _TAGS = {
     "empty": None,
@@ -153,13 +153,16 @@ class QebsConfig:
     def c_of(self, i: int) -> int:
         return 2 if self.g[i].tag in ("Z", "2Z+1") else 1
 
-    def alpha_star(self, i: int) -> Vec:
-        sp = self.space
-        c = self.c_of(i)
-        v = list(sp.alpha(i))
-        v[i] *= c
-        v[sp.idx_a] += self.k[i]
-        return tuple(v)
+    def root(self, i: int, star: bool = False, sign: int = 1) -> tuple[int, ...]:
+        """The root tuple (c_0..c_l, n) of sign * alpha_i, or of
+        sign * alpha_i^* = sign * (c alpha_i + k_i a) when star."""
+        n_nodes = self.space.n_nodes
+        if not 0 <= i < n_nodes:
+            raise ConfigError(f"node index {i} out of range 0..{n_nodes - 1}")
+        c, k = (self.c_of(i), self.k[i]) if star else (1, 0)
+        out = [0] * (n_nodes + 1)
+        out[i], out[-1] = sign * c, sign * k
+        return tuple(out)
 
     def node_parity(self, i: int) -> int:
         """p(alpha_i): 1 iff 2*alpha_i is a root, i.e. 0 in g(alpha_i)."""

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import exact
-from .ambient import CheckError, ConfigError, DomainError
-from .base_system import EMPTY, GClass, QebsConfig, pi_b
+from .ambient import CheckError, DomainError
+from .base_system import GClass, QebsConfig, pi_b
 from .roots import EllipticRootSet, Root, RootWindow, closure, generate, mirror
 
 _RANK1 = {
@@ -55,20 +55,12 @@ def _generated_subsystem(rootset: EllipticRootSet, i: int) -> set[Root]:
     config = rootset.config
     bound, N = rootset.window.M * rootset.delta0, rootset.window.N
     seeds = []
-    for sigma in (_node_root(config, i), _node_root(config, i, star=True, sign=-1)):
+    for sigma in (config.root(i), config.root(i, star=True, sign=-1)):
         seeds.append((sigma, None))
         if rootset.parity(sigma):
             seeds.append((tuple(2 * x for x in sigma), None))
     mirrors = [(star, mirror(config, i, star)) for star in (False, True)]
     return set(closure(seeds, mirrors, lambda v: abs(v[0]) <= bound and abs(v[-1]) <= N))
-
-
-def _node_root(config: QebsConfig, i: int, star: bool = False, sign: int = 1) -> Root:
-    sp = config.space
-    c = [0] * sp.n_nodes
-    c[i] = config.c_of(i) if star else 1
-    n = config.k[i] if star else 0
-    return tuple(sign * x for x in c) + (sign * n,)
 
 
 def classify_rank1(
@@ -96,7 +88,7 @@ def classify_rank1(
             f"rank-one slice at node {i} disagrees with the generated subsystem"
         )
 
-    p = rootset.parity(_node_root(config, i))
+    p = rootset.parity(config.root(i))
     if p_stated is not None and p != p_stated:
         raise CheckError(f"p(alpha_{i}) = {p}, table says {p_stated}")
     return CaseRecord(case, name, {"node": i, "g": tag, "p": p})
@@ -154,7 +146,7 @@ def _apply_word(config, word, i, j):
         "sb.sa(-b*)": (j, i),
         "sa.sb(-a*)": (i, j),
     }[word]
-    out = _node_root(config, j if word.endswith("(-b*)") else i, star=True, sign=-1)
+    out = config.root(j if word.endswith("(-b*)") else i, star=True, sign=-1)
     for node in reversed(start):
         out = mirror(config, node, False)(out)
     return out
@@ -206,12 +198,13 @@ def twist_4z(config: QebsConfig, i: int, window: RootWindow | None = None):
 
     lam = _dual_weight(config, i)
     sp_basis = sp.basis_labels()
+    root_labels = sp_basis[:sp.n_nodes] + [sp_basis[sp.idx_a]]
     cartan_map = {}
     for m in config.nodes:
         if m in cls:
-            star = config.alpha_star(m)
+            star = config.root(m, star=True)
             cartan_map[sp_basis[m]] = {
-                sp_basis[x]: str(star[x]) for x in range(sp.dim) if star[x] != 0
+                lab: str(x) for lab, x in zip(root_labels, star) if x
             }
         else:
             cartan_map[sp_basis[m]] = {sp_basis[m]: "1"}

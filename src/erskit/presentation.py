@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 import json
 
-from .ambient import CheckError, ConfigError, DomainError, Vec
+from .ambient import CheckError, DomainError
 from .base_system import QebsConfig
 from .cyclo import Cyc, ONE
 
@@ -38,13 +38,8 @@ class RootSym:
     def negate(self) -> "RootSym":
         return RootSym(self.node, self.star, -self.sign)
 
-    def vector(self, config: QebsConfig) -> Vec:
-        base = (
-            config.alpha_star(self.node)
-            if self.star
-            else config.space.alpha(self.node)
-        )
-        return tuple(self.sign * x for x in base)
+    def root(self, config: QebsConfig) -> tuple[int, ...]:
+        return config.root(self.node, self.star, self.sign)
 
     def parity(self, config: QebsConfig) -> int:
         return (
@@ -100,13 +95,10 @@ class RelationSet:
 
 
 def _key(config: QebsConfig, sym: RootSym) -> tuple[int, int, int]:
-    """(i, n, a) with sym's vector n alpha_i + a a: (n, a) is sign times
-    (c, k_i) when starred and (1, 0) otherwise, so equal vectors have equal
-    keys."""
-    if sym.node not in config.nodes:
-        raise ConfigError(f"node index {sym.node} out of range 0..{config.space.l}")
-    c, k = (config.c_of(sym.node), config.k[sym.node]) if sym.star else (1, 0)
-    return sym.node, sym.sign * c, sym.sign * k
+    """(i, n, a) with sym's root n alpha_i + a a, so equal roots have equal
+    keys; a node out of range raises ConfigError."""
+    root = sym.root(config)
+    return sym.node, root[sym.node], root[-1]
 
 
 class _BTable:
@@ -181,16 +173,6 @@ def _nest(head: str, power: int, tail: Tree) -> Tree:
     return out
 
 
-def _h_combination(config: QebsConfig, vec: Vec) -> list[tuple[Cyc, Tree]]:
-    sp = config.space
-    labels = sp.basis_labels()
-    out = []
-    for idx, c in enumerate(vec):
-        if c != 0:
-            out.append((Cyc.from_rational(c), f"h:{labels[idx]}"))
-    return out
-
-
 def x_coeff(config: QebsConfig, mu: RootSym, nu: RootSym) -> int:
     """Serre exponent for the ordered pair (mu, nu)."""
     return _x(config.space.cartan, _key(config, mu), _key(config, nu))
@@ -240,11 +222,15 @@ def _emit_sr(table: _BTable, pairs, tag: str) -> RelationSet:
                 mons.append((-Cyc.from_rational(coef), mu.ident))
             rels.add(f"SR3[h:{labels[x]},{mu.ident}]", _word(table, mons))
 
+    # the root coordinates name h:a0..h:al and h:a
+    root_labels = labels[:sp.n_nodes] + [labels[sp.idx_a]]
     for mu in b_plus(config):
-        vec = mu.vector(config)
-        covec = sp.covector(vec)
+        root = mu.root(config)
+        norm = sp.norm(root)
         mons = [(ONE, [mu.ident, mu.negate().ident])]
-        mons += [(-c, t) for c, t in _h_combination(config, covec)]
+        # h of the coroot 2 mu / J(mu, mu)
+        mons += [(-Cyc.from_rational(Fraction(2 * c, norm)), f"h:{lab}")
+                 for c, lab in zip(root, root_labels) if c]
         rels.add(f"SR4[{mu.ident}]", _word(table, mons))
 
     if pairs is None:
@@ -382,13 +368,7 @@ def elliptic_basis(config: QebsConfig):
     marks = sp.delta_marks()
     m_vals = {}
     for i in config.nodes:
-        alpha = sp.alpha(i)
-        m_vals[i] = (
-            Fraction(config.c_of(i))
-            * sp.j(alpha, alpha)
-            * marks[i]
-            / config.k[i]
-        )
+        m_vals[i] = Fraction(config.c_of(i) * sp.sym[i][i] * marks[i], config.k[i])
     m_max = max(m_vals.values())
     pi_max = sorted(i for i in config.nodes if m_vals[i] == m_max)
     gamma = [RootSym(i, False, 1) for i in config.nodes] + [

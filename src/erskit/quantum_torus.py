@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .ambient import ConfigError, DomainError
+from .ambient import DomainError
 from .base_system import Check, QebsConfig, Report
 from .exact import acc
 from .presentation import RootSym, b_all
@@ -193,22 +193,19 @@ class QRealization:
         if label == "La":
             return HatElement(size, d2={0: 1})
         if label.startswith("a") and label[1:].isdigit():
-            i = int(label[1:])
-            sym = RootSym(i, False, 1)
-            vec = sym.vector(self.config)
-            half_norm = sp.j(vec, vec) / 2
+            sym = RootSym(int(label[1:]), False, 1)
+            half_norm = Fraction(sp.norm(sym.root(self.config)), 2)
             br = hat_bracket(self.image(sym.ident), self.image(sym.negate().ident))
             return br.scaled(half_norm)
         if label == "a":
-            c = self.config.c_of(0)
+            # a = alpha_0^* - c alpha_0, as k_0 = 1 here
             star = RootSym(0, True, 1)
-            vec = star.vector(self.config)
-            half = self.config.space.j(vec, vec) / 2
+            root = star.root(self.config)
             hstar = hat_bracket(
                 self.image(star.ident), self.image(star.negate().ident)
-            ).scaled(half)
+            ).scaled(Fraction(sp.norm(root), 2))
             plain = self._cartan("a0")
-            return hstar.plus(plain.scaled(-Fraction(c)))
+            return hstar.plus(plain.scaled(-Fraction(root[0])))
         raise DomainError(f"unknown Cartan label {label!r}")
 
     def evaluate(self, tree) -> HatElement:
@@ -277,7 +274,7 @@ def verify_q(config: QebsConfig, q_numeric: Fraction | None = None) -> Report:
         h = real.image(f"h:{lab}")
         for mu in b_all(config):
             img = real.image(mu.ident)
-            want = img.scaled(sp.j(sp.basis_vector(x), mu.vector(config)))
+            want = img.scaled(sp.pair(x, mu.root(config)))
             diff = hat_bracket(h, img).plus(want.scaled(-1))
             if q_numeric is not None:
                 diff = diff.specialize(q_numeric)

@@ -48,7 +48,7 @@ class OrbitClass:
     seeds: frozenset[int]
     k: int
     g: GClass
-    key: Fraction
+    key: int
 
 
 @dataclass(frozen=True)
@@ -90,7 +90,8 @@ def mirror(config: QebsConfig, i: int, star: bool):
     leaves the lattice and the map returns None.
     """
     row = config.space.cartan[i]
-    c, k = (config.c_of(i), config.k[i]) if star else (1, 0)
+    root = config.root(i, star)
+    c, k = root[i], root[-1]
 
     def image(vec: tuple) -> tuple | None:
         p = sum(a * x for a, x in zip(row, vec))
@@ -191,13 +192,12 @@ class EllipticRootSet:
         for cls_nodes in sp.node_orbit_classes():
             rep = min(cls_nodes)
             ident = len(self.classes)
-            alpha_rep = sp.alpha(rep)
             oc = OrbitClass(
                 ident=ident,
                 seeds=frozenset(cls_nodes),
                 k=self.config.k[rep],
                 g=self.config.g[rep],
-                key=sp.j(alpha_rep, alpha_rep),
+                key=sp.sym[rep][rep],
             )
             self.classes.append(oc)
             seeds = [
@@ -255,11 +255,12 @@ class EllipticRootSet:
             c = self._alpha_part(phi, nu)
             if abs(nu) <= M * self.delta0:
                 for n in real_progression(cls).window(N):
-                    self._add_root(c, n, cls, doubled=False)
+                    self._add_root(c, n, cls, cls.key, doubled=False)
             if not cls.g.is_empty and abs(2 * nu) <= M * self.delta0:
                 c2 = tuple(2 * x for x in c)
+                key2 = 4 * cls.key
                 for n in doubled_progression(cls).window(N):
-                    self._add_root(c2, n, cls, doubled=True)
+                    self._add_root(c2, n, cls, key2, doubled=True)
 
     def _alpha_part(self, phi, nu) -> APart:
         """The alpha-part with finite key phi at level nu."""
@@ -271,13 +272,12 @@ class EllipticRootSet:
             out.append(x)
         return tuple(out)
 
-    def _add_root(self, c: APart, n: int, cls: OrbitClass, doubled: bool):
+    def _add_root(self, c: APart, n: int, cls: OrbitClass, key: int, doubled: bool):
         coords = c + (n,)
         entry = self.inner.get(coords)
         if entry is None:
-            factor = 4 if doubled else 1
             entry = {
-                "orbit_key": cls.key * factor,
+                "orbit_key": key,
                 "k": cls.k,
                 "g": cls.g.tag,
                 "doubled": doubled,
@@ -377,11 +377,11 @@ def generate(
     rs = EllipticRootSet(config, window, validate=validate)
     # the window must hold every generator alpha and alpha^*
     for i in config.nodes:
-        coords = root_of(config, config.alpha_star(i))
+        coords = config.root(i, star=True)
         if abs(rs.level(coords)) > window.M or abs(coords[-1]) > window.N:
             raise ConfigError("window too small to contain the generator set")
         if not rs.member(coords):
-            raise CheckError(f"alpha_star(a{i}) missing from the root set")
+            raise CheckError(f"a{i}* missing from the root set")
     return rs
 
 
@@ -493,10 +493,7 @@ def check_ebs(rootset: EllipticRootSet) -> Report:
     # all pairings at once on the integer finite parts
     n_nodes = sp.n_nodes
     phimat = np.array([g.phi for g in groups], dtype=np.int64)
-    symblock = np.array(
-        [[int(sp.sym[i][j]) for j in range(1, n_nodes)] for i in range(1, n_nodes)],
-        dtype=np.int64,
-    )
+    symblock = np.array([row[1:] for row in sp.sym[1:]], dtype=np.int64)
     gram = phimat @ symblock @ phimat.T
     norms = np.diag(gram).copy()
 

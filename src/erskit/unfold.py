@@ -12,7 +12,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial, lcm
+from math import lcm
 
 from .ambient import CheckError, ConfigError, DomainError, Vec, cartan_symmetrizer
 from .base_system import Check, QebsConfig, Report
@@ -801,10 +801,8 @@ class Realization:
         return loop_term(alg, elem, s)
 
     def _h_of_root(self, sym: RootSym) -> LoopElement:
-        """h_mu for mu the vector of sym, via [E_mu, E_-mu] = h_{mu_vee}."""
-        sp = self.config.space
-        vec = sym.vector(self.config)
-        half_norm = sp.j(vec, vec) / 2
+        """h_mu for mu the root of sym, via [E_mu, E_-mu] = h_{mu_vee}."""
+        half_norm = Fraction(self.config.space.norm(sym.root(self.config)), 2)
         br = loop_bracket(self.image(sym.ident), self.image(sym.negate().ident))
         return br.scaled(half_norm)
 
@@ -814,7 +812,7 @@ class Realization:
         if label.startswith("a") and label[1:].isdigit():
             return self._h_of_root(RootSym(int(label[1:]), False, 1))
         if label == "Ld":
-            coef = sp.j(sp.Lambda_delta, sp.alpha(0))
+            coef = sp.gram[sp.idx_Ld][0]
             elem = {}
             for x in range(1, self.hd.kvee[0] + 1):
                 elem[("t", self.hd.index(0, x))] = coef
@@ -825,8 +823,7 @@ class Realization:
             return out
         if label == "a":
             # a = (alpha_0^* - c alpha_0) / k_0 as ambient vectors
-            c = self.config.c_of(0)
-            k0 = self.config.k[0]
+            c, *_, k0 = self.config.root(0, star=True)
             star = self._h_of_root(RootSym(0, True, 1))
             plain = self._h_of_root(RootSym(0, False, 1))
             return star.plus(plain.scaled(-c)).scaled(Fraction(1, k0))
@@ -901,7 +898,7 @@ def verify_pi(config: QebsConfig, height: int | None = None,
     npairs = 0
     for x in range(sp.dim):
         for y in range(x, sp.dim):
-            jxy = sp.j(sp.basis_vector(x), sp.basis_vector(y))
+            jxy = sp.gram[x][y]
             if jxy == 0:
                 continue
             ratio = loop_form(h_imgs[labels[x]], h_imgs[labels[y]]) / Cyc.from_rational(jxy)
@@ -997,7 +994,7 @@ def transport_images(real: Realization, words: dict, targets=None) -> dict:
     mirrors = {sym: mirror(config, sym.node, sym.star) for sym in b_all(config)}
 
     def parent(vec, word):
-        return _lift(mirrors[word[-1]](root_of(config, vec)))
+        return root_to_ambient(config, mirrors[word[-1]](root_of(config, vec)))
 
     needed = None
     doubled = {}
@@ -1036,9 +1033,10 @@ def transport_images(real: Realization, words: dict, targets=None) -> dict:
     return out
 
 
-def root_to_ambient(config: QebsConfig, coords) -> Vec:
-    """Lift a root tuple (alpha coords, a-coord) to the full basis."""
-    return tuple(Fraction(x) for x in _lift(coords))
+def root_to_ambient(config: QebsConfig, coords) -> tuple[int, ...]:
+    """Lift a root tuple (alpha coords, a-coord) to the integer ambient
+    tuple (alpha coords, Ld, a, La) with zero Ld and La coordinates."""
+    return coords[:-1] + (0, coords[-1], 0)
 
 
 def _weight_map(real: Realization):
@@ -1125,9 +1123,8 @@ def witness_height(config: QebsConfig, rootset, words=None) -> int:
 def witness_words(config: QebsConfig, rootset) -> dict:
     """Reflection words reaching every root of the rootset's window.
 
-    The sweep runs on root tuples; the keys are lifted to integer tuples of
-    ambient length with zero Ld and La coordinates, which compare and hash
-    equal to the Fraction tuples of `root_to_ambient`.  The sweep is allowed
+    The sweep runs on root tuples; the keys are lifted by `root_to_ambient`
+    to integer tuples of ambient length.  The sweep is allowed
     to route through roots slightly outside the window; the membership table
     extends two twist periods past it, which is enough slack for the mirror
     chains.
@@ -1147,11 +1144,6 @@ def witness_words(config: QebsConfig, rootset) -> dict:
     ]
     seeds = []
     for sym, _ in mirrors:
-        vec = root_of(config, sym.vector(config))
-        seeds += [(vec, sym), (tuple(-x for x in vec), sym.negate())]
-    return {_lift(vec): val for vec, val in closure(seeds, mirrors, keep).items()}
-
-
-def _lift(root: tuple) -> tuple:
-    """The integer ambient tuple (alpha coords, Ld, a, La) of a root tuple."""
-    return root[:-1] + (0, root[-1], 0)
+        seeds += [(sym.root(config), sym), (sym.negate().root(config), sym.negate())]
+    return {root_to_ambient(config, vec): val
+            for vec, val in closure(seeds, mirrors, keep).items()}

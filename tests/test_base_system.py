@@ -53,13 +53,25 @@ def test_c_of_tracks_doubling():
     assert cfg.c_of(1) == 1
 
 
-def test_alpha_star_vector():
-    cfg = simple_config("D3(2)", k={0: 1, 1: 2, 2: 1})
-    sp = cfg.space
-    star = cfg.alpha_star(1)
-    assert star[1] == cfg.c_of(1)
-    assert star[sp.idx_a] == 2
-    assert all(star[x] == 0 for x in range(sp.dim) if x not in (1, sp.idx_a))
+def test_root_tuples():
+    cfg = simple_config("D3(2)", k={0: 1, 1: 2, 2: 1}, g={0: "2Z+1"})
+    assert cfg.root(1) == (0, 1, 0, 0)
+    # alpha_1^* = c alpha_1 + k_1 a, with c = 1 for an empty g
+    assert cfg.root(1, star=True) == (0, 1, 0, 2)
+    assert cfg.root(1, star=True, sign=-1) == (0, -1, 0, -2)
+    # c = 2 where g is 2Z+1
+    assert cfg.root(0, star=True) == (2, 0, 0, 1)
+    assert cfg.root(2, sign=-1) == (0, 0, -1, 0)
+
+
+@pytest.mark.parametrize("i", [3, 4, -1])
+def test_root_rejects_node_out_of_range(i):
+    # index n_nodes is the marking slot of the tuple; it must not be written
+    cfg = simple_config("D3(2)")
+    with pytest.raises(ConfigError, match="out of range"):
+        cfg.root(i)
+    with pytest.raises(ConfigError, match="out of range"):
+        cfg.root(i, star=True)
 
 
 def test_parities():

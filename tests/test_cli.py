@@ -256,6 +256,8 @@ PINNED_CONFIGS = {
     "g21.json": {"type": "G2(1)", "k": {"a0": 3, "a1": 3, "a2": 1}},
 }
 _EBS = ["verify-ebs", "--config", "a21.json", "--config", "odd.json"]
+_RELATIONS = ["relations", "--config", "d32.json", "--config", "odd.json",
+              "--config", "g21.json"]
 
 # sha256 of the report bytes: a change here is a change of the CLI's output
 PINNED_REPORTS = [
@@ -287,6 +289,18 @@ PINNED_REPORTS = [
     pytest.param(["qtorus-verify", "--rank", "3"],
                  "9fa22820a5508656d4aabf18f9d0fb1594f555167a73bc6d4c6e618fce03dff0",
                  id="qtorus-rank-3"),
+    pytest.param(_RELATIONS,
+                 "3b1df684b2523e8f914c7dddfb83566310659bb8ddd72173be837a78b75fe802",
+                 id="relations-sr"),
+    pytest.param(_RELATIONS + ["--preset", "sr-sharp"],
+                 "1de8cc1a59c5758c6caed247dfa14afe7b65ddba0a6330e43115c9649b908665",
+                 id="relations-sr-sharp"),
+    pytest.param(_RELATIONS + ["--preset", "tsr"],
+                 "ee17e27581757eea32ffcfafb6387659fce273718731a5d2a3c02ef2afa009d1",
+                 id="relations-tsr"),
+    pytest.param(["classify", "--config", "a21.json", "--config", "odd.json"],
+                 "2ab0836dc4ec8ac03849fe2608b32748a8e63207d2c29eeaa8d084770cda1493",
+                 id="classify-batch"),
 ]
 
 

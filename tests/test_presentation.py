@@ -16,6 +16,7 @@ from erskit.presentation import (
     emit_tsr,
     x_coeff,
 )
+from erskit.unfold import root_to_ambient
 from conftest import SUITE_NAMES
 
 # node 0 doubled (c = 2; odd with g = Z, even with 2Z+1) and unequal k: the
@@ -74,7 +75,8 @@ def test_sr5_count_matches_pairing_census(name):
         for nu in b_all(cfg):
             if mu == nu:
                 continue
-            vm, vn = mu.vector(cfg), nu.vector(cfg)
+            vm = root_to_ambient(cfg, mu.root(cfg))
+            vn = root_to_ambient(cfg, nu.root(cfg))
             if all(a + b == 0 for a, b in zip(vm, vn)):
                 continue
             if sp.j(vm, vn) < 0:
@@ -93,7 +95,8 @@ def test_x_coeff_matches_fraction_form(name):
     sp = cfg.space
     for mu in b_all(cfg):
         for nu in b_all(cfg):
-            vm, vn = mu.vector(cfg), nu.vector(cfg)
+            vm = root_to_ambient(cfg, mu.root(cfg))
+            vn = root_to_ambient(cfg, nu.root(cfg))
             if vm == vn or all(a + b == 0 for a, b in zip(vm, vn)):
                 continue
             pairing = 2 * sp.j(vm, vn) / sp.j(vm, vm)
@@ -103,6 +106,25 @@ def test_x_coeff_matches_fraction_form(name):
                 continue
             want = 1 - pairing if pairing < 0 else 0
             assert x_coeff(cfg, mu, nu) == want, (mu.ident, nu.ident)
+
+
+@pytest.mark.parametrize("name", SUITE_NAMES + list(VARIANTS))
+def test_integer_pairing_matches_fraction_form(name):
+    # AmbientSpace.pair and norm on root tuples against J on the Fraction
+    # ambient vectors, over every generator root and basis vector
+    cfg = _config(name)
+    sp = cfg.space
+    for mu in b_all(cfg):
+        root = mu.root(cfg)
+        vec = root_to_ambient(cfg, root)
+        assert sp.norm(root) == sp.j(vec, vec), mu.ident
+        for x in range(sp.dim):
+            assert sp.pair(x, root) == sp.j(sp.basis_vector(x), vec), (x, mu.ident)
+        # norm on two-node lattice vectors reads the off-diagonal block too
+        for nu in b_all(cfg):
+            both = tuple(a + b for a, b in zip(root, nu.root(cfg)))
+            lifted = root_to_ambient(cfg, both)
+            assert sp.norm(both) == sp.j(lifted, lifted), (mu.ident, nu.ident)
 
 
 def test_x_coeff_domain_errors():
@@ -142,8 +164,8 @@ def test_sharp_guard_rejects_oversized_reduced_family(monkeypatch):
     pi_pairs, _ = presentation.sharp_sets(cfg)
     b_prime = [
         (mu, nu) for mu in b_all(cfg) for nu in b_all(cfg)
-        if mu.vector(cfg) != nu.vector(cfg)
-        and any(a + b for a, b in zip(mu.vector(cfg), nu.vector(cfg)))
+        if mu.root(cfg) != nu.root(cfg)
+        and any(a + b for a, b in zip(mu.root(cfg), nu.root(cfg)))
     ]
     monkeypatch.setattr(presentation, "sharp_sets",
                         lambda config: (pi_pairs, b_prime + b_prime))

@@ -272,7 +272,8 @@ def test_mirror_matches_ambient_reflect(name, kwargs, valid):
     for sym in b_all(cfg):
         image = mirror(cfg, sym.node, sym.star)
         for coords in rs.inner:
-            ref = sp.reflect(sym.vector(cfg), root_to_ambient(cfg, coords))
+            ref = sp.reflect(root_to_ambient(cfg, sym.root(cfg)),
+                             root_to_ambient(cfg, coords))
             assert ref[sp.idx_Ld] == ref[sp.idx_La] == 0
             got = image(coords)
             if ref[sp.idx_a].denominator == 1:

@@ -101,3 +101,45 @@ def test_public_names_are_referenced():
                 continue
             dead.append(f"{path.name}:{node.name}")
     assert not dead, dead
+
+
+def test_dense_form_only_in_ambient():
+    # roots pair through integer gram rows; the dense Fraction form and the
+    # ambient reflection stay in ambient.py as the reference the tests use
+    dense = {"j", "reflect", "covector"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "ambient.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in dense]
+    assert not found, found
+
+
+def test_benchmark_tracer_targets_resolve():
+    # perfbench/spans.py wraps erskit attributes by name, so a rename or a
+    # deletion here breaks a traced benchmark run
+    import importlib
+    import importlib.util
+
+    for mod in ("ambient", "classify", "cli", "cyclo", "presentation",
+                "quantum_torus", "roots", "unfold"):
+        importlib.import_module(f"erskit.{mod}")
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    targets = [(path, attr) for _, path, attr in spans.SPANNED + spans.COUNTED]
+    missing = [f"{path}.{attr}" for path, attr in targets
+               if not hasattr(spans._owner(path), attr)]
+    assert not missing, missing
+    before = [getattr(spans._owner(path), attr) for path, attr in targets]
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+    finally:
+        tracer.uninstall()
+    assert [getattr(spans._owner(path), attr) for path, attr in targets] == before

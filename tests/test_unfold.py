@@ -279,7 +279,7 @@ def test_transport_base_symbols_are_generator_images():
     real = Realization(cfg, witness_height(cfg, rs, words))
     images = transport_images(real, words)
     for sym in (RootSym(0, False, 1), RootSym(1, False, -1)):
-        vec = sym.vector(cfg)
+        vec = root_to_ambient(cfg, sym.root(cfg))
         direct = real.image(sym.ident)
         got = images[vec]
         assert got.plus(direct.scaled(-ONE)).is_zero()
@@ -439,8 +439,8 @@ def test_witness_words_replay_through_ambient_reflections(name, kwargs):
     for vec, (sym0, word) in words.items():
         if word:
             prefix = replayed[(sym0, tuple(word[:-1]))]
-            cur = sp.reflect(word[-1].vector(cfg), prefix)
+            cur = sp.reflect(root_to_ambient(cfg, word[-1].root(cfg)), prefix)
         else:
-            cur = sym0.vector(cfg)
+            cur = root_to_ambient(cfg, sym0.root(cfg))
         assert cur == vec, (sym0, word)
         replayed[(sym0, tuple(word))] = cur

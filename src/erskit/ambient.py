@@ -34,7 +34,7 @@ class CheckError(RuntimeError):
 # affine types
 # ---------------------------------------------------------------------------
 
-# family tag -> (display pattern, rank predicate, description of constraint)
+# family tag -> (rank predicate, message when the rank is out of range)
 _FAMILIES = {
     "A(1)": (lambda l: l >= 2, "A_l^(1) needs l >= 2"),
     "B(1)": (lambda l: l >= 3, "B_l^(1) needs l >= 3"),
@@ -282,23 +282,6 @@ class AmbientSpace:
         v[i] = Fraction(1)
         return tuple(v)
 
-    def alpha(self, i: int) -> Vec:
-        if not 0 <= i <= self.l:
-            raise ConfigError(f"node index {i} out of range 0..{self.l}")
-        return self.basis_vector(i)
-
-    @property
-    def Lambda_delta(self) -> Vec:
-        return self.basis_vector(self.idx_Ld)
-
-    @property
-    def a_vec(self) -> Vec:
-        return self.basis_vector(self.idx_a)
-
-    @property
-    def Lambda_a(self) -> Vec:
-        return self.basis_vector(self.idx_La)
-
     def basis_labels(self) -> list[str]:
         return [f"a{i}" for i in range(self.n_nodes)] + ["Ld", "a", "La"]
 
@@ -347,7 +330,7 @@ class AmbientSpace:
             for i, m in enumerate(marks):
                 v[i] = Fraction(m)
             delta = tuple(v)
-            if self.j(delta, delta) != 0 or self.j(self.Lambda_delta, delta) != 1:
+            if self.j(delta, delta) != 0 or self.j(self.basis_vector(self.idx_Ld), delta) != 1:
                 raise ConfigError("kernel of the Cartan block is not a null root")
             self._delta = delta
         return self._delta

@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-import numpy as np
-
 from . import exact
 from .ambient import CheckError, ConfigError, DomainError
 from .base_system import CheckEntry, GClass, QebsConfig, Report, validate_qebs
@@ -44,8 +42,6 @@ class RootWindow:
 
 @dataclass(frozen=True)
 class OrbitClass:
-    ident: int
-    seeds: frozenset[int]
     k: int
     g: GClass
     key: int
@@ -192,14 +188,9 @@ class EllipticRootSet:
         for cls_nodes in sp.node_orbit_classes():
             rep = min(cls_nodes)
             ident = len(self.classes)
-            oc = OrbitClass(
-                ident=ident,
-                seeds=frozenset(cls_nodes),
-                k=self.config.k[rep],
-                g=self.config.g[rep],
-                key=sp.sym[rep][rep],
+            self.classes.append(
+                OrbitClass(k=self.config.k[rep], g=self.config.g[rep], key=sp.sym[rep][rep])
             )
-            self.classes.append(oc)
             seeds = [
                 (tuple(1 if j == i else 0 for j in range(n_nodes)), ident)
                 for i in sorted(cls_nodes)
@@ -281,13 +272,10 @@ class EllipticRootSet:
                 "k": cls.k,
                 "g": cls.g.tag,
                 "doubled": doubled,
-                "real": not doubled,
-                "class": cls.ident,
             }
             self.inner[coords] = entry
         else:
             entry["doubled"] = entry["doubled"] or doubled
-            entry["real"] = entry["real"] or not doubled
 
     def _assert_fixpoint(self):
         """One more reflection pass must add nothing inside the window: the
@@ -490,14 +478,14 @@ def check_ebs(rootset: EllipticRootSet) -> Report:
                 seen.add(key2)
                 groups.append(_Group(phi2, (2 * nu) % period, True, cls, 2 * nu))
 
-    # all pairings at once on the integer finite parts
+    # all pairings on the integer finite parts: rows = phi S, gram = rows phi^T
     n_nodes = sp.n_nodes
-    phimat = np.array([g.phi for g in groups], dtype=np.int64)
-    symblock = np.array([row[1:] for row in sp.sym[1:]], dtype=np.int64)
-    gram = phimat @ symblock @ phimat.T
-    norms = np.diag(gram).copy()
+    cols = list(zip(*(row[1:] for row in sp.sym[1:])))
+    rows = [[sum(p * s for p, s in zip(g.phi, col)) for col in cols] for g in groups]
+    gram = [[sum(r * p for r, p in zip(row, g.phi)) for g in groups] for row in rows]
+    norms = [row[i] for i, row in enumerate(gram)]
 
-    ok1 = bool((norms > 0).all())
+    ok1 = all(nb > 0 for nb in norms)
     rep.entries.append(CheckEntry("SER1-norm-signs", ok1, "" if ok1 else "non-positive norm"))
 
     # the radical of the pairing is the null line plus the marking direction,
@@ -508,54 +496,50 @@ def check_ebs(rootset: EllipticRootSet) -> Report:
         CheckEntry("SER3-rank", rank_ok, "" if rank_ok else "root lattice rank deficit")
     )
 
-    tnum = 2 * gram
-    frac = (tnum % norms[:, None]) != 0
-    ser5_ok = not bool(frac.any())
-    ser5_w = ""
-    if not ser5_ok:
-        i, j = map(int, np.argwhere(frac)[0])
-        ser5_w = (
-            f"2J(beta,rho)/J(beta,beta) = {tnum[i, j]}/{norms[i]} "
-            f"for beta in group {i}, rho in group {j}"
-        )
-    rep.entries.append(CheckEntry("SER5-integrality", ser5_ok, ser5_w))
+    ser5_w = next((
+        f"2J(beta,rho)/J(beta,beta) = {2 * g}/{nb} for beta in group {i}, rho in group {j}"
+        for i, (row, nb) in enumerate(zip(gram, norms))
+        for j, g in enumerate(row) if 2 * g % nb
+    ), "")
+    rep.entries.append(CheckEntry("SER5-integrality", not ser5_w, ser5_w))
 
-    tmat = np.where(frac, 0, tnum // np.where(frac, 1, norms[:, None]))
     realmap: dict[tuple, OrbitClass] = {}
     for (phi, nu), lab in rootset.fintable.items():
         realmap.setdefault((phi, nu % period), rootset.classes[lab])
 
-    closure_ok, closure_w = True, ""
-    for i, j in np.argwhere(tmat != 0):
-        gb, gr = groups[i], groups[j]
-        t = int(tmat[i, j])
-        phi_img = tuple(int(x) for x in (phimat[j] - t * phimat[i]))
-        ok, witness = _group_closure(rootset, realmap, gb, gr, t, phi_img)
-        if not ok:
-            closure_ok, closure_w = False, witness
+    # reflections of every group in every other, in row-major order;
+    # orthogonal pairs and the pairs SER5 rejects are skipped
+    closure_w = ""
+    pairs = ((gb, gr, 2 * g // nb) for gb, row, nb in zip(groups, gram, norms)
+             for gr, g in zip(groups, row) if g and not 2 * g % nb)
+    for gb, gr, t in pairs:
+        closure_w = _group_closure(rootset, realmap, gb, gr, t)
+        if closure_w:
             break
-    rep.entries.append(CheckEntry("SER4-reflection-closure", closure_ok, closure_w))
+    rep.entries.append(CheckEntry("SER4-reflection-closure", not closure_w, closure_w))
 
     ok6 = _connected(gram)
     rep.entries.append(CheckEntry("SER6-connected", ok6, "" if ok6 else "root graph splits"))
     return rep
 
 
-def _group_closure(rootset, realmap, gb: _Group, gr: _Group, t: int, phi_img):
-    """Images of group gr under reflections from group gb stay in R."""
+def _group_closure(rootset, realmap, gb: _Group, gr: _Group, t: int) -> str:
+    """Images of group gr under reflections from group gb stay in R: "" if
+    they do, else a witness."""
     period = rootset.period
     pb = gb.progression()
     pr = gr.progression()
     step = gcd(pr.step, abs(t) * pb.step)
     image_prog = Progression(step, pr.residue - t * pb.residue)
+    phi_img = tuple(r - t * b for r, b in zip(gr.phi, gb.phi))
     nu_img = gr.nu_rep - t * gb.nu_rep
 
     real_cls = realmap.get((phi_img, nu_img % period))
     if real_cls is not None and real_progression(real_cls).includes(image_prog):
-        return True, ""
+        return ""
     targets = _doubled_targets(realmap, phi_img, nu_img, period)
     if targets is not None and all(tp.includes(image_prog) for tp in targets):
-        return True, ""
+        return ""
     return _closure_fallback(rootset, gb, gr, t, pb, pr)
 
 
@@ -597,23 +581,20 @@ def _closure_fallback(rootset, gb, gr, t, pb, pr):
                     if not any(p.contains(n_img) for p in progs):
                         beta = cb + (n_b,)
                         rho = cr + (n_r,)
-                        return False, (
-                            f"s_{beta} sends {rho} to {ci + (n_img,)} outside R"
-                        )
-    return True, ""
+                        return f"s_{beta} sends {rho} to {ci + (n_img,)} outside R"
+    return ""
 
 
 def _connected(gram) -> bool:
-    n = gram.shape[0]
-    if n == 0:
+    """Whether the groups form one component when joined wherever their
+    pairing is nonzero."""
+    if not gram:
         return True
-    seen = np.zeros(n, dtype=bool)
+    seen = {0}
     stack = [0]
-    seen[0] = True
     while stack:
-        i = stack.pop()
-        for j in np.nonzero(gram[i])[0]:
-            if not seen[j]:
-                seen[j] = True
-                stack.append(int(j))
-    return bool(seen.all())
+        for j, g in enumerate(gram[stack.pop()]):
+            if g and j not in seen:
+                seen.add(j)
+                stack.append(j)
+    return len(seen) == len(gram)

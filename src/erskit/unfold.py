@@ -423,7 +423,7 @@ class GradedAlgebra:
             else:
                 expansions[cand] = expr
 
-        self.basis[wt] = [(i, self._bindex(sub, idx)) for i, sub, idx in basis_mon]
+        self.basis[wt] = [(i, (sub, idx)) for i, sub, idx in basis_mon]
         self._size += len(basis_mon)
 
         # record raising action on the sub-basis and lowering on the new basis
@@ -437,9 +437,6 @@ class GradedAlgebra:
             self.fact[key] = {
                 j: self._f_on_candidate(j, i, sub, idx) for j in range(self.n)
             }
-
-    def _bindex(self, sub: tuple, idx: int) -> tuple:
-        return (sub, idx)
 
     def _f_on_candidate(self, j: int, i: int, sub: tuple, idx: int) -> dict:
         """[F_j, [E_i, b]] for b the idx-th basis monomial at weight sub."""

@@ -147,7 +147,7 @@ def test_criterion_7_null_root_identities(name):
         for i in range(sp.dim)
     )
     assert sp.j(delta, delta) == 0
-    assert sp.j(sp.Lambda_delta, delta) == 1
+    assert sp.j(sp.basis_vector(sp.idx_Ld), delta) == 1
 
 
 @pytest.mark.parametrize("name", SUITE_NAMES)

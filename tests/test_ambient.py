@@ -23,20 +23,20 @@ def test_null_root_identities(name):
         for i in range(sp.dim)
     )
     assert sp.j(delta, delta) == 0
-    assert sp.j(sp.Lambda_delta, delta) == 1
-    assert sp.j(sp.a_vec, sp.a_vec) == 0
-    assert sp.j(sp.Lambda_a, sp.a_vec) == 1
-    assert sp.j(delta, sp.a_vec) == 0
+    assert sp.j(sp.basis_vector(sp.idx_Ld), delta) == 1
+    assert sp.j(sp.basis_vector(sp.idx_a), sp.basis_vector(sp.idx_a)) == 0
+    assert sp.j(sp.basis_vector(sp.idx_La), sp.basis_vector(sp.idx_a)) == 1
+    assert sp.j(delta, sp.basis_vector(sp.idx_a)) == 0
 
 
 @pytest.mark.parametrize("name", SUITE_NAMES)
 def test_cartan_vs_form(name):
     sp = build_ambient(name)
     for i in range(sp.n_nodes):
-        norm = sp.j(sp.alpha(i), sp.alpha(i))
+        norm = sp.j(sp.basis_vector(i), sp.basis_vector(i))
         assert norm > 0
         for j in range(sp.n_nodes):
-            pair = 2 * sp.j(sp.alpha(i), sp.alpha(j)) / norm
+            pair = 2 * sp.j(sp.basis_vector(i), sp.basis_vector(j)) / norm
             assert pair == sp.cartan[i][j]
     for i in range(sp.n_nodes):
         assert sp.cartan[i][i] == 2
@@ -69,7 +69,7 @@ def test_reflection_involution(x, y, i):
         out[sp.idx_a] = Fraction(c[3])
         return tuple(out)
 
-    mirror = sp.alpha(i)
+    mirror = sp.basis_vector(i)
     v = lift(x)
     assert sp.reflect(mirror, sp.reflect(mirror, v)) == v
     # reflections are J-isometries
@@ -80,7 +80,7 @@ def test_reflection_involution(x, y, i):
 def test_reflect_isotropic_rejected():
     sp = build_ambient("A2(1)")
     with pytest.raises(DomainError):
-        sp.reflect(sp.a_vec, sp.alpha(0))
+        sp.reflect(sp.basis_vector(sp.idx_a), sp.basis_vector(0))
 
 
 def test_type_validation():

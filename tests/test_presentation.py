@@ -180,7 +180,7 @@ def test_pi_max_maximizes_folded_norm(name):
     basis = elliptic_basis(cfg)
     marks = sp.delta_marks()
     m = [
-        Fraction(cfg.c_of(i)) * sp.j(sp.alpha(i), sp.alpha(i)) * marks[i]
+        Fraction(cfg.c_of(i)) * sp.j(sp.basis_vector(i), sp.basis_vector(i)) * marks[i]
         / cfg.k[i]
         for i in cfg.nodes
     ]

@@ -9,6 +9,7 @@ from erskit.base_system import simple_config
 from erskit.presentation import b_all
 from erskit.roots import (
     RootWindow,
+    _connected,
     check_ebs,
     generate,
     mirror,
@@ -166,6 +167,13 @@ def test_check_ebs_mutants():
         cfg = simple_config(name, **kwargs)
         rep = check_ebs(generate(cfg, RootWindow(6, 6, 2), validate=False))
         assert [(e.axiom, e.witness) for e in rep.failures()] == failures, name
+
+
+def test_connected_needs_a_nonzero_pairing_path():
+    # SER6 joins two groups wherever they pair nonzero
+    assert not _connected([[2, 0], [0, 2]])
+    assert _connected([[2, -1], [-1, 2]])
+    assert _connected([])
 
 
 def test_levels_and_json_entries():

@@ -1,7 +1,10 @@
 """Static checks on the package source."""
 import ast
 import re
+import sys
 from pathlib import Path
+
+import pytest
 
 import erskit
 
@@ -40,6 +43,31 @@ def test_one_sparse_accumulator():
                   if isinstance(node, ast.Delete) and id(node) not in allowed
                   and any(isinstance(t, ast.Subscript) for t in node.targets)]
     assert not found, found
+
+
+def test_src_imports_stdlib_and_click_only():
+    # erskit runs on the standard library and click alone, and every
+    # third-party module it imports is a declared dependency
+    tomllib = pytest.importorskip("tomllib")
+    outside = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            outside += [(path.name, top) for top in {m.split(".")[0] for m in modules}
+                        if top not in sys.stdlib_module_names]
+    bad = [f"{name}: {top}" for name, top in outside if top != "click"]
+    assert not bad, bad
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group().lower()
+                for dep in project["project"]["dependencies"]}
+    third_party = {top for _, top in outside}
+    assert third_party == declared == {"click"}, (sorted(third_party), sorted(declared))
 
 
 def _named(path) -> set[str]:

@@ -361,7 +361,7 @@ def _reference_weight_dims(real):
             index[tuple(sig)] += len(basis)
 
     def dim(lam):
-        m = sp.j(sp.Lambda_a, lam)
+        m = sp.j(sp.basis_vector(sp.idx_La), lam)
         if m.denominator != 1:
             return 0
         want = []

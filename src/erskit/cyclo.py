@@ -5,9 +5,10 @@ Elements are represented by 8 rational coordinates in the power basis
 the minimal polynomial x^8 - x^4 + 1.  They are stored as 8 integer
 numerators over one positive integer denominator, in lowest terms, so equal
 elements have equal storage and compare and hash as tuples.  An int or
-Fraction operand scales or shifts the numerators directly.  The field
-contains sqrt(-1) = z^6, sqrt(2) = z^3 + z^21 and every exp(pi*i/k) for
-k = 1, 2, 3, 4, which is all the realization formulas ever need.
+Fraction operand scales or shifts the numerators directly, and a rational
+Cyc factor scales them too.  The field contains sqrt(-1) = z^6,
+sqrt(2) = z^3 + z^21 and every exp(pi*i/k) for k = 1, 2, 3, 4, which is
+all the realization formulas ever need.
 """
 from __future__ import annotations
 
@@ -81,6 +82,12 @@ class Cyc:
 
     def __mul__(self, other: Scalar) -> "Cyc":
         if isinstance(other, Cyc):
+            # a rational operand q only scales the other's numerators: the
+            # product below would give the same lowest terms
+            x, q = (other, self) if any(other.num[1:]) else (self, other)
+            if not any(q.num[1:]):
+                return _lowest(tuple(a * q.num[0] for a in x.num),
+                               self.den * other.den)
             p = [0] * 15
             for i, a in enumerate(self.num):
                 if a:

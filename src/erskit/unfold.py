@@ -30,6 +30,11 @@ class ResourceError(RuntimeError):
         self.completed_height = completed_height
 
 
+class HeightError(ResourceError):
+    """Raised when a bracket leaves the built heights of a graded algebra;
+    building one more height lets the same bracket go through."""
+
+
 # ---------------------------------------------------------------------------
 # k_vee and the handy datum
 # ---------------------------------------------------------------------------
@@ -315,7 +320,6 @@ class GradedAlgebra:
         if height < 1:
             raise DomainError("height bound must be >= 1")
         self.hd = hd
-        self.height = height
         self.n = hd.n
         # basis[wt] = list of (i, parent_index) monomials; height-1 parent None
         self.basis: dict[tuple, list[tuple]] = {}
@@ -327,7 +331,7 @@ class GradedAlgebra:
         self.gact: dict[tuple, dict[int, dict]] = {}
         self._size = 0
         self._cap = _default_cap() if cap is None else cap
-        self._build()
+        self._build(height)
 
     # -- weights ------------------------------------------------------------
 
@@ -345,8 +349,7 @@ class GradedAlgebra:
 
     # -- construction -------------------------------------------------------
 
-    def _build(self):
-        self.completed = 0
+    def _build(self, height: int):
         for i in range(self.n):
             wt = self._unit(i)
             self.basis[wt] = [(i, None)]
@@ -356,16 +359,27 @@ class GradedAlgebra:
                 for j in range(self.n)
             }
             self.eact[(wt, 0)] = {}
-        self.completed = 1
-        for h in range(2, self.height + 1):
+        self.height = 1
+        self.extend(height)
+
+    def extend(self, height: int):
+        """Build the heights self.height + 1 .. height.
+
+        The constructor builds height 1 and then calls this, and a later
+        call resumes from the last height built, so a caller can grow the
+        algebra as far as its brackets reach.  self.height is the highest
+        height completed; a ResourceError over the basis budget leaves it
+        there.
+        """
+        for h in range(self.height + 1, height + 1):
             for wt in sorted(self._weights_at(h)):
                 self._build_weight(wt, h)
                 if self._size > self._cap:
                     raise ResourceError(
                         f"basis size {self._size} over the budget",
-                        self.completed,
+                        self.height,
                     )
-            self.completed = h
+            self.height = h
 
     def _weights_at(self, h: int) -> list[tuple]:
         prev = [wt for wt in self.basis if sum(wt) == h - 1 and self.basis[wt]]
@@ -481,7 +495,7 @@ class GradedAlgebra:
         if sgn == "+":
             table = self.eact.get((wt, idx))
             if table is None or (i not in table and sum(wt) + 1 > self.height):
-                raise ResourceError("bracket leaves the built height", self.completed)
+                raise HeightError("bracket leaves the built height", self.height)
             return table.get(i, {})
         # E_i against a negative monomial
         return self._g_on(i, wt, idx)
@@ -503,7 +517,7 @@ class GradedAlgebra:
         if sgn == "-":
             table = self.eact.get((wt, idx))
             if table is None or (j not in table and sum(wt) + 1 > self.height):
-                raise ResourceError("bracket leaves the built height", self.completed)
+                raise HeightError("bracket leaves the built height", self.height)
             return self.mirror(table.get(j, {}))
         return self.fact[(wt, idx)][j]
 
@@ -718,6 +732,13 @@ class Realization:
         self._images: dict[str, LoopElement] = {}
         self.kappa = None
         self._weights = None  # the integer weight map of loop_weight_dim
+        self.node_heights = _node_heights(config)  # m_i of witness_height
+
+    def grow(self):
+        """Build one more height of the algebra; the weight map of
+        loop_weight_dim is rebuilt on its next use."""
+        self._weights = None
+        self.alg.extend(self.alg.height + 1)
 
     # unit E/F elements by Ibar pair
     def _gen(self, node: int, x: int, sign: int) -> dict:
@@ -839,8 +860,8 @@ class Realization:
         return out
 
 
-def required_height(config: QebsConfig, relations) -> int:
-    """Exact weight-height bound for substituting the given relations."""
+def _image_heights(config: QebsConfig) -> dict[str, int]:
+    """The highest Ibar height among the terms of each generator image."""
     per = {}
     for sym in b_all(config):
         tag = config.g[sym.node].tag
@@ -848,6 +869,18 @@ def required_height(config: QebsConfig, relations) -> int:
             per[sym.ident] = 2 if tag in ("4Z", "4Z+2") else 1
         else:
             per[sym.ident] = 1 if tag in ("empty", "2Z") else 2
+    return per
+
+
+def _node_heights(config: QebsConfig) -> list[int]:
+    """m_i, the Ibar height of the plain image of alpha_i, for each node."""
+    per = _image_heights(config)
+    return [per[RootSym(i, False, 1).ident] for i in range(config.space.n_nodes)]
+
+
+def required_height(config: QebsConfig, relations) -> int:
+    """Exact weight-height bound for substituting the given relations."""
+    per = _image_heights(config)
 
     def tree_h(tree) -> int:
         if isinstance(tree, str):
@@ -878,7 +911,7 @@ def verify_pi(config: QebsConfig, height: int | None = None,
     for label, word in rels.label_words:
         try:
             val = real.evaluate_word(word)
-        except ResourceError as exc:
+        except HeightError as exc:
             raise ResourceError(
                 f"height {h} too small for {label}", exc.completed_height
             )
@@ -945,18 +978,24 @@ def _exp_ad(x: LoopElement, target: LoopElement,
 
     Every term of such an x moves the Ibar height the same way, by at least
     one, so after 2 * height + 1 steps a term has left the built heights:
-    the series has ended, or a bracket has raised ResourceError.  The
-    default bound 2 * height + 2 therefore never cuts a series short.
+    the series has ended, or a bracket has raised HeightError.  The
+    default bound, 2 * height + 2 read from the algebra at call time (so
+    after any growth), therefore never cuts a series short.  The sum is
+    kept in one element, to which each term (ad x)^n target is added in
+    place with the factor 1/n!.
     """
     if bound is None:
         bound = 2 * x.alg.height + 2
-    out = target
+    out = LoopElement(x.alg, dict(target.terms), target.v, target.w)
     term = target
+    c = Fraction(1)
     for n in range(1, bound + 1):
-        term = loop_bracket(x, term).scaled(Fraction(1, n))
+        term = loop_bracket(x, term)
         if term.is_zero():
             return out
-        out = out.plus(term)
+        c /= n
+        acc(out.terms, term.terms, c)
+        out.v = out.v + c * term.v
     raise ResourceError("ad is not nilpotent within the iteration bound")
 
 
@@ -986,12 +1025,24 @@ def transport_images(real: Realization, words: dict, targets=None) -> dict:
     root 2 beta, beta odd) gets [X_beta, X_beta], since automorphisms
     preserve brackets; any other target missing from the map raises
     DomainError.
+
+    The algebra grows as transport needs it: a step whose brackets leave
+    the built heights (HeightError) runs again after real.grow(), which is
+    safe because aut_n and loop_bracket have no side effects.  The basis
+    budget still bounds the growth with a ResourceError.
     """
     config = real.config
     mirrors = {sym: mirror(config, sym.node, sym.star) for sym in b_all(config)}
 
     def parent(vec, word):
         return root_to_ambient(config, mirrors[word[-1]](root_of(config, vec)))
+
+    def grown(step, *args):
+        while True:
+            try:
+                return step(*args)
+            except HeightError:
+                real.grow()
 
     needed = None
     doubled = {}
@@ -1024,9 +1075,9 @@ def transport_images(real: Realization, words: dict, targets=None) -> dict:
         if not word:
             out[vec] = real.image(sym0.ident)
         else:
-            out[vec] = aut_n(real, word[-1], out[parent(vec, word)])
+            out[vec] = grown(aut_n, real, word[-1], out[parent(vec, word)])
     for vec, half in doubled.items():
-        out[vec] = loop_bracket(out[half], out[half])
+        out[vec] = grown(loop_bracket, out[half], out[half])
     return out
 
 
@@ -1084,10 +1135,14 @@ def loop_weight_dim(real: Realization, lam: Vec) -> int:
     the span of the transported image.  It equals the real multiplicity one
     only when k_vee = 1 on every node; where k_vee = 2 doubles Ibar it can
     read 2 for a root whose image is one nonzero vector.  lam holds ints or
-    Fractions; the integer weight map is built on the first call."""
+    Fractions.  The algebra first grows to lam's Ibar height (see
+    witness_height), so no weight of lam lies above the built heights; the
+    integer weight map is built on the first call after a growth."""
     sp = real.config.space
     if len(lam) != sp.dim:
         raise DomainError(f"weight of length {len(lam)}, not {sp.dim}")
+    while _ibar_height(real.node_heights, lam) > real.alg.height:
+        real.grow()
     if real._weights is None:
         real._weights = _weight_map(real)
     D, la, T, index = real._weights
@@ -1097,24 +1152,36 @@ def loop_weight_dim(real: Realization, lam: Vec) -> int:
     return index.get(tuple(sum(c * lam[k] for k, c in row) for row in T), 0)
 
 
+def _ibar_height(m: list[int], coords) -> int:
+    """sum |c_i| m_i over the alpha_i coefficients c_i, the first len(m)
+    entries of coords: an integer root tuple, whose last entry is its
+    a-coordinate, or an ambient vector."""
+    return sum(abs(c) * mi for c, mi in zip(coords, m))
+
+
 def witness_height(config: QebsConfig, rootset, words=None) -> int:
-    """Weight height needed so every window root lands in a built space.
+    """The Ibar height of the window: every weight that loop_weight_dim
+    counts for a window root is built at this height.
 
-    With a words map the bound also covers the mirror chains, which may pass
-    through roots outside the window, plus slack for intermediate terms of
-    the exponential series.
+    The bound is the largest sum |c_i| m_i over the window roots, m_i the
+    Ibar height of the plain image of alpha_i.  For the tags empty, Z, 2Z
+    and 2Z+1 that image is a sum of generators E_(i,x) over the Ibar nodes
+    of alpha_i, so m_i = 1.  The Cartan images act diagonally on Ibar
+    weights, so each E_(i,x) in that eigenvector has its weight alpha_i.
+    An Ibar weight of ambient weight lam = sum c_i alpha_i + n a then has
+    c_i nodes over each alpha_i and height |sum c_i|, which for a root
+    (all c_i of one sign) is sum |c_i|.  For 4Z and 4Z+2 the plain image
+    also holds a bracket of two generators and m_i = 2 is its height; the
+    argument above does not cover those tags, but no lookup reaches them:
+    build_handy rejects every single-node 4Z or 4Z+2 configuration of the
+    test-suite families tried (HD5 fails on the D3(2) k=(1,2,1) pair).
+    The mirror chains and exponential series of transport may reach
+    higher, and transport_images grows the algebra for them, so words is
+    no longer needed and is ignored.
     """
-    kv = k_vee(config)
-    n_nodes = config.space.n_nodes
-
-    def h(coords):
-        return int(sum(abs(coords[i]) * kv[i] for i in range(n_nodes)))
-
-    best = max((h(c) for c, _ in rootset.sorted_roots()), default=1)
-    if words is not None:
-        best = max(best, max(h(vec) for vec in words))
-        best += 2 * max(kv.values())
-    return best
+    m = _node_heights(config)
+    return max((_ibar_height(m, coords) for coords, _ in rootset.sorted_roots()),
+               default=1)
 
 
 def witness_words(config: QebsConfig, rootset) -> dict:

@@ -108,7 +108,10 @@ def test_ring_ops_match_sympy(qx, ca, cb):
     _, poly, coords = qx
     a, b = Cyc(ca), Cyc(cb)
     pa, pb = poly(ca), poly(cb)
-    for got, want in ((a * b, pa * pb), (a + b, pa + pb), (a - b, pa - pb)):
+    # a rational factor on either side takes the scaling path of __mul__
+    q, pq = Cyc.from_rational(ca[0]), poly(ca[:1])
+    for got, want in ((a * b, pa * pb), (a + b, pa + pb), (a - b, pa - pb),
+                      (q * b, pq * pb), (b * q, pb * pq)):
         assert got.serialize() == [str(c) for c in coords(want)]
 
 

@@ -15,10 +15,12 @@ from erskit.roots import RootWindow, generate
 from erskit.unfold import (
     GradedAlgebra,
     HandyDatum,
+    HeightError,
     LoopElement,
     Realization,
     ResourceError,
     _exp_ad,
+    _ibar_height,
     aut_n,
     build_graded,
     build_handy,
@@ -70,10 +72,11 @@ def test_handy_datum_odd_node():
 def test_handy_incompatible_even_doubling():
     with pytest.raises(ConfigError, match="HD5 fails"):
         build_handy(simple_config("D3(2)", g={0: "2Z"}))
-    with pytest.raises(ConfigError, match="HD5 fails"):
-        build_handy(
-            simple_config("D3(2)", k={0: 1, 1: 2, 2: 1}, g={0: "4Z"})
-        )
+    for tag in ("4Z", "4Z+2"):
+        with pytest.raises(ConfigError, match="HD5 fails"):
+            build_handy(
+                simple_config("D3(2)", k={0: 1, 1: 2, 2: 1}, g={0: tag})
+            )
 
 
 def _plain_datum(abar, iodd=()):
@@ -292,6 +295,117 @@ def test_transport_rejects_unreached_target():
     real = Realization(cfg, witness_height(cfg, rs, words))
     with pytest.raises(DomainError, match="no reflection word"):
         transport_images(real, words, targets=[root_to_ambient(cfg, (3, 0, 0, 0))])
+
+
+def _a21_transport_case():
+    """A2(1) at window (3,3): transport grows the algebra from height 11."""
+    cfg = simple_config("A2(1)")
+    rs = generate(cfg, RootWindow(3, 3))
+    words = witness_words(cfg, rs)
+    vectors = [root_to_ambient(cfg, c) for c, _ in rs.sorted_roots()]
+    return cfg, words, vectors, witness_height(cfg, rs, words)
+
+
+def test_transport_growth_stops_at_the_basis_budget():
+    # the CLI reports a height error as a resource error (exit code 3)
+    assert issubclass(HeightError, ResourceError)
+    cfg, words, vectors, h = _a21_transport_case()
+    cap = Realization(cfg, h).alg._size
+    real = Realization(cfg, h, cap=cap)
+    with pytest.raises(ResourceError, match="over the budget") as exc:
+        transport_images(real, words, targets=vectors)
+    assert not isinstance(exc.value, HeightError)
+    assert exc.value.completed_height == h
+
+
+def test_transport_does_not_grow_on_nilpotence_error(monkeypatch):
+    # only HeightError grows the algebra: the series bound's own error must
+    # surface as itself, not as growth up to the basis budget
+    cfg, words, vectors, h = _a21_transport_case()
+    real = Realization(cfg, h, cap=4 * Realization(cfg, h).alg._size)
+    short = _exp_ad
+    monkeypatch.setattr(erskit.unfold, "_exp_ad",
+                        lambda x, target, bound=None: short(x, target, 1))
+    with pytest.raises(ResourceError, match="iteration bound") as exc:
+        transport_images(real, words, targets=vectors)
+    assert not isinstance(exc.value, HeightError)
+
+
+def test_weight_map_rebuilt_after_transport_grows():
+    cfg, words, vectors, h = _a21_transport_case()
+    real = Realization(cfg, h)
+    before = [loop_weight_dim(real, v) for v in vectors]
+    transport_images(real, words, targets=vectors)
+    assert real.alg.height > h
+    fresh = Realization(cfg, real.alg.height)
+    assert before == [loop_weight_dim(fresh, v) for v in vectors]
+    # words vectors whose weights transport built: a map kept from the
+    # first lookup would lack them, and the lookups grow nothing here
+    grown = real.alg.height
+    probes = [v for v in words
+              if h < _ibar_height(real.node_heights, v) <= grown]
+    assert probes
+    assert ([loop_weight_dim(real, v) for v in probes]
+            == [loop_weight_dim(fresh, v) for v in probes])
+    assert real.alg.height == grown
+
+
+def test_lookup_grows_to_the_weight_height():
+    cfg, words, vectors, h = _a21_transport_case()
+    low = Realization(cfg, h)
+    top = max(_ibar_height(low.node_heights, v) for v in words)
+    assert top > h
+    dims = [loop_weight_dim(low, v) for v in words]
+    assert low.alg.height == top
+    high = Realization(cfg, top)
+    assert dims == [loop_weight_dim(high, v) for v in words]
+    # growth for a lookup stops at the basis budget like any other
+    capped = Realization(cfg, h, cap=low.alg._size - 1)
+    with pytest.raises(ResourceError, match="over the budget"):
+        for v in words:
+            loop_weight_dim(capped, v)
+
+
+@pytest.mark.parametrize("name, kwargs", [
+    ("A2(1)", {}),
+    ("G2(1)", {"k": {0: 3, 1: 3, 2: 1}}),
+    ("D3(2)", {"g": {0: "2Z+1"}}),
+    ("D3(2)", {"g": {0: "Z"}}),
+], ids=["A2(1)", "G2(1)-k331", "D3(2)-2Z+1", "D3(2)-Z"])
+def test_witness_height_matches_the_padded_bound(name, kwargs):
+    cfg = simple_config(name, **kwargs)
+    rs = generate(cfg, RootWindow(3, 3))
+    words = witness_words(cfg, rs)
+    vectors = [root_to_ambient(cfg, c) for c, _ in rs.sorted_roots()]
+    # the reference: every window root and every words vector at
+    # sum |c_i| k_vee_i, plus 2 max k_vee of slack for the series
+    kv = k_vee(cfg)
+
+    def padded(coords):
+        return sum(abs(coords[i]) * kv[i] for i in range(cfg.space.n_nodes))
+
+    old_height = (max(padded(v) for v in vectors + list(words))
+                  + 2 * max(kv.values()))
+    old = Realization(cfg, old_height)
+    old_images = transport_images(old, words, targets=vectors)
+    assert old.alg.height == old_height
+
+    real = Realization(cfg, witness_height(cfg, rs, words))
+    before = [loop_weight_dim(real, v) for v in vectors]
+    images = transport_images(real, words, targets=vectors)
+    assert list(images) == list(old_images)
+    for vec, img in images.items():
+        ref = old_images[vec]
+        assert (img.terms, img.v, img.w) == (ref.terms, ref.v, ref.w), vec
+    # grown to what transport touched, still below the padded bound
+    assert real.alg.height < old_height
+    dims = [loop_weight_dim(old, v) for v in vectors]
+    assert before == dims
+    assert [loop_weight_dim(real, v) for v in vectors] == dims
+    # past the window the lookups grow the algebra to each weight's height
+    assert ([loop_weight_dim(real, v) for v in words]
+            == [loop_weight_dim(old, v) for v in words])
+    assert old.alg.height == old_height
 
 
 def test_exp_ad_bound_follows_height():

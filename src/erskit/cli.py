@@ -14,13 +14,14 @@ from __future__ import annotations
 import io
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import click
 
 from . import __version__
 from .ambient import CheckError, ConfigError, DomainError
-from .base_system import QebsConfig, config_from_dict, validate_qebs
+from .base_system import QebsConfig, config_from_dict, simple_config, validate_qebs
 from .roots import RootWindow, generate, check_ebs
 from .classify import classify_rank1, classify_rank2, ears_data
 from .presentation import emit_sr, emit_sr_sharp, emit_tsr
@@ -264,9 +265,6 @@ def verify_pi_cmd(configs, fmt, out, height):
 def qtorus_verify(rank, q_numeric, fmt, out):
     """Verify the quantum-torus realization for the untwisted A-type config
     of the given rank, plus the bracket structure suite."""
-    from fractions import Fraction
-    from .base_system import simple_config
-
     manifest = _manifest([], "qtorus-verify", rank=rank,
                          q_numeric=q_numeric, format=fmt, out=out)
     qv = None

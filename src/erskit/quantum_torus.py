@@ -18,7 +18,7 @@ from fractions import Fraction
 from .ambient import DomainError
 from .base_system import Check, QebsConfig, Report
 from .exact import acc
-from .presentation import RootSym, b_all
+from .presentation import RootSym, b_all, emit_sr
 
 
 def _power(key) -> int:
@@ -235,8 +235,6 @@ def _is_q_modified(config: QebsConfig, label: str) -> bool:
 
 
 def verify_q(config: QebsConfig, q_numeric: Fraction | None = None) -> Report:
-    from .presentation import emit_sr
-
     real = QRealization(config)
     rep = Report()
     rels = emit_sr(config)
@@ -286,21 +284,28 @@ def verify_q(config: QebsConfig, q_numeric: Fraction | None = None) -> Report:
     return rep
 
 
-def structure_suite(size: int = 3, span: int = 2) -> Report:
-    """Antisymmetry, Jacobi, and invariance on a monomial sample.
+# the matrix size and the degree span of the structure suite's sample
+_SUITE_SIZE = 3
+_SUITE_SPAN = 2
+
+
+def structure_suite() -> Report:
+    """Antisymmetry, Jacobi, and invariance on a monomial sample of
+    _SUITE_SIZE x _SUITE_SIZE matrices.
 
     Antisymmetry runs over the units E_12, E_21, E_11 at degrees |x1|,
-    |x2| <= span and c1, c2, d1, d2; Jacobi and invariance over every unit
-    kind at |x1| + |x2| <= 1 and the same four, so the central cocycle
+    |x2| <= _SUITE_SPAN and c1, c2, d1, d2; Jacobi and invariance over every
+    unit kind at |x1| + |x2| <= 1 and the same four, so the central cocycle
     meets each kind.  Each bracket of two such elements is computed once.
     """
     rep = Report()
-    extra = [HatElement(size, **{which: {0: 1}}) for which in ("c1", "c2", "d1", "d2")]
+    extra = [HatElement(_SUITE_SIZE, **{which: {0: 1}})
+             for which in ("c1", "c2", "d1", "d2")]
     units = []
-    for x1 in range(-span, span + 1):
-        for x2 in range(-span, span + 1):
+    for x1 in range(-_SUITE_SPAN, _SUITE_SPAN + 1):
+        for x2 in range(-_SUITE_SPAN, _SUITE_SPAN + 1):
             for i, j in ((1, 2), (2, 1), (1, 1)):
-                units.append(((x1, x2), unit(size, x1, x2, i, j)))
+                units.append(((x1, x2), unit(_SUITE_SIZE, x1, x2, i, j)))
     sample = [u for _, u in units] + extra
 
     anti = all(

@@ -12,13 +12,14 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from itertools import count
+from math import ceil, lcm
 
 from .ambient import CheckError, ConfigError, DomainError, Vec, cartan_symmetrizer
 from .base_system import Check, QebsConfig, Report
 from .cyclo import Cyc, ONE, SQRT2, SQRT_M1, ZERO, exp_pi_i_over
 from .exact import acc
-from .presentation import RootSym, b_all
+from .presentation import RootSym, b_all, emit_sr
 from .roots import closure, mirror, root_of
 
 
@@ -28,11 +29,6 @@ class ResourceError(RuntimeError):
     def __init__(self, msg: str, completed_height: int = 0):
         super().__init__(msg)
         self.completed_height = completed_height
-
-
-class HeightError(ResourceError):
-    """Raised when a bracket leaves the built heights of a graded algebra;
-    building one more height lets the same bracket go through."""
 
 
 # ---------------------------------------------------------------------------
@@ -363,14 +359,9 @@ class GradedAlgebra:
         self.extend(height)
 
     def extend(self, height: int):
-        """Build the heights self.height + 1 .. height.
-
-        The constructor builds height 1 and then calls this, and a later
-        call resumes from the last height built, so a caller can grow the
-        algebra as far as its brackets reach.  self.height is the highest
-        height completed; a ResourceError over the basis budget leaves it
-        there.
-        """
+        """Build the heights self.height + 1 .. height; self.height is the
+        highest height completed, also after a ResourceError over the basis
+        budget."""
         for h in range(self.height + 1, height + 1):
             for wt in sorted(self._weights_at(h)):
                 self._build_weight(wt, h)
@@ -402,14 +393,11 @@ class GradedAlgebra:
             return
         self.parity[wt] = self.monomial_parity(wt)
 
-        # image of each candidate under every lowering operator
-        images = []
-        for i, sub, idx in cands:
-            img: dict = {}
-            for j in range(self.n):
-                part = self._f_on_candidate(j, i, sub, idx)
-                acc(img, {(j, key): c for key, c in part.items()})
-            images.append(img)
+        # image of each candidate under every lowering operator, by j
+        lowered = {
+            cand: {j: self._f_on_candidate(j, *cand) for j in range(self.n)}
+            for cand in cands
+        }
 
         # greedy row reduction; independent candidates become the basis.
         # Each reduced pivot row carries its expression as a combination of
@@ -419,8 +407,8 @@ class GradedAlgebra:
         pivots: list[tuple] = []  # (pivot column, reduced row, expression)
         basis_mon = []
         expansions: dict[tuple, dict] = {}
-        for cand, img in zip(cands, images):
-            vec = dict(img)
+        for cand, parts in lowered.items():
+            vec = {(j, key): c for j, part in parts.items() for key, c in part.items()}
             expr: dict[int, Fraction] = {}
             for pcol, prow, rexpr in pivots:
                 if pcol in vec:
@@ -445,12 +433,8 @@ class GradedAlgebra:
             i, sub, idx = cand
             self.eact[(sub, idx)][i] = {("+", wt, b): v for b, v in combo.items()}
         for bidx, cand in enumerate(basis_mon):
-            key = (wt, bidx)
-            self.eact[key] = {}
-            i, sub, idx = cand
-            self.fact[key] = {
-                j: self._f_on_candidate(j, i, sub, idx) for j in range(self.n)
-            }
+            self.eact[(wt, bidx)] = {}
+            self.fact[(wt, bidx)] = lowered[cand]
 
     def _f_on_candidate(self, j: int, i: int, sub: tuple, idx: int) -> dict:
         """[F_j, [E_i, b]] for b the idx-th basis monomial at weight sub."""
@@ -493,10 +477,7 @@ class GradedAlgebra:
             return {("+", self._unit(i), 0): Fraction(-1)}
         sgn, wt, idx = key
         if sgn == "+":
-            table = self.eact.get((wt, idx))
-            if table is None or (i not in table and sum(wt) + 1 > self.height):
-                raise HeightError("bracket leaves the built height", self.height)
-            return table.get(i, {})
+            return self._e_on(i, wt, idx)
         # E_i against a negative monomial
         return self._g_on(i, wt, idx)
 
@@ -515,11 +496,15 @@ class GradedAlgebra:
             return {("-", self._unit(j), 0): Fraction(1)}
         sgn, wt, idx = key
         if sgn == "-":
-            table = self.eact.get((wt, idx))
-            if table is None or (j not in table and sum(wt) + 1 > self.height):
-                raise HeightError("bracket leaves the built height", self.height)
-            return self.mirror(table.get(j, {}))
+            return self.mirror(self._e_on(j, wt, idx))
         return self.fact[(wt, idx)][j]
+
+    def _e_on(self, i: int, wt: tuple, idx: int) -> dict:
+        """[E_i, positive monomial] from eact.  The one growth rule: a
+        monomial at the top built height first builds the next height."""
+        if sum(wt) == self.height:
+            self.extend(self.height + 1)
+        return self.eact[(wt, idx)].get(i, {})
 
     def _g_on(self, i: int, wt: tuple, idx: int) -> dict:
         """[E_i, F-monomial], memoized through gact."""
@@ -731,14 +716,8 @@ class Realization:
         self.alg = build_graded(self.hd, height, cap)
         self._images: dict[str, LoopElement] = {}
         self.kappa = None
-        self._weights = None  # the integer weight map of loop_weight_dim
+        self._weights = None  # (alg.height, weight map) of loop_weight_dim
         self.node_heights = _node_heights(config)  # m_i of witness_height
-
-    def grow(self):
-        """Build one more height of the algebra; the weight map of
-        loop_weight_dim is rebuilt on its next use."""
-        self._weights = None
-        self.alg.extend(self.alg.height + 1)
 
     # unit E/F elements by Ibar pair
     def _gen(self, node: int, x: int, sign: int) -> dict:
@@ -900,8 +879,6 @@ def required_height(config: QebsConfig, relations) -> int:
 
 def verify_pi(config: QebsConfig, height: int | None = None,
               relations=None) -> tuple[Report, Realization]:
-    from .presentation import emit_sr
-
     rels = relations if relations is not None else emit_sr(config)
     need = required_height(config, rels)
     h = max(height or 0, need)
@@ -909,12 +886,7 @@ def verify_pi(config: QebsConfig, height: int | None = None,
     rep = Report()
 
     for label, word in rels.label_words:
-        try:
-            val = real.evaluate_word(word)
-        except HeightError as exc:
-            raise ResourceError(
-                f"height {h} too small for {label}", exc.completed_height
-            )
+        val = real.evaluate_word(word)
         ok = val.is_zero()
         rep.entries.append(
             Check(label, ok, "" if ok else f"nonzero image with {len(val.terms)} terms")
@@ -977,26 +949,23 @@ def _exp_ad(x: LoopElement, target: LoopElement,
     """exp(ad x) applied to target, for x a root-vector image or its square.
 
     Every term of such an x moves the Ibar height the same way, by at least
-    one, so after 2 * height + 1 steps a term has left the built heights:
-    the series has ended, or a bracket has raised HeightError.  The
-    default bound, 2 * height + 2 read from the algebra at call time (so
-    after any growth), therefore never cuts a series short.  The sum is
-    kept in one element, to which each term (ad x)^n target is added in
-    place with the factor 1/n!.
+    one, and the algebra grows to hold every nonzero term, so a nonzero
+    (ad x)^n target has n <= 2 * height: the default bound 2 * height + 2,
+    read from the algebra at every step, never cuts a series short.  Each
+    term is added in place to one sum with the factor 1/n!.
     """
-    if bound is None:
-        bound = 2 * x.alg.height + 2
     out = LoopElement(x.alg, dict(target.terms), target.v, target.w)
     term = target
     c = Fraction(1)
-    for n in range(1, bound + 1):
+    for n in count(1):
+        if n > (2 * x.alg.height + 2 if bound is None else bound):
+            raise ResourceError("ad is not nilpotent within the iteration bound")
         term = loop_bracket(x, term)
         if term.is_zero():
             return out
         c /= n
         acc(out.terms, term.terms, c)
         out.v = out.v + c * term.v
-    raise ResourceError("ad is not nilpotent within the iteration bound")
 
 
 def aut_n(real: Realization, nu: RootSym, target: LoopElement) -> LoopElement:
@@ -1024,25 +993,13 @@ def transport_images(real: Realization, words: dict, targets=None) -> dict:
     target without a word of its own whose half beta has one (a doubled
     root 2 beta, beta odd) gets [X_beta, X_beta], since automorphisms
     preserve brackets; any other target missing from the map raises
-    DomainError.
-
-    The algebra grows as transport needs it: a step whose brackets leave
-    the built heights (HeightError) runs again after real.grow(), which is
-    safe because aut_n and loop_bracket have no side effects.  The basis
-    budget still bounds the growth with a ResourceError.
+    DomainError.  The algebra grows to the heights the brackets reach.
     """
     config = real.config
     mirrors = {sym: mirror(config, sym.node, sym.star) for sym in b_all(config)}
 
     def parent(vec, word):
         return root_to_ambient(config, mirrors[word[-1]](root_of(config, vec)))
-
-    def grown(step, *args):
-        while True:
-            try:
-                return step(*args)
-            except HeightError:
-                real.grow()
 
     needed = None
     doubled = {}
@@ -1075,9 +1032,9 @@ def transport_images(real: Realization, words: dict, targets=None) -> dict:
         if not word:
             out[vec] = real.image(sym0.ident)
         else:
-            out[vec] = grown(aut_n, real, word[-1], out[parent(vec, word)])
+            out[vec] = aut_n(real, word[-1], out[parent(vec, word)])
     for vec, half in doubled.items():
-        out[vec] = grown(loop_bracket, out[half], out[half])
+        out[vec] = loop_bracket(out[half], out[half])
     return out
 
 
@@ -1135,18 +1092,16 @@ def loop_weight_dim(real: Realization, lam: Vec) -> int:
     the span of the transported image.  It equals the real multiplicity one
     only when k_vee = 1 on every node; where k_vee = 2 doubles Ibar it can
     read 2 for a root whose image is one nonzero vector.  lam holds ints or
-    Fractions.  The algebra first grows to lam's Ibar height (see
-    witness_height), so no weight of lam lies above the built heights; the
-    integer weight map is built on the first call after a growth."""
+    Fractions.  The algebra first grows to lam's Ibar height, and the
+    weight map is rebuilt whenever the algebra is taller than the map."""
     sp = real.config.space
     if len(lam) != sp.dim:
         raise DomainError(f"weight of length {len(lam)}, not {sp.dim}")
-    while _ibar_height(real.node_heights, lam) > real.alg.height:
-        real.grow()
-    if real._weights is None:
-        real._weights = _weight_map(real)
-    D, la, T, index = real._weights
     lam = [q.numerator if q.denominator == 1 else q for q in lam]
+    real.alg.extend(ceil(_ibar_height(real.node_heights, lam)))
+    if real._weights is None or real._weights[0] != real.alg.height:
+        real._weights = (real.alg.height, _weight_map(real))
+    D, la, T, index = real._weights[1]
     if sum(c * lam[k] for k, c in la) % D:
         return 0  # a non-integral loop degree
     return index.get(tuple(sum(c * lam[k] for k, c in row) for row in T), 0)
@@ -1173,11 +1128,10 @@ def witness_height(config: QebsConfig, rootset, words=None) -> int:
     (all c_i of one sign) is sum |c_i|.  For 4Z and 4Z+2 the plain image
     also holds a bracket of two generators and m_i = 2 is its height; the
     argument above does not cover those tags, but no lookup reaches them:
-    build_handy rejects every single-node 4Z or 4Z+2 configuration of the
-    test-suite families tried (HD5 fails on the D3(2) k=(1,2,1) pair).
-    The mirror chains and exponential series of transport may reach
-    higher, and transport_images grows the algebra for them, so words is
-    no longer needed and is ignored.
+    build_handy rejects with HD5 every 4Z and 4Z+2 configuration of
+    test_doubled_class_coverage_census (eleven families, k up to 4).
+    Transport may reach higher, and the algebra grows to it; words is
+    ignored.
     """
     m = _node_heights(config)
     return max((_ibar_height(m, coords) for coords, _ in rootset.sorted_roots()),

@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -7,15 +8,14 @@ from fractions import Fraction
 import pytest
 
 import erskit
-from erskit.ambient import CheckError, ConfigError, DomainError
-from erskit.base_system import simple_config
+from erskit.ambient import CheckError, ConfigError, DomainError, build_ambient
+from erskit.base_system import EMPTY, GClass, QebsConfig, simple_config, validate_qebs
 from erskit.cyclo import Cyc, ONE, SQRT2
 from erskit.presentation import RelationSet, RootSym, b_all, emit_sr
 from erskit.roots import RootWindow, generate
 from erskit.unfold import (
     GradedAlgebra,
     HandyDatum,
-    HeightError,
     LoopElement,
     Realization,
     ResourceError,
@@ -135,6 +135,62 @@ def test_graded_cap_checked_per_weight(monkeypatch):
         build_graded(hd, 3, cap=total - 1)
     assert exc.value.completed_height == 1
     assert len(built) < len(at2)
+
+
+@pytest.mark.parametrize("sign", ["+", "-"])
+def test_bracket_at_the_top_height_builds_the_next(sign):
+    # G2 built to height 3: its top monomial is (1, 2), and [X_1, X_(1,2)]
+    # lies at (1, 3), height 4
+    hd = _plain_datum([[2, -1], [-3, 2]])
+    alg = build_graded(hd, 3)
+    one = alg.ad_e if sign == "+" else alg.ad_f
+    assert set(one(1, (sign, (1, 2), 0))) == {(sign, (1, 3), 0)}
+    assert alg.height == 4
+    ref = build_graded(hd, 4)
+    assert (alg.basis, alg.eact, alg.fact) == (ref.basis, ref.eact, ref.fact)
+    # a bracket of two elements reaches the same rule
+    top = alg.bracket({(sign, (1, 0), 0): ONE}, {(sign, (1, 3), 0): ONE})
+    assert set(top) == {(sign, (2, 3), 0)}
+    assert alg.height == 5
+    ref = build_graded(hd, 5)
+    assert (alg.basis, alg.eact, alg.fact) == (ref.basis, ref.eact, ref.fact)
+    # below the top the table is read as built
+    assert one(0, (sign, (1, 1), 0)) == {}
+    assert alg.height == 5
+
+
+_CENSUS_FAMILIES = ["A2(1)", "C2(1)", "G2(1)", "A4(2)", "D3(2)", "D4(3)",
+                    "B3(1)", "C3(1)", "D4(2)", "E6(2)", "A5(2)"]
+
+
+def test_doubled_class_coverage_census():
+    # one doubled node class per config, k in {1, 2, 4} per node ({1, 2}
+    # above three nodes), kept where validate_qebs passes: only Z and 2Z+1
+    # build a handy datum, so no realization with 2Z, 4Z or 4Z+2 is checked
+    # (witness_height's m_i = 2 case among them)
+    census = Counter()
+    for name in _CENSUS_FAMILIES:
+        sp = build_ambient(name)
+        ks = (1, 2, 4) if sp.n_nodes <= 3 else (1, 2)
+        for tag in ("Z", "2Z", "2Z+1", "4Z", "4Z+2"):
+            for cls in sp.node_orbit_classes():
+                g = {i: GClass(tag) if i in cls else EMPTY
+                     for i in range(sp.n_nodes)}
+                for k in itertools.product(ks, repeat=sp.n_nodes):
+                    cfg = QebsConfig(sp, dict(enumerate(k)), g)
+                    if not validate_qebs(cfg).passed:
+                        continue
+                    try:
+                        build_handy(cfg)
+                        census[tag, "builds"] += 1
+                    except ConfigError as exc:
+                        census[tag, str(exc).split(":")[0]] += 1
+    assert census == {
+        ("Z", "builds"): 12, ("2Z+1", "builds"): 12,
+        ("2Z", "HD5 fails"): 26, ("4Z", "HD5 fails"): 12,
+        ("4Z+2", "HD5 fails"): 12,
+    }
+    assert sum(census.values()) == 74
 
 
 def test_bad_max_mem_fails_at_build_not_import(monkeypatch):
@@ -307,28 +363,24 @@ def _a21_transport_case():
 
 
 def test_transport_growth_stops_at_the_basis_budget():
-    # the CLI reports a height error as a resource error (exit code 3)
-    assert issubclass(HeightError, ResourceError)
     cfg, words, vectors, h = _a21_transport_case()
     cap = Realization(cfg, h).alg._size
     real = Realization(cfg, h, cap=cap)
     with pytest.raises(ResourceError, match="over the budget") as exc:
         transport_images(real, words, targets=vectors)
-    assert not isinstance(exc.value, HeightError)
     assert exc.value.completed_height == h
 
 
 def test_transport_does_not_grow_on_nilpotence_error(monkeypatch):
-    # only HeightError grows the algebra: the series bound's own error must
-    # surface as itself, not as growth up to the basis budget
+    # the series bound's own error surfaces as itself, not as growth up to
+    # the basis budget
     cfg, words, vectors, h = _a21_transport_case()
     real = Realization(cfg, h, cap=4 * Realization(cfg, h).alg._size)
     short = _exp_ad
     monkeypatch.setattr(erskit.unfold, "_exp_ad",
                         lambda x, target, bound=None: short(x, target, 1))
-    with pytest.raises(ResourceError, match="iteration bound") as exc:
+    with pytest.raises(ResourceError, match="iteration bound"):
         transport_images(real, words, targets=vectors)
-    assert not isinstance(exc.value, HeightError)
 
 
 def test_weight_map_rebuilt_after_transport_grows():

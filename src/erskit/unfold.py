@@ -994,12 +994,24 @@ def transport_images(real: Realization, words: dict, targets=None) -> dict:
     root 2 beta, beta odd) gets [X_beta, X_beta], since automorphisms
     preserve brackets; any other target missing from the map raises
     DomainError.  The algebra grows to the heights the brackets reach.
+
+    Each mirror is applied to each Ibar monomial once, at loop power 0, and
+    that image serves every loop power m shifted by m (`_transport_step`):
+    `loop_bracket`'s terms read the operands' powers only through their
+    sum, it never reads an operand's v, and root images have w = 0.  The
+    one exception is a parent weight lam in Q nu, whose nu-string passes
+    through weight 0, where the bracket adds to the central v; such a step
+    applies `aut_n` directly.
     """
     config = real.config
     mirrors = {sym: mirror(config, sym.node, sym.star) for sym in b_all(config)}
+    parents: dict[Vec, Vec] = {}
 
     def parent(vec, word):
-        return root_to_ambient(config, mirrors[word[-1]](root_of(config, vec)))
+        if vec not in parents:
+            parents[vec] = root_to_ambient(
+                config, mirrors[word[-1]](root_of(config, vec)))
+        return parents[vec]
 
     needed = None
     doubled = {}
@@ -1026,16 +1038,44 @@ def transport_images(real: Realization, words: dict, targets=None) -> dict:
             if word:
                 stack.append(parent(vec, word))
     out: dict[Vec, LoopElement] = {}
+    entries: dict = {}
     for vec, (sym0, word) in words.items():
         if needed is not None and vec not in needed:
             continue
         if not word:
             out[vec] = real.image(sym0.ident)
         else:
-            out[vec] = aut_n(real, word[-1], out[parent(vec, word)])
+            up = parent(vec, word)
+            out[vec] = _transport_step(real, word[-1], out[up], up, entries)
     for vec, half in doubled.items():
         out[vec] = loop_bracket(out[half], out[half])
     return out
+
+
+def _transport_step(real: Realization, nu: RootSym, target: LoopElement,
+                    weight: Vec, entries: dict) -> LoopElement:
+    """aut_n(real, nu, target) for target a vector of ambient weight
+    `weight`, as the sum over its terms c key t^m of c times the image of
+    key t^0 with every power shifted by m.  entries caches those images
+    by (nu.ident, key); a target with a w part or a weight in Q nu goes
+    through aut_n itself."""
+    nu_vec = root_to_ambient(real.config, nu.root(real.config))
+    if target.w or _parallel(weight, nu_vec):
+        return aut_n(real, nu, target)
+    terms: dict = {}
+    for (key, m), c in target.terms.items():
+        entry = entries.get((nu.ident, key))
+        if entry is None:
+            entry = aut_n(real, nu, loop_term(real.alg, {key: ONE}, 0)).terms
+            entries[(nu.ident, key)] = entry
+        acc(terms, {(k, n + m): e for (k, n), e in entry.items()}, c)
+    return LoopElement(real.alg, terms, target.v, target.w)
+
+
+def _parallel(lam, nu) -> bool:
+    """lam is a rational multiple of the nonzero vector nu."""
+    k = next(i for i, x in enumerate(nu) if x)
+    return all(a * nu[k] == b * lam[k] for a, b in zip(lam, nu))
 
 
 def root_to_ambient(config: QebsConfig, coords) -> tuple[int, ...]:

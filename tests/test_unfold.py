@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -12,7 +14,7 @@ from erskit.ambient import CheckError, ConfigError, DomainError, build_ambient
 from erskit.base_system import EMPTY, GClass, QebsConfig, simple_config, validate_qebs
 from erskit.cyclo import Cyc, ONE, SQRT2
 from erskit.presentation import RelationSet, RootSym, b_all, emit_sr
-from erskit.roots import RootWindow, generate
+from erskit.roots import RootWindow, generate, mirror, root_of
 from erskit.unfold import (
     GradedAlgebra,
     HandyDatum,
@@ -21,6 +23,7 @@ from erskit.unfold import (
     ResourceError,
     _exp_ad,
     _ibar_height,
+    _transport_step,
     aut_n,
     build_graded,
     build_handy,
@@ -458,6 +461,136 @@ def test_witness_height_matches_the_padded_bound(name, kwargs):
     assert ([loop_weight_dim(real, v) for v in words]
             == [loop_weight_dim(old, v) for v in words])
     assert old.alg.height == old_height
+
+
+@pytest.mark.parametrize("name, kwargs", [
+    ("A2(1)", {}),
+    ("D3(2)", {"g": {0: "2Z+1"}}),
+], ids=["A2(1)", "D3(2)-2Z+1"])
+def test_loop_bracket_shift_equivariant(name, kwargs):
+    # the invariant behind transport's per-monomial cache: bracketing with a
+    # root image or an odd square shifts the loop power of every term and
+    # adds to v only at total power 0
+    cfg = simple_config(name, **kwargs)
+    real = Realization(cfg, 3)
+    alg = real.alg
+    xs = [real.image(sym.ident) for sym in b_all(cfg)]
+    xs += [loop_bracket(real.image(sym.ident), real.image(sym.ident))
+           .scaled(Fraction(1, 4))
+           for sym in b_all(cfg) if sym.parity(cfg)]
+    keys = [(kind, i) for kind in ("h", "t") for i in range(alg.n)]
+    keys += [(sgn, wt, idx)
+             for wt, basis in sorted(alg.basis.items()) if sum(wt) <= 3
+             for idx in range(len(basis)) for sgn in ("+", "-")]
+    for x in xs:
+        (power,) = {p for _, p in x.terms}
+        for key in keys:
+            base = loop_bracket(x, loop_term(alg, {key: ONE}, 0))
+            for m in range(-3, 4):
+                got = loop_bracket(x, loop_term(alg, {key: ONE}, m))
+                shifted = [((k, n + m), c) for (k, n), c in base.terms.items()]
+                assert list(got.terms.items()) == shifted, (x, key, m)
+                assert not got.w
+                assert not got.v or power + m == 0, (x, key, m)
+
+
+def _direct_transport(real, words):
+    """transport_images over a whole words map, one aut_n per vector."""
+    cfg = real.config
+    out = {}
+    for vec, (sym0, word) in words.items():
+        if not word:
+            out[vec] = real.image(sym0.ident)
+            continue
+        nu = word[-1]
+        up = root_to_ambient(cfg, mirror(cfg, nu.node, nu.star)(root_of(cfg, vec)))
+        out[vec] = aut_n(real, nu, out[up])
+    return out
+
+
+@pytest.mark.parametrize("name, kwargs", [
+    ("A2(1)", {}),
+    ("G2(1)", {"k": {0: 3, 1: 3, 2: 1}}),
+    ("D3(2)", {"g": {0: "2Z+1"}}),
+    ("D3(2)", {"g": {0: "Z"}}),
+    ("C2(1)", {"g": {1: "2Z+1"}}),
+], ids=["A2(1)", "G2(1)-k331", "D3(2)-2Z+1", "D3(2)-Z", "C2(1)-2Z+1"])
+def test_transport_cache_matches_aut_n(name, kwargs):
+    cfg = simple_config(name, **kwargs)
+    rs = generate(cfg, RootWindow(3, 3))
+    words = witness_words(cfg, rs)
+    h = witness_height(cfg, rs, words)
+    real = Realization(cfg, h)
+    images = transport_images(real, words)
+    ref_real = Realization(cfg, h)
+    ref = _direct_transport(ref_real, words)
+    assert list(images) == list(ref)
+    for vec, img in images.items():
+        want = ref[vec]
+        # equal by value; the key order of a multi-term image may differ
+        assert img.terms == want.terms, vec
+        assert ([type(c) for c in img.terms.values()]
+                == [type(want.terms[k]) for k in img.terms]), vec
+        assert (img.v, img.w) == (want.v, want.w), vec
+    assert (real.alg.height, real.alg._size) == (ref_real.alg.height,
+                                                  ref_real.alg._size)
+    # parent weights in Q nu, where the nu-string meets weight 0 and the
+    # brackets add to v, take aut_n itself: -nu, which no words map
+    # reaches, and 0, where a Cartan image under a starred nu gains a v
+    # that a shifted sum would miss
+    zero = (0,) * cfg.space.dim
+    for nu in (RootSym(1, False, 1), RootSym(0, True, 1)):
+        cases = [(real.image(nu.negate().ident),
+                  root_to_ambient(cfg, nu.negate().root(cfg))),
+                 (real.image(f"h:a{nu.node}"), zero)]
+        for target, weight in cases:
+            got = _transport_step(real, nu, target, weight, {})
+            want = aut_n(real, nu, target)
+            assert list(got.terms.items()) == list(want.terms.items())
+            assert (got.v, got.w) == (want.v, want.w)
+        assert bool(want.v) == nu.star
+
+
+def _scalar(x):
+    return (x if isinstance(x, Cyc) else Cyc.from_rational(x)).serialize()
+
+
+def _images_digest(images):
+    """sha256 of the images with vectors and terms sorted, coefficients,
+    v and w as Cyc coordinates."""
+    dump = [[vec, [[key, power, _scalar(c)]
+                   for (key, power), c in sorted(img.terms.items())],
+             _scalar(img.v), _scalar(img.w)]
+            for vec, img in sorted(images.items())]
+    return hashlib.sha256(json.dumps(dump).encode()).hexdigest()
+
+
+# a change here is a change of the transported images
+PINNED_IMAGES = [
+    pytest.param("A2(1)", {},
+                 "33078a2c66b03d1e54e575d808d23ab231f844590da556052e0f6c40aa8afa0c",
+                 id="A2(1)"),
+    pytest.param("G2(1)", {"k": {0: 3, 1: 3, 2: 1}},
+                 "5c765d4866383d57bc079819410e8126c0de96e3697e2271336fc4e3da78e77f",
+                 id="G2(1)-k331"),
+    pytest.param("D3(2)", {"g": {0: "2Z+1"}},
+                 "d544c044d5d6d4e62d1969cc59de2d760b32ac1899bf036dac81703746554cb5",
+                 id="D3(2)-2Z+1"),
+    pytest.param("D3(2)", {"g": {0: "Z"}},
+                 "f5395b3b65a86318d0d752c873846a7caf753b456fd8016963e0b99307edaaf3",
+                 id="D3(2)-Z"),
+]
+
+
+@pytest.mark.parametrize("name, kwargs, digest", PINNED_IMAGES)
+def test_transported_images_pinned(name, kwargs, digest):
+    cfg = simple_config(name, **kwargs)
+    rs = generate(cfg, RootWindow(3, 3))
+    words = witness_words(cfg, rs)
+    real = Realization(cfg, witness_height(cfg, rs, words))
+    vectors = [root_to_ambient(cfg, c) for c, _ in rs.sorted_roots()]
+    images = transport_images(real, words, targets=vectors)
+    assert _images_digest(images) == digest
 
 
 def test_exp_ad_bound_follows_height():

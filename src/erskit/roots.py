@@ -13,6 +13,7 @@ n-progression (all multiples of k for real roots, g(alpha)*k for doubled
 ones), so closure checks can be exact without materializing huge sets.
 A simple reflection never changes n, so the sweeps that reflect alpha-parts
 run once per alpha-part, with its markings attached, not once per root.
+Each mirror reads only the nonzero entries of its Cartan row.
 """
 from __future__ import annotations
 
@@ -62,9 +63,6 @@ class Progression:
         lo = -bound + (res - (-bound)) % self.step
         return list(range(lo, bound + 1, self.step))
 
-    def includes(self, other: "Progression") -> bool:
-        return other.step % self.step == 0 and self.contains(other.residue)
-
 
 def real_progression(cls: OrbitClass) -> Progression:
     return Progression(cls.k, 0)
@@ -79,18 +77,21 @@ def mirror(config: QebsConfig, i: int, star: bool):
     """The reflection in alpha_i, or in alpha_i* when star, as a map on
     Root tuples (c_0..c_l, n).
 
-    On such a tuple <alpha_i^vee, v> = p = sum_j a_ij c_j, so the plain
-    mirror sends v to v - p alpha_i; it leaves n alone and so also acts on
-    alpha-parts.  The starred mirror alpha_i* = c alpha_i + k_i a sends v to
+    On such a tuple <alpha_i^vee, v> = p = sum_j a_ij c_j, summed over the
+    nonzero entries a_ij of Cartan row i only, so the plain mirror sends v
+    to v - p alpha_i; it leaves n alone and so also acts on alpha-parts.
+    The starred mirror alpha_i* = c alpha_i + k_i a sends v to
     v - p alpha_i - (p k_i / c) a; when c does not divide p k_i that image
     leaves the lattice and the map returns None.
     """
-    row = config.space.cartan[i]
+    row = [(j, a) for j, a in enumerate(config.space.cartan[i]) if a]
     root = config.root(i, star)
     c, k = root[i], root[-1]
 
     def image(vec: tuple) -> tuple | None:
-        p = sum(a * x for a, x in zip(row, vec))
+        p = 0
+        for j, a in row:
+            p += a * vec[j]
         if not p:
             return vec
         shift, rem = divmod(p * k, c)
@@ -307,8 +308,16 @@ class EllipticRootSet:
         return out
 
     def member(self, coords: Root) -> bool:
-        """Exact membership in the infinite set R(k, g)."""
-        return any(p.contains(coords[-1]) for p in self.markings(coords[:-1]))
+        """Exact membership in the infinite set R(k, g): the rule of
+        `markings`, tested on n without building its progressions."""
+        c, n = coords[:-1], coords[-1]
+        cls = self.fin_class(c)
+        if cls is not None and n % cls.k == 0:
+            return True
+        if any(x % 2 for x in c):
+            return False
+        half = self.fin_class(tuple(x // 2 for x in c))
+        return half is not None and n % half.k == 0 and half.g.contains(n // half.k)
 
     def parity(self, coords: Root) -> int:
         """p(rho) = 1 iff 2*rho lies in R(k, g)."""
@@ -401,7 +410,7 @@ def reflection_closure_oracle(config: QebsConfig, window: RootWindow) -> set[Roo
             twice = tuple(2 * x for x in base)
             seeds.setdefault(twice, set()).update(m * k for m in gset.members(top))
 
-    cartan = sp.cartan
+    rows = [[(m, a) for m, a in enumerate(row) if a] for row in sp.cartan]
     found: set[Root] = set()
     seen: set[APart] = set()
     for start in seeds:
@@ -410,8 +419,10 @@ def reflection_closure_oracle(config: QebsConfig, window: RootWindow) -> set[Roo
         seen.add(start)
         component = [start]
         for c in component:
-            for i in range(n_nodes):
-                pair = sum(cartan[i][m] * c[m] for m in range(n_nodes))
+            for i, row in enumerate(rows):
+                pair = 0
+                for m, a in row:
+                    pair += a * c[m]
                 if pair == 0:
                     continue
                 img = list(c)
@@ -440,18 +451,13 @@ def _require_positive_k(config: QebsConfig) -> None:
 @dataclass(frozen=True)
 class _Group:
     """All window roots sharing a finite direction, a level residue and a
-    real/doubled kind; their marking coordinates form one progression."""
+    real/doubled kind; their marking coordinates form the progression prog."""
 
     phi: tuple[int, ...]
     nu_res: int
     doubled: bool
-    cls: OrbitClass
+    prog: Progression
     nu_rep: int
-
-    def progression(self) -> Progression:
-        return (
-            doubled_progression(self.cls) if self.doubled else real_progression(self.cls)
-        )
 
 
 def check_ebs(rootset: EllipticRootSet) -> Report:
@@ -470,13 +476,13 @@ def check_ebs(rootset: EllipticRootSet) -> Report:
         key = (phi, nu % period, False)
         if key not in seen:
             seen.add(key)
-            groups.append(_Group(phi, nu % period, False, cls, nu))
+            groups.append(_Group(*key, real_progression(cls), nu))
         if not cls.g.is_empty and abs(2 * nu) <= M * d0:
             phi2 = tuple(2 * x for x in phi)
             key2 = (phi2, (2 * nu) % period, True)
             if key2 not in seen:
                 seen.add(key2)
-                groups.append(_Group(phi2, (2 * nu) % period, True, cls, 2 * nu))
+                groups.append(_Group(*key2, doubled_progression(cls), 2 * nu))
 
     # all pairings on the integer finite parts: rows = phi S, gram = rows phi^T
     n_nodes = sp.n_nodes
@@ -527,18 +533,20 @@ def _group_closure(rootset, realmap, gb: _Group, gr: _Group, t: int) -> str:
     """Images of group gr under reflections from group gb stay in R: "" if
     they do, else a witness."""
     period = rootset.period
-    pb = gb.progression()
-    pr = gr.progression()
+    pb, pr = gb.prog, gr.prog
+    # the images' markings: the progression residue + step*Z
     step = gcd(pr.step, abs(t) * pb.step)
-    image_prog = Progression(step, pr.residue - t * pb.residue)
+    residue = pr.residue - t * pb.residue
     phi_img = tuple(r - t * b for r, b in zip(gr.phi, gb.phi))
     nu_img = gr.nu_rep - t * gb.nu_rep
 
+    # a real class's progression is k*Z
     real_cls = realmap.get((phi_img, nu_img % period))
-    if real_cls is not None and real_progression(real_cls).includes(image_prog):
+    if real_cls is not None and step % real_cls.k == 0 and residue % real_cls.k == 0:
         return ""
     targets = _doubled_targets(realmap, phi_img, nu_img, period)
-    if targets is not None and all(tp.includes(image_prog) for tp in targets):
+    if targets is not None and all(step % tp.step == 0 and tp.contains(residue)
+                                   for tp in targets):
         return ""
     return _closure_fallback(rootset, gb, gr, t, pb, pr)
 

@@ -42,13 +42,13 @@ def _load_config(path: str) -> QebsConfig:
     return cfg
 
 
-def _parse_window(text: str, pad: int) -> RootWindow:
+def _parse_window(text: str) -> RootWindow:
     try:
         m, n = (int(x) for x in text.split(","))
     except ValueError:
         raise click.BadParameter(f"window {text!r} is not M,N")
     try:
-        return RootWindow(m, n, pad)
+        return RootWindow(m, n)
     except ConfigError as e:
         raise click.BadParameter(str(e))
 
@@ -192,11 +192,10 @@ def classify(configs, fmt, out):
 @main.command()
 @_common
 @click.option("--window", default="6,6", help="inner window M,N")
-@click.option("--pad", default=2, type=int)
-def roots(configs, fmt, out, window, pad):
+def roots(configs, fmt, out, window):
     """Enumerate the window slice of R(k,g), sorted lexicographically."""
-    win = _parse_window(window, pad)
-    manifest = _manifest(configs, "roots", window=[win.M, win.N], pad=pad,
+    win = _parse_window(window)
+    manifest = _manifest(configs, "roots", window=[win.M, win.N],
                          format=fmt, out=out)
 
     def worker(path, cfg):
@@ -210,13 +209,12 @@ def roots(configs, fmt, out, window, pad):
 @main.command(name="verify-ebs")
 @_common
 @click.option("--window", default="6,6", help="inner window M,N")
-@click.option("--pad", default=2, type=int)
-def verify_ebs(configs, fmt, out, window, pad):
+def verify_ebs(configs, fmt, out, window):
     """Check the elliptic axioms (reflection closure and form properties)
     on a window slice."""
-    win = _parse_window(window, pad)
+    win = _parse_window(window)
     manifest = _manifest(configs, "verify-ebs", window=[win.M, win.N],
-                         pad=pad, format=fmt, out=out)
+                         format=fmt, out=out)
 
     def worker(path, cfg):
         return _verdict(check_ebs(generate(cfg, win)), config=path)
@@ -318,11 +316,10 @@ def relations(configs, fmt, out, preset):
 @main.command()
 @_common
 @click.option("--window", default="6,6", help="inner window M,N")
-@click.option("--pad", default=2, type=int)
-def ears(configs, fmt, out, window, pad):
+def ears(configs, fmt, out, window):
     """Emit the quadruple (X, S, L, E) describing the marked root system."""
-    win = _parse_window(window, pad)
-    manifest = _manifest(configs, "ears", window=[win.M, win.N], pad=pad,
+    win = _parse_window(window)
+    manifest = _manifest(configs, "ears", window=[win.M, win.N],
                          format=fmt, out=out)
 
     def worker(path, cfg):
@@ -341,14 +338,13 @@ _EXPORT_PRESETS = ("roots", "sr", "sr-sharp", "tsr", "handy", "ears")
 @click.option("--preset", default="roots",
               type=click.Choice(_EXPORT_PRESETS))
 @click.option("--window", default="6,6", help="inner window M,N")
-@click.option("--pad", default=2, type=int)
 @click.option("--out", required=True, type=click.Path())
-def export(configs, preset, window, pad, out):
+def export(configs, preset, window, out):
     """Write one artifact file per config; bytes are deterministic for a
     fixed manifest."""
-    win = _parse_window(window, pad)
+    win = _parse_window(window)
     manifest = _manifest(configs, "export", preset=preset,
-                         window=[win.M, win.N], pad=pad, out=out)
+                         window=[win.M, win.N], out=out)
     code = _OK
     outdir = Path(out)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -3,8 +3,9 @@
 Generators are the l+4 Cartan basis elements h and the root vectors E_mu
 for mu in B = {alpha_i, alpha_i^*} and their negatives.  Relations are
 carried as LieWords: formal sums of nested brackets with exact cyclotomic
-coefficients.  Nothing is quotiented here; the relations are data that the
-realization modules substitute and check.
+coefficients.  Nothing is quotiented here; the relations are data that a
+realization (a RealizationBase: unfold's loop model, the quantum torus)
+checks through substitute.
 
 Instances whose ad-exponent is zero impose nothing and are not emitted;
 the exponent function itself still reports 0 for non-negative pairings.
@@ -16,7 +17,7 @@ from fractions import Fraction
 import json
 
 from .ambient import CheckError, DomainError
-from .base_system import QebsConfig
+from .base_system import Check, QebsConfig
 from .cyclo import Cyc, ONE
 
 Tree = object  # str symbol id, or [Tree, Tree]
@@ -34,6 +35,17 @@ class RootSym:
     def ident(self) -> str:
         s = "+" if self.sign > 0 else "-"
         return f"E:{s}a{self.node}{'*' if self.star else ''}"
+
+    @classmethod
+    def parse(cls, ident: str) -> "RootSym":
+        """The inverse of ident; any other string raises DomainError."""
+        star = ident.endswith("*")
+        node = ident[4:len(ident) - star]
+        if ident[:4] in ("E:+a", "E:-a") and node.isascii() and node.isdigit():
+            sym = cls(int(node), star, 1 if ident[2] == "+" else -1)
+            if sym.ident == ident:
+                return sym
+        raise DomainError(f"unknown generator {ident!r}")
 
     def negate(self) -> "RootSym":
         return RootSym(self.node, self.star, -self.sign)
@@ -486,3 +498,78 @@ def _uses_only(word: LieWord, allowed: set[str]) -> bool:
         return walk(tree[0]) and walk(tree[1])
 
     return all(walk(t) for _, t in word.monomials)
+
+
+# ---------------------------------------------------------------------------
+# substitution into a realization
+# ---------------------------------------------------------------------------
+
+class RealizationBase:
+    """Generator images in a model of L, cached by ident, and the values of
+    bracket trees and words on them; h:a_i and h:a come from root images.
+
+    A model supplies _root_image(sym), _cartan_image("Ld" or "La"),
+    _bracket, _zero, _coeff (the identity here) and nonzero_witness ("" for
+    a zero value)."""
+
+    def __init__(self, config: QebsConfig):
+        self.config = config
+        self._images: dict[str, object] = {}
+
+    def image(self, ident: str):
+        if ident not in self._images:
+            self._images[ident] = self._compute_image(ident)
+        return self._images[ident]
+
+    def _compute_image(self, ident: str):
+        if not ident.startswith("h:"):
+            sym = RootSym.parse(ident)
+            if sym.node not in self.config.nodes:
+                raise DomainError(f"unknown generator {ident!r}")
+            return self._root_image(sym)
+        label = ident[2:]
+        if label not in self.config.space.basis_labels():
+            raise DomainError(f"unknown Cartan label {label!r}")
+        if label == "a":
+            # a = (alpha_0^* - c alpha_0) / k_0 as ambient vectors
+            c, *_, k0 = self.config.root(0, star=True)
+            star = self._h_of_root(RootSym(0, True, 1))
+            plain = self._h_of_root(RootSym(0, False, 1))
+            return star.plus(plain.scaled(-c)).scaled(Fraction(1, k0))
+        if label in ("Ld", "La"):
+            return self._cartan_image(label)
+        return self._h_of_root(RootSym(int(label[1:]), False, 1))
+
+    def _h_of_root(self, sym: RootSym):
+        """h_mu for mu the root of sym, via [E_mu, E_-mu] = h_{mu_vee}."""
+        half_norm = Fraction(self.config.space.norm(sym.root(self.config)), 2)
+        br = self._bracket(self.image(sym.ident), self.image(sym.negate().ident))
+        return br.scaled(half_norm)
+
+    def _coeff(self, c: Cyc):
+        return c
+
+    def evaluate(self, tree: Tree):
+        if isinstance(tree, str):
+            return self.image(tree)
+        left, right = tree
+        return self._bracket(self.evaluate(left), self.evaluate(right))
+
+    def evaluate_word(self, word: LieWord):
+        out = self._zero()
+        for coeff, tree in word.monomials:
+            c = self._coeff(coeff)
+            out = out.plus(self.evaluate(tree).scaled(c))
+        return out
+
+
+def substitute(real: RealizationBase, rels: RelationSet,
+               skip=None) -> list[Check]:
+    """One Check per relation whose label skip does not pick: the relation
+    holds when its word evaluates to zero in real."""
+    out = []
+    for label, word in rels.label_words:
+        if skip is None or not skip(label):
+            witness = real.nonzero_witness(real.evaluate_word(word))
+            out.append(Check(label, not witness, witness))
+    return out

@@ -2,8 +2,10 @@
 
 A root is an integer vector c_0*alpha_0 + ... + c_l*alpha_l + n*a.  Its
 level along the null direction is J(Ld, rho) = c_0 / delta_0, and its
-marking coordinate is n.  A window (M, N) bounds |level| by M and |n| by N;
-generation always runs on a padded window and reports on the inner one.
+marking coordinate is n.  A window (M, N) bounds |level| by M and |n| by N.
+Generation keeps the real alpha-parts up to two level periods past the
+window (vkeep), reached by a sweep two periods further out, and reports on
+the window itself; RootWindow.pad pads only the independent oracle.
 
 Real parts are enumerated once per finite direction and level, labelled by
 their actual reflection orbit (two directions of equal length can still lie
@@ -34,7 +36,7 @@ Root = tuple[int, ...]            # alpha-coordinates followed by the a-coordina
 class RootWindow:
     M: int
     N: int
-    pad: int = 2
+    pad: int = 2  # read only by reflection_closure_oracle
 
     def __post_init__(self):
         if self.M < 1 or self.N < 1 or self.pad < 1:

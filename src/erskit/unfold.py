@@ -19,7 +19,7 @@ from .ambient import CheckError, ConfigError, DomainError, Vec, cartan_symmetriz
 from .base_system import Check, QebsConfig, Report
 from .cyclo import Cyc, ONE, SQRT2, SQRT_M1, ZERO, exp_pi_i_over
 from .exact import acc
-from .presentation import RootSym, b_all, emit_sr
+from .presentation import RealizationBase, RootSym, b_all, emit_sr, substitute
 from .roots import closure, mirror, root_of
 
 
@@ -312,7 +312,7 @@ class GradedAlgebra:
     of a stacked rational matrix.
     """
 
-    def __init__(self, hd: HandyDatum, height: int, cap: int | None = None):
+    def __init__(self, hd: HandyDatum, height: int):
         if height < 1:
             raise DomainError("height bound must be >= 1")
         self.hd = hd
@@ -326,7 +326,7 @@ class GradedAlgebra:
         # gact: [E_j, negative basis element]
         self.gact: dict[tuple, dict[int, dict]] = {}
         self._size = 0
-        self._cap = _default_cap() if cap is None else cap
+        self._cap = _default_cap()
         self._build(height)
 
     # -- weights ------------------------------------------------------------
@@ -623,8 +623,8 @@ class GradedAlgebra:
         return -sign * self.form(self._key_elem("+", sub, sidx), peeled)
 
 
-def build_graded(hd: HandyDatum, height: int, cap: int | None = None) -> GradedAlgebra:
-    return GradedAlgebra(hd, height, cap)
+def build_graded(hd: HandyDatum, height: int) -> GradedAlgebra:
+    return GradedAlgebra(hd, height)
 
 
 # ---------------------------------------------------------------------------
@@ -707,14 +707,13 @@ def loop_form(x: LoopElement, y: LoopElement):
 # generator images
 # ---------------------------------------------------------------------------
 
-class Realization:
+class Realization(RealizationBase):
     """The graded algebra together with the generator images."""
 
-    def __init__(self, config: QebsConfig, height: int, cap: int | None = None):
-        self.config = config
+    def __init__(self, config: QebsConfig, height: int):
+        super().__init__(config)
         self.hd = build_handy(config)
-        self.alg = build_graded(self.hd, height, cap)
-        self._images: dict[str, LoopElement] = {}
+        self.alg = build_graded(self.hd, height)
         self.kappa = None
         self._weights = None  # (alg.height, weight map) of loop_weight_dim
         self.node_heights = _node_heights(config)  # m_i of witness_height
@@ -730,29 +729,12 @@ class Realization:
             self._gen(node, x1, sign), self._gen(node, x2, sign)
         )
 
-    def image(self, ident: str) -> LoopElement:
-        if ident in self._images:
-            return self._images[ident]
-        out = self._compute_image(ident)
-        self._images[ident] = out
-        return out
-
-    def _compute_image(self, ident: str) -> LoopElement:
-        if ident.startswith("E:"):
-            sign = 1 if ident[2] == "+" else -1
-            star = ident.endswith("*")
-            node = int(ident[3:].rstrip("*")[1:])
-            return self._root_image(node, star, sign)
-        if ident.startswith("h:"):
-            return self._cartan_image(ident[2:])
-        raise DomainError(f"unknown generator {ident!r}")
-
-    def _root_image(self, node: int, star: bool, sign: int) -> LoopElement:
+    def _root_image(self, sym: RootSym) -> LoopElement:
         cfg, alg = self.config, self.alg
+        node, s = sym.node, sym.sign
         tag = cfg.g[node].tag
         kv = self.hd.kvee[node]
-        s = sign
-        if not star:
+        if not sym.star:
             if tag in ("empty", "Z", "2Z"):
                 elem: dict = {}
                 for x in range(1, kv + 1):
@@ -797,46 +779,25 @@ class Realization:
         acc(elem, self._pair_bracket(node, 1, 3, s), SQRT2 * SQRT_M1 / 2)
         return loop_term(alg, elem, s)
 
-    def _h_of_root(self, sym: RootSym) -> LoopElement:
-        """h_mu for mu the root of sym, via [E_mu, E_-mu] = h_{mu_vee}."""
-        half_norm = Fraction(self.config.space.norm(sym.root(self.config)), 2)
-        br = loop_bracket(self.image(sym.ident), self.image(sym.negate().ident))
-        return br.scaled(half_norm)
-
     def _cartan_image(self, label: str) -> LoopElement:
-        sp = self.config.space
-        alg = self.alg
-        if label.startswith("a") and label[1:].isdigit():
-            return self._h_of_root(RootSym(int(label[1:]), False, 1))
-        if label == "Ld":
-            coef = sp.gram[sp.idx_Ld][0]
-            elem = {}
-            for x in range(1, self.hd.kvee[0] + 1):
-                elem[("t", self.hd.index(0, x))] = coef
-            return loop_term(alg, elem, 0)
         if label == "La":
-            out = loop_zero(alg)
+            out = loop_zero(self.alg)
             out.w = ONE
             return out
-        if label == "a":
-            # a = (alpha_0^* - c alpha_0) / k_0 as ambient vectors
-            c, *_, k0 = self.config.root(0, star=True)
-            star = self._h_of_root(RootSym(0, True, 1))
-            plain = self._h_of_root(RootSym(0, False, 1))
-            return star.plus(plain.scaled(-c)).scaled(Fraction(1, k0))
-        raise DomainError(f"unknown Cartan label {label!r}")
+        sp = self.config.space
+        coef = sp.gram[sp.idx_Ld][0]
+        elem = {("t", self.hd.index(0, x)): coef
+                for x in range(1, self.hd.kvee[0] + 1)}
+        return loop_term(self.alg, elem, 0)
 
-    def evaluate(self, tree) -> LoopElement:
-        if isinstance(tree, str):
-            return self.image(tree)
-        left, right = tree
-        return loop_bracket(self.evaluate(left), self.evaluate(right))
+    def _bracket(self, x: LoopElement, y: LoopElement) -> LoopElement:
+        return loop_bracket(x, y)
 
-    def evaluate_word(self, word) -> LoopElement:
-        out = loop_zero(self.alg)
-        for coeff, tree in word.monomials:
-            out = out.plus(self.evaluate(tree).scaled(coeff))
-        return out
+    def _zero(self) -> LoopElement:
+        return loop_zero(self.alg)
+
+    def nonzero_witness(self, value: LoopElement) -> str:
+        return "" if value.is_zero() else f"nonzero image with {len(value.terms)} terms"
 
 
 def _image_heights(config: QebsConfig) -> dict[str, int]:
@@ -883,14 +844,7 @@ def verify_pi(config: QebsConfig, height: int | None = None,
     need = required_height(config, rels)
     h = max(height or 0, need)
     real = Realization(config, h)
-    rep = Report()
-
-    for label, word in rels.label_words:
-        val = real.evaluate_word(word)
-        ok = val.is_zero()
-        rep.entries.append(
-            Check(label, ok, "" if ok else f"nonzero image with {len(val.terms)} terms")
-        )
+    rep = Report(substitute(real, rels))
 
     sp = config.space
     labels = sp.basis_labels()

@@ -16,7 +16,8 @@ from erskit.presentation import (
     emit_tsr,
     x_coeff,
 )
-from erskit.unfold import root_to_ambient
+from erskit.quantum_torus import QRealization
+from erskit.unfold import Realization, root_to_ambient
 from conftest import SUITE_NAMES
 
 # node 0 doubled (c = 2; odd with g = Z, even with 2Z+1) and unequal k: the
@@ -50,6 +51,30 @@ def test_symbol_idents():
     cfg = simple_config("D3(2)")
     assert len(b_plus(cfg)) == 6
     assert len(b_all(cfg)) == 12
+
+
+@pytest.mark.parametrize("name", SUITE_NAMES + list(VARIANTS))
+def test_ident_parse_inverts_ident(name):
+    for sym in b_all(_config(name)):
+        assert RootSym.parse(sym.ident) == sym
+
+
+@pytest.mark.parametrize("ident", [
+    "x", "h:a1", "E:a1", "E:+a", "E:+b1", "E:+a01", "E:+a-1", "E:+a1**",
+    "E:*a1", " E:+a1", "E:+a1 ", "E:+a\u0661",
+])
+def test_ident_parse_rejects_other_strings(ident):
+    with pytest.raises(DomainError, match="unknown generator"):
+        RootSym.parse(ident)
+
+
+@pytest.mark.parametrize("make", [lambda cfg: Realization(cfg, 2), QRealization],
+                         ids=["loop", "quantum-torus"])
+@pytest.mark.parametrize("ident", ["x", "h:zz", "h:a3", "E:+a3", "E:+a1**"])
+def test_realizations_reject_unknown_idents(make, ident):
+    real = make(simple_config("A2(1)"))
+    with pytest.raises(DomainError, match="unknown"):
+        real.image(ident)
 
 
 @pytest.mark.parametrize("name", ["A2(1)", "D3(2)", "C2(1)"])

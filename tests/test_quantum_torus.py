@@ -5,7 +5,7 @@ import pytest
 from erskit import quantum_torus
 from erskit.ambient import DomainError
 from erskit.base_system import simple_config
-from erskit.presentation import RootSym
+from erskit.presentation import RootSym, emit_sr
 from erskit.quantum_torus import (
     HatElement,
     QRealization,
@@ -114,6 +114,26 @@ def test_formal_and_specialized_agree_with_loop_verdict():
     assert loop_rep.passed == formal.passed == at_one.passed
     payload = formal.to_dict()
     assert payload["passed"]
+
+
+@pytest.mark.parametrize("name", ["A2(1)", "A3(1)"])
+def test_relation_labels_and_verdicts_match_loop_model(name):
+    # verify_q checks emit_sr's relations minus the four SR6/SR7 instances
+    # that couple a0 and al, which qSR6/qSR7 replace; at q = 1 each shared
+    # relation has the loop model's verdict
+    cfg = simple_config(name)
+    l = cfg.space.n_nodes - 1
+    sr = emit_sr(cfg).labels()
+    kept = [lbl for lbl in sr if not quantum_torus._is_q_modified(cfg, lbl)]
+    assert len(sr) - len(kept) == 4
+    rep = verify_q(cfg, q_numeric=Fraction(1))
+    labels = [e.label for e in rep.entries if not e.label.startswith("grading")]
+    assert labels == kept + [f"qSR6[a0,a{l}]", f"qSR7[a0,a{l}]"]
+    loop = {e.label: e.ok for e in verify_pi(cfg)[0].entries}
+    assert set(kept) <= set(loop)
+    assert [(e.label, e.ok) for e in rep.entries if e.label in loop] == [
+        (lbl, loop[lbl]) for lbl in kept
+    ]
 
 
 def test_dropped_q_factor_breaks_qsr7():

@@ -147,6 +147,36 @@ def test_dense_form_only_in_ambient():
     assert not found, found
 
 
+def _parses_ident(node) -> bool:
+    """A subscript of, or a method called on, something named ident, or a
+    call with the argument "E:" or "h:"."""
+    def named_ident(expr):
+        return (isinstance(expr, ast.Name) and expr.id == "ident"
+                or isinstance(expr, ast.Attribute) and expr.attr == "ident")
+
+    if isinstance(node, ast.Subscript):
+        return named_ident(node.value)
+    if not isinstance(node, ast.Call):
+        return False
+    args = [e for a in node.args for e in getattr(a, "elts", [a])]
+    return (isinstance(node.func, ast.Attribute) and named_ident(node.func.value)
+            or any(isinstance(a, ast.Constant) and a.value in ("E:", "h:")
+                   for a in args))
+
+
+def test_only_presentation_parses_idents():
+    # RootSym.ident and RootSym.parse are the one generator-ident grammar;
+    # a module that slices an ident or tests its prefix parses it again
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "presentation.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if _parses_ident(node)]
+    assert not found, found
+
+
 def test_benchmark_tracer_targets_resolve():
     # perfbench/spans.py wraps erskit attributes by name, so a rename or a
     # deletion here breaks a traced benchmark run

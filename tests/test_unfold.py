@@ -109,10 +109,11 @@ def test_graded_dims_match_rank2_root_systems():
     }
 
 
-def test_graded_cap_raises_resource_error():
+def test_graded_cap_raises_resource_error(monkeypatch):
     hd = _plain_datum([[2, -1], [-3, 2]])
+    monkeypatch.setenv("ERSKIT_MAX_MEM", "1")
     with pytest.raises(ResourceError) as exc:
-        build_graded(hd, 6, cap=1)
+        build_graded(hd, 6)
     assert exc.value.completed_height >= 2
 
 
@@ -134,8 +135,9 @@ def test_graded_cap_checked_per_weight(monkeypatch):
         return build_weight(self, wt, h)
 
     monkeypatch.setattr(GradedAlgebra, "_build_weight", counting)
+    monkeypatch.setenv("ERSKIT_MAX_MEM", str(total - 1))
     with pytest.raises(ResourceError) as exc:
-        build_graded(hd, 3, cap=total - 1)
+        build_graded(hd, 3)
     assert exc.value.completed_height == 1
     assert len(built) < len(at2)
 
@@ -365,10 +367,10 @@ def _a21_transport_case():
     return cfg, words, vectors, witness_height(cfg, rs, words)
 
 
-def test_transport_growth_stops_at_the_basis_budget():
+def test_transport_growth_stops_at_the_basis_budget(monkeypatch):
     cfg, words, vectors, h = _a21_transport_case()
-    cap = Realization(cfg, h).alg._size
-    real = Realization(cfg, h, cap=cap)
+    monkeypatch.setenv("ERSKIT_MAX_MEM", str(Realization(cfg, h).alg._size))
+    real = Realization(cfg, h)
     with pytest.raises(ResourceError, match="over the budget") as exc:
         transport_images(real, words, targets=vectors)
     assert exc.value.completed_height == h
@@ -378,7 +380,9 @@ def test_transport_does_not_grow_on_nilpotence_error(monkeypatch):
     # the series bound's own error surfaces as itself, not as growth up to
     # the basis budget
     cfg, words, vectors, h = _a21_transport_case()
-    real = Realization(cfg, h, cap=4 * Realization(cfg, h).alg._size)
+    monkeypatch.setenv("ERSKIT_MAX_MEM",
+                       str(4 * Realization(cfg, h).alg._size))
+    real = Realization(cfg, h)
     short = _exp_ad
     monkeypatch.setattr(erskit.unfold, "_exp_ad",
                         lambda x, target, bound=None: short(x, target, 1))
@@ -405,7 +409,7 @@ def test_weight_map_rebuilt_after_transport_grows():
     assert real.alg.height == grown
 
 
-def test_lookup_grows_to_the_weight_height():
+def test_lookup_grows_to_the_weight_height(monkeypatch):
     cfg, words, vectors, h = _a21_transport_case()
     low = Realization(cfg, h)
     top = max(_ibar_height(low.node_heights, v) for v in words)
@@ -415,7 +419,8 @@ def test_lookup_grows_to_the_weight_height():
     high = Realization(cfg, top)
     assert dims == [loop_weight_dim(high, v) for v in words]
     # growth for a lookup stops at the basis budget like any other
-    capped = Realization(cfg, h, cap=low.alg._size - 1)
+    monkeypatch.setenv("ERSKIT_MAX_MEM", str(low.alg._size - 1))
+    capped = Realization(cfg, h)
     with pytest.raises(ResourceError, match="over the budget"):
         for v in words:
             loop_weight_dim(capped, v)

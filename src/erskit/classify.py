@@ -94,6 +94,19 @@ def classify_rank1(
     return CaseRecord(case, name, {"node": i, "g": tag, "p": p})
 
 
+def _jkg(config: QebsConfig, i: int, j: int) -> tuple:
+    return (config.space.cartan[i][j], Fraction(config.k[j], config.k[i]),
+            config.g[i].tag)
+
+
+def rank2_pairs(config: QebsConfig) -> list[tuple[int, int]]:
+    """The ordered pairs (i, j) that classify_rank2 tabulates: J(a_i, a_j^vee)
+    = -1, g(a_j) empty, and a datum that is a row of the table."""
+    return [(i, j) for i in config.nodes for j in config.nodes
+            if i != j and config.space.cartan[j][i] == -1
+            and config.g[j].is_empty and _jkg(config, i, j) in _RANK2]
+
+
 def classify_rank2(
     config: QebsConfig, i: int, j: int, rootset: EllipticRootSet | None = None
 ) -> CaseRecord:
@@ -109,7 +122,7 @@ def classify_rank2(
     if not config.g[j].is_empty:
         raise CheckError(f"side condition failed: g(a{j}) = {config.g[j]}")
 
-    jkg = (sp.cartan[i][j], Fraction(config.k[j], config.k[i]), config.g[i].tag)
+    jkg = _jkg(config, i, j)
     if jkg not in _RANK2:
         raise DomainError(f"datum {jkg} matches no tabulated case")
     case, word, name = _RANK2[jkg]

@@ -23,7 +23,7 @@ from . import __version__
 from .ambient import CheckError, ConfigError, DomainError
 from .base_system import QebsConfig, config_from_dict, simple_config, validate_qebs
 from .roots import RootWindow, generate, check_ebs
-from .classify import classify_rank1, classify_rank2, ears_data
+from .classify import classify_rank1, classify_rank2, ears_data, rank2_pairs
 from .presentation import emit_sr, emit_sr_sharp, emit_tsr
 from .unfold import ResourceError, build_handy, verify_pi
 from .quantum_torus import verify_q, structure_suite
@@ -97,10 +97,11 @@ def _render(report: dict, fmt: str) -> str:
     return "\n".join(out) + "\n"
 
 
-def _emit(manifest, results, code, fmt, out, name) -> None:
-    """Write the {tool_version, manifest, results} report and exit with code."""
+def _emit(manifest, verdicts, fmt, out, name) -> None:
+    """Write the {tool_version, manifest, results} report of (entry, code)
+    verdicts and exit with the highest code."""
     report = {"tool_version": __version__, "manifest": manifest,
-              "results": results}
+              "results": [entry for entry, _ in verdicts]}
     text = _render(report, fmt)
     if out:
         ext = {"json": "json", "csv": "csv", "latex": "tex"}[fmt]
@@ -109,7 +110,7 @@ def _emit(manifest, results, code, fmt, out, name) -> None:
         path.write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
-    sys.exit(code)
+    sys.exit(max((code for _, code in verdicts), default=_OK))
 
 
 def _verdict(rep, **head):
@@ -118,38 +119,62 @@ def _verdict(rep, **head):
             _OK if rep.passed else _FAIL)
 
 
+def _attempt(head, run) -> list:
+    """The (entry, code) verdicts `run()` returns; a typed error instead
+    becomes the one verdict ({**head, status, error}, its exit code)."""
+    try:
+        return run()
+    except ResourceError as e:
+        return [({**head, "status": "resource-error", "error": str(e),
+                  "completed_height": e.completed_height}, _RESOURCE)]
+    except (ConfigError, DomainError, OSError, json.JSONDecodeError) as e:
+        return [({**head, "status": "config-error", "error": str(e)}, _CONFIG)]
+    except CheckError as e:
+        return [({**head, "status": "check-failed", "error": str(e)}, _FAIL)]
+
+
 def _run_batch(paths, manifest, fmt, out, name, worker):
     """Run `worker(path, config)` per config; per-config errors become result
     entries instead of aborting the batch."""
-    results = []
-    code = _OK
-    for path in paths:
-        try:
-            cfg = _load_config(path)
-            entry, entry_code = worker(path, cfg)
-        except ResourceError as e:
-            entry = {"config": path, "status": "resource-error",
-                     "error": str(e), "completed_height": e.completed_height}
-            entry_code = _RESOURCE
-        except (ConfigError, DomainError, OSError, json.JSONDecodeError) as e:
-            entry = {"config": path, "status": "config-error", "error": str(e)}
-            entry_code = _CONFIG
-        except CheckError as e:
-            entry = {"config": path, "status": "check-failed", "error": str(e)}
-            entry_code = _FAIL
-        results.append(entry)
-        code = max(code, entry_code)
-    _emit(manifest, results, code, fmt, out, name)
+    verdicts = [v for path in paths for v in _attempt(
+        {"config": path}, lambda path=path: [worker(path, _load_config(path))])]
+    _emit(manifest, verdicts, fmt, out, name)
 
 
-def _common(f):
-    f = click.option("--config", "configs", multiple=True, required=False,
-                     type=click.Path(), help="QEBS config file (JSON)")(f)
+# the JSON data of each preset, fn(config, window); export writes any of
+# them, and the roots, relations, unfold and ears reports embed them
+_PAYLOADS = {
+    "roots": lambda cfg, win: generate(cfg, win).to_json_entries(),
+    "sr": lambda cfg, win: json.loads(emit_sr(cfg).to_json()),
+    "sr-sharp": lambda cfg, win: json.loads(emit_sr_sharp(cfg).to_json()),
+    "tsr": lambda cfg, win: json.loads(emit_tsr(cfg).to_json()),
+    "handy": lambda cfg, win: build_handy(cfg).to_dict(),
+    "ears": lambda cfg, win: ears_data(cfg, win),
+}
+
+
+def _payload_worker(preset, win=None, key=None):
+    """A worker whose ok entry holds the preset's payload under `key`, or
+    merges it in when `key` is None."""
+    def worker(path, cfg):
+        data = _PAYLOADS[preset](cfg, win)
+        return {"config": path, "status": "ok",
+                **(data if key is None else {key: data})}, _OK
+    return worker
+
+
+def _output(f):
     f = click.option("--format", "fmt", default="json",
                      type=click.Choice(["json", "csv", "latex"]))(f)
     f = click.option("--out", default=None, type=click.Path(),
                      help="directory for report files; stdout when absent")(f)
     return f
+
+
+def _common(f):
+    f = click.option("--config", "configs", multiple=True, required=False,
+                     type=click.Path(), help="QEBS config file (JSON)")(f)
+    return _output(f)
 
 
 @click.group()
@@ -166,18 +191,9 @@ def classify(configs, fmt, out):
     manifest = _manifest(configs, "classify", format=fmt, out=out)
 
     def worker(path, cfg):
-        sp = cfg.space
         rs = generate(cfg, RootWindow(3, 3, 2))
         rank1 = [classify_rank1(cfg, i, rs) for i in cfg.nodes]
-        rank2 = []
-        for i in cfg.nodes:
-            for j in cfg.nodes:
-                if i == j or sp.cartan[j][i] != -1 or not cfg.g[j].is_empty:
-                    continue
-                try:
-                    rank2.append(classify_rank2(cfg, i, j, rs))
-                except DomainError:
-                    continue
+        rank2 = [classify_rank2(cfg, i, j, rs) for i, j in rank2_pairs(cfg)]
         entry = {
             "config": path,
             "status": "ok",
@@ -197,13 +213,8 @@ def roots(configs, fmt, out, window):
     win = _parse_window(window)
     manifest = _manifest(configs, "roots", window=[win.M, win.N],
                          format=fmt, out=out)
-
-    def worker(path, cfg):
-        rs = generate(cfg, win)
-        return {"config": path, "status": "ok",
-                "roots": rs.to_json_entries()}, _OK
-
-    _run_batch(configs, manifest, fmt, out, "roots", worker)
+    _run_batch(configs, manifest, fmt, out, "roots",
+               _payload_worker("roots", win, "roots"))
 
 
 @main.command(name="verify-ebs")
@@ -228,27 +239,18 @@ def unfold(configs, fmt, out):
     """Print the unfolded datum (index set, Cartan matrix, odd part,
     symmetrizers) for each config."""
     manifest = _manifest(configs, "unfold", format=fmt, out=out)
-
-    def worker(path, cfg):
-        hd = build_handy(cfg)
-        return {"config": path, "status": "ok", **hd.to_dict()}, _OK
-
-    _run_batch(configs, manifest, fmt, out, "unfold", worker)
+    _run_batch(configs, manifest, fmt, out, "unfold", _payload_worker("handy"))
 
 
 @main.command(name="verify-pi")
 @_common
-@click.option("--height", default=None, type=int,
-              help="graded build height; auto-sized when absent")
-def verify_pi_cmd(configs, fmt, out, height):
+def verify_pi_cmd(configs, fmt, out):
     """Substitute the loop-algebra images into every defining relation and
     report per-relation status plus the extracted form constant."""
-    manifest = _manifest(configs, "verify-pi", height=height, format=fmt,
-                         out=out)
+    manifest = _manifest(configs, "verify-pi", format=fmt, out=out)
 
     def worker(path, cfg):
-        rep, _ = verify_pi(cfg, height=height)
-        return _verdict(rep, config=path)
+        return _verdict(verify_pi(cfg)[0], config=path)
 
     _run_batch(configs, manifest, fmt, out, "verify-pi", worker)
 
@@ -257,9 +259,7 @@ def verify_pi_cmd(configs, fmt, out, height):
 @click.option("--rank", "rank", default=2, type=int, help="finite rank l")
 @click.option("--q-numeric", default=None,
               help="rational value p/r for q; formal q when absent")
-@click.option("--format", "fmt", default="json",
-              type=click.Choice(["json", "csv", "latex"]))
-@click.option("--out", default=None, type=click.Path())
+@_output
 def qtorus_verify(rank, q_numeric, fmt, out):
     """Verify the quantum-torus realization for the untwisted A-type config
     of the given rank, plus the bracket structure suite."""
@@ -272,45 +272,28 @@ def qtorus_verify(rank, q_numeric, fmt, out):
         except (ValueError, ZeroDivisionError):
             raise click.BadParameter(f"{q_numeric!r} is not a rational p/r",
                                      param_hint="--q-numeric")
-    results = []
-    code = _OK
-    try:
+
+    def suites():
         cfg = simple_config(f"A{rank}(1)")
-        for tag, rep in (("relations", verify_q(cfg, q_numeric=qv)),
-                         ("structure", structure_suite())):
-            entry, entry_code = _verdict(rep, suite=tag)
-            results.append(entry)
-            code = max(code, entry_code)
-    except (ConfigError, DomainError) as e:
-        results.append({"suite": "relations", "status": "config-error",
-                        "error": str(e)})
-        code = _CONFIG
-    _emit(manifest, results, code, fmt, out, "qtorus-verify")
+        reps = (("relations", verify_q(cfg, q_numeric=qv)),
+                ("structure", structure_suite()))
+        return [_verdict(rep, suite=tag) for tag, rep in reps]
 
-
-_PRESETS = {
-    "sr": emit_sr,
-    "sr-sharp": emit_sr_sharp,
-    "tsr": emit_tsr,
-}
+    _emit(manifest, _attempt({"suite": "relations"}, suites), fmt, out,
+          "qtorus-verify")
 
 
 @main.command()
 @_common
 @click.option("--preset", default="sr",
-              type=click.Choice(sorted(_PRESETS)))
+              type=click.Choice(["sr", "sr-sharp", "tsr"]))
 def relations(configs, fmt, out, preset):
     """Emit a defining relation set (full, sharp-restricted, or the finite
     elliptic-basis form)."""
     manifest = _manifest(configs, "relations", preset=preset, format=fmt,
                          out=out)
-
-    def worker(path, cfg):
-        rels = _PRESETS[preset](cfg)
-        return {"config": path, "status": "ok",
-                "relations": json.loads(rels.to_json())}, _OK
-
-    _run_batch(configs, manifest, fmt, out, "relations", worker)
+    _run_batch(configs, manifest, fmt, out, "relations",
+               _payload_worker(preset, key="relations"))
 
 
 @main.command()
@@ -321,22 +304,14 @@ def ears(configs, fmt, out, window):
     win = _parse_window(window)
     manifest = _manifest(configs, "ears", window=[win.M, win.N],
                          format=fmt, out=out)
-
-    def worker(path, cfg):
-        data = ears_data(cfg, win)
-        return {"config": path, "status": "ok", **data}, _OK
-
-    _run_batch(configs, manifest, fmt, out, "ears", worker)
-
-
-_EXPORT_PRESETS = ("roots", "sr", "sr-sharp", "tsr", "handy", "ears")
+    _run_batch(configs, manifest, fmt, out, "ears",
+               _payload_worker("ears", win))
 
 
 @main.command()
 @click.option("--config", "configs", multiple=True, required=True,
               type=click.Path())
-@click.option("--preset", default="roots",
-              type=click.Choice(_EXPORT_PRESETS))
+@click.option("--preset", default="roots", type=click.Choice(list(_PAYLOADS)))
 @click.option("--window", default="6,6", help="inner window M,N")
 @click.option("--out", required=True, type=click.Path())
 def export(configs, preset, window, out):
@@ -345,37 +320,27 @@ def export(configs, preset, window, out):
     win = _parse_window(window)
     manifest = _manifest(configs, "export", preset=preset,
                          window=[win.M, win.N], out=out)
-    code = _OK
     outdir = Path(out)
     outdir.mkdir(parents=True, exist_ok=True)
+
+    def artifact(path):
+        data = _PAYLOADS[preset](_load_config(path), win)
+        return [({"tool_version": __version__, "manifest": manifest,
+                  "config": path, "data": data}, _OK)]
+
+    code = _OK
     for idx, path in enumerate(configs):
         name = f"{preset}-{idx}-{Path(path).stem}.json"
+        # a failing config's artifact is its batch result entry
+        [(doc, doc_code)] = _attempt({"config": path}, lambda: artifact(path))
         try:
-            cfg = _load_config(path)
-            if preset == "roots":
-                payload = generate(cfg, win).to_json_entries()
-            elif preset in ("sr", "sr-sharp", "tsr"):
-                payload = json.loads(_PRESETS[preset](cfg).to_json())
-            elif preset == "handy":
-                payload = build_handy(cfg).to_dict()
-            else:
-                payload = ears_data(cfg, win)
-            doc = {"tool_version": __version__, "manifest": manifest,
-                   "config": path, "data": payload}
             (outdir / name).write_text(
                 json.dumps(doc, indent=2, sort_keys=True) + "\n",
-                encoding="utf-8",
-            )
-        except (ConfigError, DomainError, json.JSONDecodeError) as e:
-            (outdir / name).write_text(
-                json.dumps({"config": path, "status": "config-error",
-                            "error": str(e)}, indent=2, sort_keys=True) + "\n",
-                encoding="utf-8",
-            )
-            code = max(code, _CONFIG)
+                encoding="utf-8")
         except OSError as e:
             click.echo(f"write failed for {name}: {e}", err=True)
-            code = max(code, _CONFIG)
+            doc_code = _CONFIG
+        code = max(code, doc_code)
     sys.exit(code)
 
 

@@ -124,11 +124,7 @@ class _BTable:
         self.parity = {m.ident: m.parity(config) for m in self.key}
 
     def x(self, mu: RootSym, nu: RootSym) -> int:
-        # a symbol from a caller's pair set may lie outside B: _key keys it
-        # or rejects its node
-        kmu = self.key.get(mu) or _key(self.config, mu)
-        knu = self.key.get(nu) or _key(self.config, nu)
-        return _x(self.config.space.cartan, kmu, knu)
+        return _x(self.config.space.cartan, self.key[mu], self.key[nu])
 
     def b_prime(self):
         """The ordered pairs of B with mu != nu and mu + nu != 0."""
@@ -204,14 +200,16 @@ def triples_A(config: QebsConfig) -> list[tuple[int, int, int]]:
     return out
 
 
-def emit_sr(config: QebsConfig, pairs=None, tag: str = "SR5") -> RelationSet:
+def emit_sr(config: QebsConfig) -> RelationSet:
     """SR2 through SR9 fully instantiated; SR1/SR3 run over the l+4 basis
-    Cartan generators.  `pairs` narrows the SR5 family to a chosen pair set
-    (used for the reduced presentation)."""
-    return _emit_sr(_BTable(config), pairs, tag)
+    Cartan generators."""
+    table = _BTable(config)
+    return _emit_sr(table, table.b_prime(), "SR5")
 
 
 def _emit_sr(table: _BTable, pairs, tag: str) -> RelationSet:
+    """The SR relations with the SR5 family over `pairs`, labelled `tag`
+    (the sharp set narrows it)."""
     config = table.config
     sp = config.space
     rels = RelationSet()
@@ -245,8 +243,6 @@ def _emit_sr(table: _BTable, pairs, tag: str) -> RelationSet:
                  for c, lab in zip(root, root_labels) if c]
         rels.add(f"SR4[{mu.ident}]", _word(table, mons))
 
-    if pairs is None:
-        pairs = table.b_prime()
     for mu, nu in pairs:
         x = table.x(mu, nu)
         if x == 0:

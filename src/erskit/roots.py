@@ -39,8 +39,10 @@ class RootWindow:
     pad: int = 2  # read only by reflection_closure_oracle
 
     def __post_init__(self):
-        if self.M < 1 or self.N < 1 or self.pad < 1:
-            raise ConfigError("window bounds and pad must be >= 1")
+        if self.M < 1 or self.N < 1:
+            raise ConfigError("window bounds must be >= 1")
+        if self.pad < 1:
+            raise ConfigError("oracle pad must be >= 1")
 
 
 @dataclass(frozen=True)

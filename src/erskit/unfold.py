@@ -838,12 +838,9 @@ def required_height(config: QebsConfig, relations) -> int:
 # verification
 # ---------------------------------------------------------------------------
 
-def verify_pi(config: QebsConfig, height: int | None = None,
-              relations=None) -> tuple[Report, Realization]:
+def verify_pi(config: QebsConfig, relations=None) -> tuple[Report, Realization]:
     rels = relations if relations is not None else emit_sr(config)
-    need = required_height(config, rels)
-    h = max(height or 0, need)
-    real = Realization(config, h)
+    real = Realization(config, required_height(config, rels))
     rep = Report(substitute(real, rels))
 
     sp = config.space

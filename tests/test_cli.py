@@ -6,6 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from erskit import cli
+from erskit.ambient import CheckError
 from erskit.base_system import CheckEntry, Report
 from erskit.unfold import ResourceError
 
@@ -148,12 +149,17 @@ def test_malformed_config_is_config_error(runner, cfgdir, doc):
     ["qtorus-verify", "--q-numeric", "abc"],
     ["qtorus-verify", "--q-numeric", "1/0"],
     ["roots", "--window", "0,1", "--config", "d32.json"],
-], ids=["q-not-rational", "q-zero-denominator", "window-zero"])
+    ["verify-pi", "--height", "5", "--config", "d32.json"],
+], ids=["q-not-rational", "q-zero-denominator", "window-zero",
+        "verify-pi-height"])
 def test_bad_argument_is_usage_error(runner, args):
     result = runner.invoke(cli.main, args)
     assert result.exit_code == 2, result.output
     assert isinstance(result.exception, SystemExit), result.exception
     assert "Traceback" not in result.output
+    assert "Usage:" in result.output
+    # the CLI has no --pad, so no message may mention one
+    assert "pad" not in result.output
 
 
 def test_verify_pi_command(runner, cfgdir):
@@ -167,7 +173,7 @@ def test_verify_pi_command(runner, cfgdir):
 
 
 def test_resource_error_exit_code(runner, cfgdir, monkeypatch):
-    def boom(cfg, height=None):
+    def boom(cfg):
         raise ResourceError("budget", 4)
 
     monkeypatch.setattr(cli, "verify_pi", boom)
@@ -247,12 +253,52 @@ def test_export_bad_config_writes_error_file(runner, cfgdir, tmp_path):
     assert doc["status"] == "config-error"
 
 
+def test_export_missing_config_writes_error_file(runner, cfgdir, tmp_path):
+    out = tmp_path / "artifacts"
+    result = runner.invoke(cli.main, [
+        "export", "--config", str(cfgdir / "missing.json"),
+        "--config", str(cfgdir / "d32.json"), "--out", str(out),
+        "--window", "3,3",
+    ])
+    assert result.exit_code == 2
+    assert result.stderr == ""
+    doc = json.loads((out / "roots-0-missing.json").read_text())
+    assert doc["status"] == "config-error"
+    assert "No such file" in doc["error"]
+    assert json.loads((out / "roots-1-d32.json").read_text())["data"]
+
+
+@pytest.mark.parametrize("error, status, code", [
+    (CheckError("injected"), "check-failed", 1),
+    (ResourceError("budget", 4), "resource-error", 3),
+], ids=["check-error", "resource-error"])
+def test_export_payload_errors_write_error_file(runner, cfgdir, tmp_path,
+                                                monkeypatch, error, status,
+                                                code):
+    def boom(cfg):
+        raise error
+
+    monkeypatch.setattr(cli, "build_handy", boom)
+    out = tmp_path / "artifacts"
+    result = runner.invoke(cli.main, [
+        "export", "--config", str(cfgdir / "d32.json"),
+        "--preset", "handy", "--out", str(out),
+    ])
+    assert result.exit_code == code, result.output
+    assert isinstance(result.exception, SystemExit), result.exception
+    doc = json.loads((out / "handy-0-d32.json").read_text())
+    assert doc["status"] == status
+    assert doc["error"] == str(error)
+
+
 PINNED_CONFIGS = {
     "a21.json": {"type": "A2(1)", "k": {"a0": 1, "a1": 1, "a2": 1}},
     "d32.json": {"type": "D3(2)", "k": {"a0": 1, "a1": 1, "a2": 1}},
     "odd.json": {"type": "D3(2)", "k": {"a0": 1, "a1": 1, "a2": 1},
                  "g": {"a0": "2Z+1"}},
     "g21.json": {"type": "G2(1)", "k": {"a0": 3, "a1": 3, "a2": 1}},
+    "bad.json": {"type": "D3(2)", "k": {"a0": 1, "a1": 1, "a2": 1},
+                 "g": {"a1": "Z"}},
 }
 _EBS = ["verify-ebs", "--config", "a21.json", "--config", "odd.json"]
 _RELATIONS = ["relations", "--config", "d32.json", "--config", "odd.json",
@@ -274,10 +320,10 @@ PINNED_REPORTS = [
                  "beaff76eafdfbad332e7c2f17886b60897e0aed1650b3b5a1b0959aa03e178ec",
                  id="roots-batch"),
     pytest.param(["verify-pi", "--config", "d32.json"],
-                 "3e2548ed7cac3f9614648abac59b694f61a109bb11cd8acaed61f299fc9fa4ae",
+                 "4a274e1777d5ce413be0b9871508781aae761a7247cd65cea22abfde3f1c0a96",
                  id="verify-pi"),
     pytest.param(["verify-pi", "--config", "odd.json"],
-                 "e2b2cb7090f74823e39971cd93111beb4bc241f4e53aa3b74f837ad2a1cef27a",
+                 "deac5b2f71dfd6a21982fb0241861db81b6a9870967077c9cb98c6c18a9bb5a3",
                  id="verify-pi-odd"),
     pytest.param(["qtorus-verify"],
                  "bdab63206c7a429bbf25595bcff6323c0cc843e1be5ceb8da155e3592d12461c",
@@ -300,15 +346,77 @@ PINNED_REPORTS = [
     pytest.param(["classify", "--config", "a21.json", "--config", "odd.json"],
                  "2ab0836dc4ec8ac03849fe2608b32748a8e63207d2c29eeaa8d084770cda1493",
                  id="classify-batch"),
+    pytest.param(["ears", "--config", "d32.json", "--config", "odd.json",
+                  "--window", "3,3"],
+                 "381cda18ce26956299e8ce81425094c74ce50e515b0574f0617826d95610757b",
+                 id="ears-batch"),
 ]
+
+
+def _write_pinned_configs():
+    for name, doc in PINNED_CONFIGS.items():
+        Path(name).write_text(json.dumps(doc))
 
 
 @pytest.mark.parametrize("args, digest", PINNED_REPORTS)
 def test_report_bytes_pinned(runner, args, digest):
     # relative config paths keep the manifest, and so the bytes, fixed
     with runner.isolated_filesystem():
-        for name, doc in PINNED_CONFIGS.items():
-            Path(name).write_text(json.dumps(doc))
+        _write_pinned_configs()
         result = runner.invoke(cli.main, args)
     assert result.exit_code == 0, result.output
     assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
+
+
+def test_error_batch_bytes_pinned(runner):
+    # an invalid and a missing config are config-error entries of the report
+    with runner.isolated_filesystem():
+        _write_pinned_configs()
+        result = runner.invoke(cli.main, [
+            "unfold", "--config", "d32.json", "--config", "odd.json",
+            "--config", "bad.json", "--config", "missing.json",
+        ])
+    assert result.exit_code == 2, result.output
+    assert [e["status"] for e in json.loads(result.stdout)["results"]] == [
+        "ok", "ok", "config-error", "config-error"]
+    assert hashlib.sha256(result.stdout_bytes).hexdigest() == (
+        "785746de417cab606765434fea9136852baf200f6aa6a7d083f3e69b8ef8d0a0")
+
+
+# sha256 of the artifact of d32.json followed by that of bad.json
+PINNED_EXPORTS = [
+    pytest.param("roots",
+                 "7cfe68260db29d85043f59aee55e3a376c5d936bc01cd9a0e77d73d88f66ee66",
+                 id="roots"),
+    pytest.param("sr",
+                 "3634c2851c97a0314b946c2e98b5887f8b3c54f868ab57a1d9f253e718fd7cce",
+                 id="sr"),
+    pytest.param("sr-sharp",
+                 "4d7adda6bba59524304532009e7a8f485d4cae5c8c4f831aa67b6eba06a1ea8f",
+                 id="sr-sharp"),
+    pytest.param("tsr",
+                 "20da4884c5058f775e3842b34ae2d23b19ef8b660f26038c90a4f37a19339c4a",
+                 id="tsr"),
+    pytest.param("handy",
+                 "10ccefdc4314cf7b5aaf37903efdf52ae884fc5fb39dc2b3b2bdacf8f3e69faa",
+                 id="handy"),
+    pytest.param("ears",
+                 "ae754a3b9e0e5f5aad470df0277d961f95b638db87471363dda64c8bfc6063c8",
+                 id="ears"),
+]
+
+
+@pytest.mark.parametrize("preset, digest", PINNED_EXPORTS)
+def test_export_bytes_pinned(runner, preset, digest):
+    with runner.isolated_filesystem():
+        _write_pinned_configs()
+        result = runner.invoke(cli.main, [
+            "export", "--config", "d32.json", "--config", "bad.json",
+            "--preset", preset, "--window", "3,3", "--out", "artifacts",
+        ])
+        blobs = [Path("artifacts", f"{preset}-{idx}-{stem}.json").read_bytes()
+                 for idx, stem in enumerate(("d32", "bad"))]
+    assert result.exit_code == 2, result.output
+    assert json.loads(blobs[0])["data"]
+    assert json.loads(blobs[1])["status"] == "config-error"
+    assert hashlib.sha256(b"".join(blobs)).hexdigest() == digest

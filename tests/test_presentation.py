@@ -163,8 +163,6 @@ def test_x_coeff_domain_errors():
     assert x_coeff(cfg, mu, RootSym(0, True, 1)) == 0
     with pytest.raises(ConfigError, match="out of range"):
         x_coeff(cfg, mu, RootSym(3, True, 1))
-    with pytest.raises(ConfigError, match="out of range"):
-        emit_sr(cfg, pairs=[(mu, RootSym(3, False, 1))])
 
 
 @pytest.mark.parametrize("name", SUITE_NAMES)

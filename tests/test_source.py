@@ -201,3 +201,22 @@ def test_benchmark_tracer_targets_resolve():
     finally:
         tracer.uninstall()
     assert [getattr(spans._owner(path), attr) for path, attr in targets] == before
+
+
+def test_cli_maps_errors_once():
+    # one function turns a typed error into a result entry and exit code,
+    # so every command reports the same bad input the same way; a handler
+    # that re-raises (an argument's error as a click usage error) maps nothing
+    typed = {"ConfigError", "DomainError", "CheckError", "ResourceError"}
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    mapping = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        for node in ast.walk(func):
+            if (isinstance(node, ast.ExceptHandler) and node.type is not None
+                    and not isinstance(node.body[-1], ast.Raise)):
+                named = {n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)}
+                if named & typed:
+                    mapping.add(func.name)
+    assert len(mapping) == 1, sorted(mapping)

@@ -260,7 +260,7 @@ class AmbientSpace:
         self.idx_a = self.l + 2
         self.idx_La = self.l + 3
         self.gram = self._build_gram()
-        self._delta = None
+        self._marks = None
 
     def _build_gram(self) -> tuple[Vec, ...]:
         n = self.dim
@@ -322,21 +322,16 @@ class AmbientSpace:
         return tuple(yc - coef * xc for yc, xc in zip(y, x))
 
     # -- derived data -------------------------------------------------
-    def null_root(self) -> Vec:
-        """delta in Z_+ Pi with Z delta the isotropic part of Z Pi."""
-        if self._delta is None:
-            marks = _kernel_marks(self.sym)
-            v = [Fraction(0)] * self.dim
-            for i, m in enumerate(marks):
-                v[i] = Fraction(m)
-            delta = tuple(v)
-            if self.j(delta, delta) != 0 or self.j(self.basis_vector(self.idx_Ld), delta) != 1:
-                raise ConfigError("kernel of the Cartan block is not a null root")
-            self._delta = delta
-        return self._delta
-
     def delta_marks(self) -> list[int]:
-        return [int(self.null_root()[i]) for i in range(self.n_nodes)]
+        """The coordinates of delta over Pi: delta in Z_+ Pi with Z delta the
+        isotropic part of Z Pi.  J(delta, delta) = 0 as delta spans the
+        kernel of the block; J(Ld, delta) = delta_0 / r must be 1."""
+        if self._marks is None:
+            marks = _kernel_marks(self.sym)
+            if marks[0] != self.r:
+                raise ConfigError("kernel of the Cartan block is not a null root")
+            self._marks = marks
+        return list(self._marks)
 
     def node_orbit_classes(self) -> list[set[int]]:
         """Node classes joined by (-1,-1) edges (the W-invariance criterion)."""

@@ -53,6 +53,18 @@ def _parse_window(text: str) -> RootWindow:
         raise click.BadParameter(str(e))
 
 
+def _out_dir(ctx, param, value):
+    """The --out callback: make the directory up front, so a path that
+    cannot be one is a usage error instead of a traceback."""
+    if value is not None:
+        try:
+            Path(value).mkdir(parents=True, exist_ok=True)
+        except OSError as e:
+            raise click.BadParameter(
+                f"cannot make the directory {value!r}: {e.strerror}")
+    return value
+
+
 def _manifest(configs, command, **params) -> dict:
     return {
         "configs": list(configs),
@@ -106,7 +118,6 @@ def _emit(manifest, verdicts, fmt, out, name) -> None:
     if out:
         ext = {"json": "json", "csv": "csv", "latex": "tex"}[fmt]
         path = Path(out) / f"{name}.{ext}"
-        path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
@@ -166,7 +177,7 @@ def _payload_worker(preset, win=None, key=None):
 def _output(f):
     f = click.option("--format", "fmt", default="json",
                      type=click.Choice(["json", "csv", "latex"]))(f)
-    f = click.option("--out", default=None, type=click.Path(),
+    f = click.option("--out", default=None, type=click.Path(), callback=_out_dir,
                      help="directory for report files; stdout when absent")(f)
     return f
 
@@ -313,7 +324,7 @@ def ears(configs, fmt, out, window):
               type=click.Path())
 @click.option("--preset", default="roots", type=click.Choice(list(_PAYLOADS)))
 @click.option("--window", default="6,6", help="inner window M,N")
-@click.option("--out", required=True, type=click.Path())
+@click.option("--out", required=True, type=click.Path(), callback=_out_dir)
 def export(configs, preset, window, out):
     """Write one artifact file per config; bytes are deterministic for a
     fixed manifest."""
@@ -321,7 +332,6 @@ def export(configs, preset, window, out):
     manifest = _manifest(configs, "export", preset=preset,
                          window=[win.M, win.N], out=out)
     outdir = Path(out)
-    outdir.mkdir(parents=True, exist_ok=True)
 
     def artifact(path):
         data = _PAYLOADS[preset](_load_config(path), win)

@@ -415,46 +415,22 @@ def emit_tsr(config: QebsConfig) -> RelationSet:
             aij, aji = sp.cartan[i][j], sp.cartan[j][i]
             if aij == 0 or aji == 0:
                 continue
-            if aij == config.c_of(i) * aji:
-                for sgn in (1, -1):
-                    a_sym = RootSym(i, False, sgn)
-                    a_star = RootSym(i, True, sgn)
-                    b_sym = RootSym(j, False, sgn)
-                    rels.add(
-                        f"TSR10[a{i},a{j};{'+' if sgn > 0 else '-'}]",
-                        _word(
-                            table,
-                            [(ONE, [a_star.ident, [a_sym.ident, b_sym.ident]])],
-                        ),
-                    )
-            if config.g[i].is_empty and aji in (2 * aij, 3 * aij):
-                for sgn in (1, -1):
-                    a_sym = RootSym(i, False, sgn)
-                    a_star = RootSym(i, True, sgn)
-                    b_sym = RootSym(j, False, sgn)
-                    tagp = "+" if sgn > 0 else "-"
-                    rels.add(
-                        f"TSR11a[a{i},a{j};{tagp}]",
-                        _word(
-                            table,
-                            [(ONE, [a_star.ident, [a_sym.ident, b_sym.ident]])],
-                        ),
-                    )
-                    rels.add(
-                        f"TSR11b[a{i},a{j};{tagp}]",
-                        _word(
-                            table,
-                            [
-                                (
-                                    ONE,
-                                    [
-                                        [a_star.ident, b_sym.ident],
-                                        [a_sym.ident, b_sym.ident],
-                                    ],
-                                )
-                            ],
-                        ),
-                    )
+            # the two cases exclude each other: g empty gives c = 1, and
+            # a_ij = a_ji in (2 a_ij, 3 a_ij) would force a_ij = 0
+            tsr10 = aij == config.c_of(i) * aji
+            tsr11 = config.g[i].is_empty and aji in (2 * aij, 3 * aij)
+            if not (tsr10 or tsr11):
+                continue
+            for sgn in (1, -1):
+                a = RootSym(i, False, sgn).ident
+                a_star = RootSym(i, True, sgn).ident
+                b = RootSym(j, False, sgn).ident
+                where = f"[a{i},a{j};{'+' if sgn > 0 else '-'}]"
+                rels.add(("TSR10" if tsr10 else "TSR11a") + where,
+                         _word(table, [(ONE, [a_star, [a, b]])]))
+                if tsr11:
+                    rels.add("TSR11b" + where,
+                             _word(table, [(ONE, [[a_star, b], [a, b]])]))
 
     for j in sorted(pi_max):
         for i in config.nodes:

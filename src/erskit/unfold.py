@@ -716,74 +716,24 @@ class Realization(RealizationBase):
         self.alg = build_graded(self.hd, height)
         self.kappa = None
         self._weights = None  # (alg.height, weight map) of loop_weight_dim
-        self.node_heights = _node_heights(config)  # m_i of witness_height
-
-    # unit E/F elements by Ibar pair
-    def _gen(self, node: int, x: int, sign: int) -> dict:
-        i = self.hd.index(node, x)
-        wt = self.alg._unit(i)
-        return {("+" if sign > 0 else "-", wt, 0): ONE}
-
-    def _pair_bracket(self, node: int, x1: int, x2: int, sign: int) -> dict:
-        return self.alg.bracket(
-            self._gen(node, x1, sign), self._gen(node, x2, sign)
-        )
+        self.node_heights = _node_heights(config, self.hd.kvee)  # m_i of witness_height
 
     def _root_image(self, sym: RootSym) -> LoopElement:
-        cfg, alg = self.config, self.alg
-        node, s = sym.node, sym.sign
-        tag = cfg.g[node].tag
-        kv = self.hd.kvee[node]
-        if not sym.star:
-            if tag in ("empty", "Z", "2Z"):
-                elem: dict = {}
-                for x in range(1, kv + 1):
-                    acc(elem, self._gen(node, x, s), ONE)
-            elif tag == "2Z+1":
-                elem = {}
-                acc(elem, self._gen(node, 1, s), SQRT2)
-                acc(elem, self._gen(node, 2, s), SQRT2)
-            elif tag == "4Z+2":
-                elem = {}
-                acc(elem, self._gen(node, 2, s), SQRT2)
-                acc(elem, self._pair_bracket(node, 1, 3, s), s / SQRT2 * ONE)
-            else:  # 4Z
-                elem = {}
-                acc(elem, self._gen(node, 1, s), ONE)
-                acc(elem, self._pair_bracket(node, 3, 2, s), Fraction(s) * ONE)
-            return loop_term(alg, elem, 0)
-        zeta = exp_pi_i_over(kv)
-        if tag in ("empty", "2Z"):
-            elem = {}
-            for x in range(1, kv + 1):
-                acc(elem, self._gen(node, x, s), zeta ** (s * (2 * x - 1 - kv)))
-            return loop_term(alg, elem, s * cfg.k[node])
-        if tag == "Z":
-            elem = {}
-            for x in range(1, kv + 1):
-                coef = Fraction(s, 4) * zeta ** (s * (2 * x - 1 - kv))
-                acc(elem, self._pair_bracket(node, x, x, s), coef)
-            return loop_term(alg, elem, s * cfg.k[node])
-        if tag == "2Z+1":
-            elem = {}
-            acc(elem, self._pair_bracket(node, 1, 2, s), SQRT_M1)
-            return loop_term(alg, elem, s)
-        if tag == "4Z+2":
-            elem = {}
-            acc(elem, self._gen(node, 1, s), ONE)
-            acc(elem, self._pair_bracket(node, 3, 2, s), SQRT_M1)
-            return loop_term(alg, elem, s)
-        # 4Z
-        elem = {}
-        acc(elem, self._gen(node, 2, s), SQRT2)
-        acc(elem, self._pair_bracket(node, 1, 3, s), SQRT2 * SQRT_M1 / 2)
-        return loop_term(alg, elem, s)
+        alg, sign = self.alg, "+" if sym.sign > 0 else "-"
+
+        def gen(x):  # the unit E or F at Ibar node (sym.node, x)
+            return {(sign, alg._unit(self.hd.index(sym.node, x)), 0): ONE}
+
+        power, terms = _image_terms(self.config, self.hd.kvee, sym)
+        elem: dict = {}
+        for c, xs in terms:
+            part = gen(xs[0]) if len(xs) == 1 else alg.bracket(gen(xs[0]), gen(xs[1]))
+            acc(elem, part, c)
+        return loop_term(alg, elem, power)
 
     def _cartan_image(self, label: str) -> LoopElement:
         if label == "La":
-            out = loop_zero(self.alg)
-            out.w = ONE
-            return out
+            return LoopElement(self.alg, w=ONE)
         sp = self.config.space
         coef = sp.gram[sp.idx_Ld][0]
         elem = {("t", self.hd.index(0, x)): coef
@@ -800,21 +750,45 @@ class Realization(RealizationBase):
         return "" if value.is_zero() else f"nonzero image with {len(value.terms)} terms"
 
 
-def _image_heights(config: QebsConfig) -> dict[str, int]:
-    """The highest Ibar height among the terms of each generator image."""
-    per = {}
-    for sym in b_all(config):
-        tag = config.g[sym.node].tag
-        if not sym.star:
-            per[sym.ident] = 2 if tag in ("4Z", "4Z+2") else 1
-        else:
-            per[sym.ident] = 1 if tag in ("empty", "2Z") else 2
-    return per
+def _image_terms(config: QebsConfig, kv: dict[int, int], sym: RootSym):
+    """The image of the generator sym as (loop power, terms), the one
+    statement of the map F on generators: with i = sym.node and E of sym's
+    sign, a term (c, (x,)) is c E_(i,x) and a term (c, (x, y)) is
+    c [E_(i,x), E_(i,y)]."""
+    node, s = sym.node, sym.sign
+    tag, n = config.g[node].tag, kv[node]
+    if not sym.star:
+        if tag in ("empty", "Z", "2Z"):
+            return 0, [(ONE, (x,)) for x in range(1, n + 1)]
+        if tag == "2Z+1":
+            return 0, [(SQRT2, (1,)), (SQRT2, (2,))]
+        if tag == "4Z+2":
+            return 0, [(SQRT2, (2,)), (s / SQRT2 * ONE, (1, 3))]
+        return 0, [(ONE, (1,)), (Fraction(s) * ONE, (3, 2))]  # 4Z
+    if tag == "2Z+1":
+        return s, [(SQRT_M1, (1, 2))]
+    if tag == "4Z+2":
+        return s, [(ONE, (1,)), (SQRT_M1, (3, 2))]
+    if tag == "4Z":
+        return s, [(SQRT2, (2,)), (SQRT2 * SQRT_M1 / 2, (1, 3))]
+    zeta = exp_pi_i_over(n)
+    twists = [(x, zeta ** (s * (2 * x - 1 - n))) for x in range(1, n + 1)]
+    if tag == "Z":
+        return s * config.k[node], [(Fraction(s, 4) * z, (x, x)) for x, z in twists]
+    return s * config.k[node], [(z, (x,)) for x, z in twists]  # empty, 2Z
 
 
-def _node_heights(config: QebsConfig) -> list[int]:
+def _image_heights(config: QebsConfig, kv=None) -> dict[str, int]:
+    """The highest Ibar height among the terms of each generator image, for
+    k_vee kv (computed when None)."""
+    kv = k_vee(config) if kv is None else kv
+    return {sym.ident: max(len(xs) for _, xs in _image_terms(config, kv, sym)[1])
+            for sym in b_all(config)}
+
+
+def _node_heights(config: QebsConfig, kv=None) -> list[int]:
     """m_i, the Ibar height of the plain image of alpha_i, for each node."""
-    per = _image_heights(config)
+    per = _image_heights(config, kv)
     return [per[RootSym(i, False, 1).ident] for i in range(config.space.n_nodes)]
 
 
@@ -1110,15 +1084,14 @@ def witness_height(config: QebsConfig, rootset, words=None) -> int:
     counts for a window root is built at this height.
 
     The bound is the largest sum |c_i| m_i over the window roots, m_i the
-    Ibar height of the plain image of alpha_i.  For the tags empty, Z, 2Z
-    and 2Z+1 that image is a sum of generators E_(i,x) over the Ibar nodes
-    of alpha_i, so m_i = 1.  The Cartan images act diagonally on Ibar
-    weights, so each E_(i,x) in that eigenvector has its weight alpha_i.
-    An Ibar weight of ambient weight lam = sum c_i alpha_i + n a then has
-    c_i nodes over each alpha_i and height |sum c_i|, which for a root
-    (all c_i of one sign) is sum |c_i|.  For 4Z and 4Z+2 the plain image
-    also holds a bracket of two generators and m_i = 2 is its height; the
-    argument above does not cover those tags, but no lookup reaches them:
+    Ibar height of the plain image of alpha_i in `_image_terms`.  Where that
+    image is a sum of generators E_(i,x), m_i = 1: the Cartan images act
+    diagonally on Ibar weights, so each E_(i,x) in that eigenvector has its
+    weight alpha_i, and an Ibar weight of ambient weight
+    lam = sum c_i alpha_i + n a has c_i nodes over each alpha_i and height
+    |sum c_i|, which for a root (all c_i of one sign) is sum |c_i|.  For 4Z
+    and 4Z+2 the image also holds a bracket of two generators and m_i = 2;
+    the argument does not cover those tags, but no lookup reaches them:
     build_handy rejects with HD5 every 4Z and 4Z+2 configuration of
     test_doubled_class_coverage_census (eleven families, k up to 4).
     Transport may reach higher, and the algebra grows to it; words is

@@ -228,6 +228,20 @@ def test_out_directory(runner, cfgdir, tmp_path):
     assert doc["results"][0]["status"] == "ok"
 
 
+@pytest.mark.parametrize("command", ["roots", "export"])
+def test_out_path_that_is_a_file_is_usage_error(runner, cfgdir, command):
+    # --out names a directory; an existing file there ends in a usage error
+    # that names the path, not a FileExistsError traceback
+    cfg = str(cfgdir / "d32.json")
+    result = runner.invoke(cli.main, [
+        command, "--config", cfg, "--window", "3,3", "--out", cfg,
+    ])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert "Usage:" in result.output
+    assert repr(cfg) in result.output
+
+
 def test_export_deterministic(runner, cfgdir, tmp_path):
     out = tmp_path / "artifacts"
     args = [

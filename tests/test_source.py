@@ -220,3 +220,19 @@ def test_cli_maps_errors_once():
                 if named & typed:
                     mapping.add(func.name)
     assert len(mapping) == 1, sorted(mapping)
+
+
+def test_only_the_image_table_reads_g_classes_in_unfold():
+    # the generator images are stated once, in _image_terms, and their
+    # heights are read from it; the handy datum reads the g-class for the
+    # KV constraints, the blocks and the cross entries
+    tree = ast.parse((SRC / "unfold.py").read_text(encoding="utf-8"))
+    readers = set()
+    for top in tree.body:
+        funcs = top.body if isinstance(top, ast.ClassDef) else [top]
+        for func in funcs:
+            name = getattr(func, "name", "<module>")
+            if any(isinstance(node, ast.Attribute) and node.attr == "tag"
+                   for node in ast.walk(func)):
+                readers.add(name)
+    assert readers == {"k_vee", "build_handy", "_ad3_pair", "_image_terms"}, sorted(readers)

@@ -23,6 +23,8 @@ from erskit.unfold import (
     ResourceError,
     _exp_ad,
     _ibar_height,
+    _image_heights,
+    _node_heights,
     _transport_step,
     aut_n,
     build_graded,
@@ -39,7 +41,7 @@ from erskit.unfold import (
     witness_height,
     witness_words,
 )
-from conftest import KAPPA_CASES, SUITE_NAMES
+from conftest import KAPPA_CASES, SMALL_SUITE_NAMES, SUITE_NAMES
 
 
 def test_k_vee_values():
@@ -316,6 +318,27 @@ def test_required_height_grows_with_doubling():
     assert required_height(cfg, emit_sr(cfg)) < required_height(
         odd, emit_sr(odd)
     )
+
+
+@pytest.mark.parametrize("name,kwargs", [(name, {}) for name in SMALL_SUITE_NAMES]
+                         + [("D3(2)", {"g": {0: "Z"}}), ("D3(2)", {"g": {0: "2Z+1"}})])
+def test_image_heights_match_built_images(name, kwargs):
+    # the heights that required_height and witness_height read are those of
+    # the images as built, term by term
+    cfg = simple_config(name, **kwargs)
+    real = Realization(cfg, 2)
+    per = _image_heights(cfg)
+    for sym in b_all(cfg):
+        built = max(abs(real.alg.key_height(key)) for key, _ in real.image(sym.ident).terms)
+        assert per[sym.ident] == built, sym.ident
+
+
+@pytest.mark.parametrize("tag", ["4Z", "4Z+2"])
+def test_node_heights_doubled_four_classes(tag):
+    # witness_height's m_i = 2 case: the plain image at a 4Z or 4Z+2 node
+    # holds a bracket, though build_handy rejects these configs with HD5
+    cfg = simple_config("D3(2)", k={0: 1, 1: 2, 2: 1}, g={0: tag})
+    assert _node_heights(cfg) == [2, 1, 1]
 
 
 def test_weight_spaces_and_transport():

@@ -118,7 +118,11 @@ def _emit(manifest, verdicts, fmt, out, name) -> None:
     if out:
         ext = {"json": "json", "csv": "csv", "latex": "tex"}[fmt]
         path = Path(out) / f"{name}.{ext}"
-        path.write_text(text, encoding="utf-8")
+        try:
+            path.write_text(text, encoding="utf-8")
+        except OSError as e:
+            click.echo(f"write failed for {path}: {e}", err=True)
+            sys.exit(_CONFIG)
     else:
         sys.stdout.write(text)
     sys.exit(max((code for _, code in verdicts), default=_OK))

@@ -254,37 +254,15 @@ def _emit_sr(table: _BTable, pairs, tag: str) -> RelationSet:
 
     for i, j, y in triples_A(config):
         c = config.c_of(i)
-        a_sym = RootSym(i, False, 1)
-        a_star = RootSym(i, True, 1)
-        b_sym = RootSym(j, False, 1)
-        b_star = RootSym(j, True, 1)
-        rels.add(
-            f"SR6[a{i},a{j};y={y}]",
-            _word(
-                table,
-                [
-                    (Cyc.from_rational(c), _nest(a_star.ident, y, b_sym.ident)),
-                    (-ONE, _nest(a_sym.ident, c * y, b_star.ident)),
-                ],
-            ),
-        )
-        sign = (-1) ** (c + 1)
-        rels.add(
-            f"SR7[a{i},a{j};y={y}]",
-            _word(
-                table,
-                [
-                    (
-                        Cyc.from_rational(sign * c),
-                        _nest(a_star.negate().ident, y, b_sym.negate().ident),
-                    ),
-                    (
-                        -ONE,
-                        _nest(a_sym.negate().ident, c * y, b_star.negate().ident),
-                    ),
-                ],
-            ),
-        )
+        for sgn in (1, -1):
+            aa, ss = RootSym(i, False, sgn).ident, RootSym(i, True, sgn).ident
+            bb, bs = RootSym(j, False, sgn).ident, RootSym(j, True, sgn).ident
+            lead = c if sgn > 0 else (-1) ** (c + 1) * c
+            rels.add(
+                f"{'SR6' if sgn > 0 else 'SR7'}[a{i},a{j};y={y}]",
+                _word(table, [(Cyc.from_rational(lead), _nest(ss, y, bb)),
+                              (-ONE, _nest(aa, c * y, bs))]),
+            )
         for part in range(1, y):
             for sgn in (1, -1):
                 aa = RootSym(i, False, sgn)

@@ -309,7 +309,9 @@ class GradedAlgebra:
 
     For height >= 2 an element lies in the radical iff all lowering
     operators kill it, which turns the per-weight quotient into the kernel
-    of a stacked rational matrix.
+    of a stacked rational matrix.  Only the positive half is built: the
+    automorphism omega: E_i -> F_i, F_i -> (-1)^{p_i} E_i, h -> -h maps it
+    onto the negative half, and `ad` reads F-monomial brackets through it.
     """
 
     def __init__(self, hd: HandyDatum, height: int):
@@ -323,8 +325,6 @@ class GradedAlgebra:
         # eact[(wt, idx)][i] -> element at wt + e_i (filled when built)
         self.eact: dict[tuple, dict[int, dict]] = {}
         self.fact: dict[tuple, dict[int, dict]] = {}
-        # gact: [E_j, negative basis element]
-        self.gact: dict[tuple, dict[int, dict]] = {}
         self._size = 0
         self._cap = _default_cap()
         self._build(height)
@@ -445,7 +445,7 @@ class GradedAlgebra:
             # -sign [h_i, b] with b of weight sub
             acc(out, self._key_elem("+", sub, idx), -sign * self.weight_h(sub, i))
         inner = self.fact[(sub, idx)][j]
-        acc(out, self.ad_e(i, inner), sign)
+        acc(out, self.ad("+", i, inner), sign)
         return out
 
     def _key_elem(self, sgn: str, wt: tuple, idx: int) -> dict:
@@ -454,50 +454,38 @@ class GradedAlgebra:
     # -- brackets -----------------------------------------------------------
 
     def mirror(self, elem: dict) -> dict:
-        """E <-> F, h -> -h, t -> -t on monomial keys."""
-        out: dict = {}
-        acc(out, {key: c for key, c in elem.items() if key[0] in ("h", "t")}, -1)
-        acc(out, {(_FLIP[key[0]], key[1], key[2]): c
-                  for key, c in elem.items() if key[0] in _FLIP})
+        """E <-> F, h -> -h, t -> -t on keys, one to one: nothing cancels."""
+        out = {key: -c for key, c in elem.items() if key[0] in ("h", "t")}
+        out.update({(_FLIP[key[0]], key[1], key[2]): c
+                    for key, c in elem.items() if key[0] in _FLIP})
         return out
 
-    def ad_e(self, i: int, arg) -> dict:
-        """[E_i, arg] for arg a monomial key or an element dict."""
+    def ad(self, sgn: str, i: int, arg) -> dict:
+        """[E_i, arg] for sgn "+", [F_i, arg] for sgn "-"; arg a monomial key
+        or an element dict.  The automorphism omega: E_i -> F_i,
+        F_i -> (-1)^{p_i} E_i, h -> -h, t -> -t is `mirror` on E-monomials, h
+        and t, so [F_i, F-mon] = omega [E_i, E-mon] and
+        [E_i, F-mon] = (-1)^{p_i} omega [F_i, E-mon], read from fact."""
         if isinstance(arg, dict):
             out = {}
             for key, c in arg.items():
-                acc(out, self.ad_e(i, key), c)
+                acc(out, self.ad(sgn, i, key), c)
             return out
         key = arg
-        if key[0] == "h":
-            return {("+", self._unit(i), 0): -Fraction(self.hd.abar[key[1]][i])}
-        if key[0] == "t":
-            if key[1] != i:
-                return {}
-            return {("+", self._unit(i), 0): Fraction(-1)}
-        sgn, wt, idx = key
-        if sgn == "+":
-            return self._e_on(i, wt, idx)
-        # E_i against a negative monomial
-        return self._g_on(i, wt, idx)
-
-    def ad_f(self, j: int, arg) -> dict:
-        if isinstance(arg, dict):
-            out = {}
-            for key, c in arg.items():
-                acc(out, self.ad_f(j, key), c)
-            return out
-        key = arg
-        if key[0] == "h":
-            return {("-", self._unit(j), 0): Fraction(self.hd.abar[key[1]][j])}
-        if key[0] == "t":
-            if key[1] != j:
-                return {}
-            return {("-", self._unit(j), 0): Fraction(1)}
-        sgn, wt, idx = key
+        if key[0] in ("h", "t"):
+            flip = -1 if sgn == "+" else 1
+            if key[0] == "h":
+                return {(sgn, self._unit(i), 0): flip * Fraction(self.hd.abar[key[1]][i])}
+            return {(sgn, self._unit(i), 0): Fraction(flip)} if key[1] == i else {}
+        side, wt, idx = key
+        if side == sgn:
+            out = self._e_on(i, wt, idx)
+            return out if sgn == "+" else self.mirror(out)
+        out = self.fact[(wt, idx)][i]
         if sgn == "-":
-            return self.mirror(self._e_on(j, wt, idx))
-        return self.fact[(wt, idx)][j]
+            return out
+        out = self.mirror(out)
+        return {k: -c for k, c in out.items()} if self.hd.p(i) else out
 
     def _e_on(self, i: int, wt: tuple, idx: int) -> dict:
         """[E_i, positive monomial] from eact.  The one growth rule: a
@@ -505,30 +493,6 @@ class GradedAlgebra:
         if sum(wt) == self.height:
             self.extend(self.height + 1)
         return self.eact[(wt, idx)].get(i, {})
-
-    def _g_on(self, i: int, wt: tuple, idx: int) -> dict:
-        """[E_i, F-monomial], memoized through gact."""
-        cached = self.gact.get((wt, idx), {}).get(i)
-        if cached is not None:
-            return cached
-        hd = self.hd
-        mon = self.basis[wt][idx]
-        j, parent = mon
-        if parent is None:
-            out = {("h", i): Fraction(1)} if i == j else {}
-        else:
-            sub, sidx = parent
-            sign = Fraction((-1) ** (hd.p(i) * hd.p(j)))
-            out: dict = {}
-            if i == j:
-                acc(
-                    out,
-                    self._key_elem("-", sub, sidx),
-                    -self.weight_h(sub, i),
-                )
-            acc(out, self.ad_f(j, self._g_on(i, sub, sidx)), sign)
-        self.gact.setdefault((wt, idx), {})[i] = out
-        return out
 
     def key_parity(self, key) -> int:
         if key[0] in ("h", "t"):
@@ -559,14 +523,14 @@ class GradedAlgebra:
         sgn, wt, idx = kx
         mon = self.basis[wt][idx]
         i, parent = mon
-        one = self.ad_e if sgn == "+" else self.ad_f
         if parent is None:
-            return one(i, ky)
+            return self.ad(sgn, i, ky)
         sub, sidx = parent
         # [ [X_i, x'], y ] = [X_i, [x', y]] - (-1)^{p_i p_x'} [x', [X_i, y]]
         sign = (-1) ** (self.hd.p(i) * self.parity[sub])
-        out = one(i, self._br_keys((sgn, sub, sidx), ky))
-        acc(out, self.bracket(self._key_elem(sgn, sub, sidx), one(i, ky)), -Fraction(sign))
+        out = self.ad(sgn, i, self._br_keys((sgn, sub, sidx), ky))
+        acc(out, self.bracket(self._key_elem(sgn, sub, sidx), self.ad(sgn, i, ky)),
+            -Fraction(sign))
         return out
 
     def _cartan_eig(self, hkey, ekey) -> Fraction:
@@ -615,11 +579,11 @@ class GradedAlgebra:
             # peel the right monomial instead
             sub, sidx = jparent
             sign = (-1) ** (self.hd.p(j) * self.parity[kx[1]])
-            peeled = self.ad_f(j, {kx: Fraction(1)})
+            peeled = self.ad("-", j, {kx: Fraction(1)})
             return -sign * self.form(peeled, self._key_elem("-", sub, sidx))
         sub, sidx = parent
         sign = (-1) ** (self.hd.p(i) * self.parity[sub])
-        peeled = self.ad_e(i, {ky: Fraction(1)})
+        peeled = self.ad("+", i, {ky: Fraction(1)})
         return -sign * self.form(self._key_elem("+", sub, sidx), peeled)
 
 

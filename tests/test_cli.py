@@ -282,6 +282,21 @@ def test_export_missing_config_writes_error_file(runner, cfgdir, tmp_path):
     assert json.loads((out / "roots-1-d32.json").read_text())["data"]
 
 
+def test_report_write_failure_is_a_typed_exit(runner, cfgdir, tmp_path):
+    # a directory in the way of the report file: exit 2 with one stderr
+    # line, as export does, instead of a traceback
+    out = tmp_path / "rep"
+    (out / "roots.json").mkdir(parents=True)
+    result = runner.invoke(cli.main, [
+        "roots", "--config", str(cfgdir / "d32.json"), "--window", "3,3",
+        "--out", str(out),
+    ])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert result.stderr.startswith(f"write failed for {out / 'roots.json'}: ")
+    assert result.stdout == ""
+
+
 @pytest.mark.parametrize("error, status, code", [
     (CheckError("injected"), "check-failed", 1),
     (ResourceError("budget", 4), "resource-error", 3),

@@ -63,6 +63,13 @@ def _generated_subsystem(rootset: EllipticRootSet, i: int) -> set[Root]:
     return set(closure(seeds, mirrors, lambda v: abs(v[0]) <= bound and abs(v[-1]) <= N))
 
 
+def classify_window(config: QebsConfig) -> RootWindow:
+    """The window the classification reads: (3,3), grown to max k so that
+    it holds every generator alpha_i* = c alpha_i + k_i a."""
+    n = max(3, *config.k.values())
+    return RootWindow(n, n)
+
+
 def classify_rank1(
     config: QebsConfig, i: int, rootset: EllipticRootSet | None = None
 ) -> CaseRecord:
@@ -71,7 +78,7 @@ def classify_rank1(
     tag = config.g[i].tag
     case, name, p_stated = _RANK1[tag]
     if rootset is None:
-        rootset = generate(config, RootWindow(3, 3, 2))
+        rootset = generate(config, classify_window(config))
 
     # the pair must pair into a singular rank-two block with negative
     # off-diagonal entries, the shape of an affine 2x2 datum
@@ -128,7 +135,7 @@ def classify_rank2(
     case, word, name = _RANK2[jkg]
 
     if rootset is None:
-        rootset = generate(config, RootWindow(3, 3, 2))
+        rootset = generate(config, classify_window(config))
     gamma = _apply_word(config, word, i, j)
 
     if gamma[-1] != -1:

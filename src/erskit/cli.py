@@ -23,7 +23,7 @@ from . import __version__
 from .ambient import CheckError, ConfigError, DomainError
 from .base_system import QebsConfig, config_from_dict, simple_config, validate_qebs
 from .roots import RootWindow, generate, check_ebs
-from .classify import classify_rank1, classify_rank2, ears_data, rank2_pairs
+from .classify import classify_rank1, classify_rank2, classify_window, ears_data, rank2_pairs
 from .presentation import emit_sr, emit_sr_sharp, emit_tsr
 from .unfold import ResourceError, build_handy, verify_pi
 from .quantum_torus import verify_q, structure_suite
@@ -206,7 +206,7 @@ def classify(configs, fmt, out):
     manifest = _manifest(configs, "classify", format=fmt, out=out)
 
     def worker(path, cfg):
-        rs = generate(cfg, RootWindow(3, 3, 2))
+        rs = generate(cfg, classify_window(cfg))
         rank1 = [classify_rank1(cfg, i, rs) for i in cfg.nodes]
         rank2 = [classify_rank2(cfg, i, j, rs) for i, j in rank2_pairs(cfg)]
         entry = {

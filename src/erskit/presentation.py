@@ -181,11 +181,6 @@ def _nest(head: str, power: int, tail: Tree) -> Tree:
     return out
 
 
-def x_coeff(config: QebsConfig, mu: RootSym, nu: RootSym) -> int:
-    """Serre exponent for the ordered pair (mu, nu)."""
-    return _x(config.space.cartan, _key(config, mu), _key(config, nu))
-
-
 def triples_A(config: QebsConfig) -> list[tuple[int, int, int]]:
     """(alpha, beta, y) with J(alpha, beta_vee) = -1 and k(alpha) y = k(beta)."""
     sp = config.space

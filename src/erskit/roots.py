@@ -3,13 +3,14 @@
 A root is an integer vector c_0*alpha_0 + ... + c_l*alpha_l + n*a.  Its
 level along the null direction is J(Ld, rho) = c_0 / delta_0, and its
 marking coordinate is n.  A window (M, N) bounds |level| by M and |n| by N.
-Generation keeps the real alpha-parts up to two level periods past the
-window (vkeep), reached by a sweep two periods further out, and reports on
-the window itself; RootWindow.pad pads only the independent oracle.
+Generation sweeps the real alpha-parts out past the window, detects the
+level period of their pattern, keeps one period of them as the membership
+table, and reports on the window itself; RootWindow.pad pads only the
+independent oracle.
 
-Real parts are enumerated once per finite direction and level, labelled by
-their actual reflection orbit (two directions of equal length can still lie
-in different orbits, so length alone is not used to extend k and g).
+Real parts are labelled by their actual reflection orbit (two directions
+of equal length can still lie in different orbits, so length alone is not
+used to extend k and g).
 Membership along the marking direction is arithmetic: each orbit carries an
 n-progression (all multiples of k for real roots, g(alpha)*k for doubled
 ones), so closure checks can be exact without materializing huge sets.
@@ -109,45 +110,54 @@ def mirror(config: QebsConfig, i: int, star: bool):
     return image
 
 
-def root_of(config: QebsConfig, vec) -> Root:
-    """The integer Root tuple of an ambient vector whose Ld and La
-    coordinates are zero."""
-    sp = config.space
-    return tuple(int(x) for x in vec[: sp.n_nodes]) + (int(vec[sp.idx_a]),)
-
-
 def closure(seeds, mirrors, keep) -> dict:
     """Breadth-first reflection closure.
 
     `seeds` yields (vector, seed label) pairs and `mirrors` is a list of
     (mirror label, map); a vector enters only while `keep(vector)` holds.
-    Returns vector -> (seed label, list of mirror labels applied in order)
-    in insertion order, so every word extends one met earlier.
+    Returns the breadth-first tree: vector -> (seed label, parent, mirror
+    label), with the mirror labelled so sending the parent to the vector,
+    and parent and label None at a seed.  The map is in insertion order,
+    so every parent comes before its children.
     """
     seen: dict = {}
     queue = deque()
     for vec, seed in seeds:
         if vec not in seen and keep(vec):
-            seen[vec] = (seed, [])
+            seen[vec] = (seed, None, None)
             queue.append(vec)
     while queue:
         cur = queue.popleft()
-        seed, word = seen[cur]
+        seed = seen[cur][0]
         for label, image in mirrors:
             img = image(cur)
             if img is None or img in seen or not keep(img):
                 continue
-            seen[img] = (seed, word + [label])
+            seen[img] = (seed, cur, label)
             queue.append(img)
     return seen
 
 
-class EllipticRootSet:
-    """A generated window slice plus the arithmetic membership tables.
+def _detect_period(levels: dict, bound: int, vkeep: int) -> int:
+    """Smallest divisor p of bound under which both presence and orbit
+    labels of the real parts up to level vkeep repeat."""
+    for p in range(1, bound + 1):
+        if bound % p:
+            continue
+        if all(abs(nu + s) > vkeep or levels.get((phi, nu + s)) == lab
+               for (phi, nu), lab in levels.items() for s in (p, -p)):
+            return p
+    raise CheckError("orbit pattern is not level-periodic")
 
-    `fintable` maps (delta0 * phi, c_0) to an orbit class, where
-    phi_i = c_i - (c_0 / delta0) m_i is the finite part of a real
-    alpha-part c; scaled by delta0 it is an integer vector.
+
+class EllipticRootSet:
+    """A generated window slice plus the arithmetic membership table.
+
+    `fintable` maps (delta0 * phi, c_0 mod period) to an orbit class label,
+    where phi_i = c_i - (c_0 / delta0) m_i is the finite part of a real
+    alpha-part c; scaled by delta0 it is an integer vector.  The real parts
+    repeat along the level with `period`, so one period of levels decides
+    membership at every level.
     """
 
     def __init__(self, config: QebsConfig, window: RootWindow, validate: bool = True):
@@ -162,28 +172,30 @@ class EllipticRootSet:
         self.config = config
         self.window = window
         sp = config.space
-        self.delta0 = sp.delta_marks()[0]
+        self._marks = sp.delta_marks()
+        self.delta0 = self._marks[0]
+        self.classes: list[OrbitClass] = []
+        self._plain = [mirror(config, i, False) for i in range(sp.n_nodes)]
         # the orbit pattern repeats along the level with a period dividing
         # twice the twist order times the level unit; the true period is
-        # detected after the table is built
-        self.period = 2 * sp.type.twist * self.delta0
-        self.classes: list[OrbitClass] = []
+        # detected on a level table two such bounds past the window
+        bound = 2 * sp.type.twist * self.delta0
+        vkeep = window.M * self.delta0 + 2 * bound
+        levels = self._level_table(vkeep, vkeep + 2 * bound)
+        self.period = _detect_period(levels, bound, vkeep)
         self.fintable: dict[tuple[tuple[int, ...], int], int] = {}
-        self._plain = [mirror(config, i, False) for i in range(sp.n_nodes)]
-        self._build_fintable()
+        for (phi, nu), lab in levels.items():
+            self.fintable.setdefault((phi, nu % self.period), lab)
         self.inner: dict[Root, dict] = {}
-        self._enumerate_inner()
+        self._enumerate_inner(levels)
         self._assert_fixpoint()
 
     # -- construction -------------------------------------------------
-    def _build_fintable(self):
+    def _level_table(self, vkeep: int, vbfs: int) -> dict:
+        """(finite key, level) -> orbit class label of every real part up to
+        level vkeep, from one closure per node-orbit class out to vbfs."""
         sp = self.config.space
         n_nodes = sp.n_nodes
-        self._marks = sp.delta_marks()
-        vkeep = self.window.M * self.delta0 + 2 * self.period
-        self._vkeep = vkeep
-        vbfs = vkeep + 2 * self.period
-
         mirrors = list(enumerate(self._plain))
 
         def keep(c):
@@ -203,50 +215,26 @@ class EllipticRootSet:
             for c in closure(seeds, mirrors, keep):
                 if label.setdefault(c, ident) != ident:
                     raise CheckError("orbit labelling is inconsistent")
-
-        for c, lab in label.items():
-            if abs(c[0]) <= vkeep:
-                self.fintable[(self._fin_key(c), c[0])] = lab
-        self.period = self._detect_period(vkeep)
-
-    def _detect_period(self, vkeep: int) -> int:
-        """Smallest level shift under which both presence and orbit labels
-        of the real parts repeat.  Membership beyond the kept table is
-        extrapolated with it."""
-        for p in range(1, self.period + 1):
-            if self.period % p:
-                continue
-            ok = True
-            for (phi, nu), lab in self.fintable.items():
-                if abs(nu + p) <= vkeep and self.fintable.get((phi, nu + p)) != lab:
-                    ok = False
-                    break
-                if abs(nu - p) <= vkeep and self.fintable.get((phi, nu - p)) != lab:
-                    ok = False
-                    break
-            if ok:
-                return p
-        raise CheckError("orbit pattern is not level-periodic")
+        return {(self._fin_key(c), c[0]): lab for c, lab in label.items()
+                if abs(c[0]) <= vkeep}
 
     def _fin_key(self, c) -> tuple[int, ...]:
         d0, nu = self.delta0, c[0]
         return tuple(d0 * ci - nu * mi for ci, mi in zip(c[1:], self._marks[1:]))
 
+    def _class_at(self, phi, nu) -> OrbitClass | None:
+        """Orbit class of the real part with finite key phi at level nu."""
+        lab = self.fintable.get((phi, nu % self.period))
+        return None if lab is None else self.classes[lab]
+
     def fin_class(self, c) -> OrbitClass | None:
         """Orbit class of the alpha-part c, or None if it is not a real part."""
-        phi = self._fin_key(c)
-        nu = c[0]
-        if abs(nu) <= self._vkeep:
-            lab = self.fintable.get((phi, nu))
-            return self.classes[lab] if lab is not None else None
-        shift = (abs(nu) - self._vkeep + self.period - 1) // self.period
-        nu_r = nu - shift * self.period if nu > 0 else nu + shift * self.period
-        lab = self.fintable.get((phi, nu_r))
-        return self.classes[lab] if lab is not None else None
+        return self._class_at(self._fin_key(c), c[0])
 
-    def _enumerate_inner(self):
+    def _enumerate_inner(self, levels: dict):
+        # in the level table's order, which SER3's early stop relies on
         M, N = self.window.M, self.window.N
-        for (phi, nu), lab in self.fintable.items():
+        for (phi, nu), lab in levels.items():
             cls = self.classes[lab]
             c = self._alpha_part(phi, nu)
             if abs(nu) <= M * self.delta0:
@@ -333,11 +321,11 @@ class EllipticRootSet:
     def _lookup_group(self, phi, nu, doubled) -> bool:
         """Whether level nu holds a root of the group with finite key phi."""
         if not doubled:
-            return (phi, nu) in self.fintable
+            return self._class_at(phi, nu) is not None
         if nu % 2 or any(x % 2 for x in phi):
             return False
-        lab = self.fintable.get((tuple(x // 2 for x in phi), nu // 2))
-        return lab is not None and not self.classes[lab].g.is_empty
+        cls = self._class_at(tuple(x // 2 for x in phi), nu // 2)
+        return cls is not None and not cls.g.is_empty
 
     # -- views --------------------------------------------------------
     def sorted_roots(self) -> list[tuple[Root, dict]]:
@@ -461,32 +449,28 @@ class _Group:
     nu_res: int
     doubled: bool
     prog: Progression
-    nu_rep: int
 
 
 def check_ebs(rootset: EllipticRootSet) -> Report:
     rep = Report(fields={"pi_b": []})
     sp = rootset.config.space
-    M = rootset.window.M
+    bound = rootset.window.M * rootset.delta0
     period = rootset.period
-    d0 = rootset.delta0
 
+    # a residue r forms a group when some level r + period*Z lies in the
+    # window; its double when some level lies in half the window
     groups: list[_Group] = []
     seen = set()
-    for (phi, nu), lab in rootset.fintable.items():
-        if abs(nu) > M * d0:
-            continue
+    for (phi, r), lab in rootset.fintable.items():
         cls = rootset.classes[lab]
-        key = (phi, nu % period, False)
-        if key not in seen:
-            seen.add(key)
-            groups.append(_Group(*key, real_progression(cls), nu))
-        if not cls.g.is_empty and abs(2 * nu) <= M * d0:
-            phi2 = tuple(2 * x for x in phi)
-            key2 = (phi2, (2 * nu) % period, True)
+        r_levels = Progression(period, r)
+        if r_levels.window(bound):
+            groups.append(_Group(phi, r, False, real_progression(cls)))
+        if not cls.g.is_empty and r_levels.window(bound // 2):
+            key2 = (tuple(2 * x for x in phi), 2 * r % period, True)
             if key2 not in seen:
                 seen.add(key2)
-                groups.append(_Group(*key2, doubled_progression(cls), 2 * nu))
+                groups.append(_Group(*key2, doubled_progression(cls)))
 
     # all pairings on the integer finite parts: rows = phi S, gram = rows phi^T
     n_nodes = sp.n_nodes
@@ -501,6 +485,7 @@ def check_ebs(rootset: EllipticRootSet) -> Report:
     # the radical of the pairing is the null line plus the marking direction,
     # and the roots span the full lattice
     rep.entries.append(CheckEntry("SER2-radical", True, "validated at build (corank 1)"))
+    # the rank stops at full rank, so its cost follows the order of `inner`
     rank_ok = exact.rank(rootset.inner, stop=n_nodes + 1) == n_nodes + 1
     rep.entries.append(
         CheckEntry("SER3-rank", rank_ok, "" if rank_ok else "root lattice rank deficit")
@@ -513,17 +498,13 @@ def check_ebs(rootset: EllipticRootSet) -> Report:
     ), "")
     rep.entries.append(CheckEntry("SER5-integrality", not ser5_w, ser5_w))
 
-    realmap: dict[tuple, OrbitClass] = {}
-    for (phi, nu), lab in rootset.fintable.items():
-        realmap.setdefault((phi, nu % period), rootset.classes[lab])
-
     # reflections of every group in every other, in row-major order;
     # orthogonal pairs and the pairs SER5 rejects are skipped
     closure_w = ""
     pairs = ((gb, gr, 2 * g // nb) for gb, row, nb in zip(groups, gram, norms)
              for gr, g in zip(groups, row) if g and not 2 * g % nb)
     for gb, gr, t in pairs:
-        closure_w = _group_closure(rootset, realmap, gb, gr, t)
+        closure_w = _group_closure(rootset, gb, gr, t)
         if closure_w:
             break
     rep.entries.append(CheckEntry("SER4-reflection-closure", not closure_w, closure_w))
@@ -533,31 +514,31 @@ def check_ebs(rootset: EllipticRootSet) -> Report:
     return rep
 
 
-def _group_closure(rootset, realmap, gb: _Group, gr: _Group, t: int) -> str:
+def _group_closure(rootset, gb: _Group, gr: _Group, t: int) -> str:
     """Images of group gr under reflections from group gb stay in R: "" if
     they do, else a witness."""
-    period = rootset.period
     pb, pr = gb.prog, gr.prog
     # the images' markings: the progression residue + step*Z
     step = gcd(pr.step, abs(t) * pb.step)
     residue = pr.residue - t * pb.residue
     phi_img = tuple(r - t * b for r, b in zip(gr.phi, gb.phi))
-    nu_img = gr.nu_rep - t * gb.nu_rep
+    nu_img = gr.nu_res - t * gb.nu_res
 
     # a real class's progression is k*Z
-    real_cls = realmap.get((phi_img, nu_img % period))
+    real_cls = rootset._class_at(phi_img, nu_img)
     if real_cls is not None and step % real_cls.k == 0 and residue % real_cls.k == 0:
         return ""
-    targets = _doubled_targets(realmap, phi_img, nu_img, period)
+    targets = _doubled_targets(rootset, phi_img, nu_img)
     if targets is not None and all(step % tp.step == 0 and tp.contains(residue)
                                    for tp in targets):
         return ""
     return _closure_fallback(rootset, gb, gr, t, pb, pr)
 
 
-def _doubled_targets(realmap, phi_img, nu_img, period):
+def _doubled_targets(rootset, phi_img, nu_img):
     """Doubled-root progressions covering every attained image level, or
     None when that cannot be certified without enumeration."""
+    period = rootset.period
     if period % 2 or nu_img % 2:
         return None
     if any(x % 2 for x in phi_img):
@@ -565,7 +546,7 @@ def _doubled_targets(realmap, phi_img, nu_img, period):
     half_phi = tuple(x // 2 for x in phi_img)
     out = []
     for hr in (nu_img // 2, nu_img // 2 + period // 2):
-        cls = realmap.get((half_phi, hr % period))
+        cls = rootset._class_at(half_phi, hr)
         if cls is None or cls.g.is_empty:
             return None
         out.append(doubled_progression(cls))

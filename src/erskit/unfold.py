@@ -20,7 +20,7 @@ from .base_system import Check, QebsConfig, Report
 from .cyclo import Cyc, ONE, SQRT2, SQRT_M1, ZERO, exp_pi_i_over
 from .exact import acc
 from .presentation import RealizationBase, RootSym, b_all, emit_sr, substitute
-from .roots import closure, mirror, root_of
+from .roots import closure, mirror
 
 
 class ResourceError(RuntimeError):
@@ -572,15 +572,9 @@ class GradedAlgebra:
         wt, idx = kx[1], kx[2]
         i, parent = self.basis[wt][idx]
         if parent is None:
-            jwt, jidx = ky[1], ky[2]
-            j, jparent = self.basis[jwt][jidx]
-            if jparent is None:
-                return eps[i] if i == j else 0
-            # peel the right monomial instead
-            sub, sidx = jparent
-            sign = (-1) ** (self.hd.p(j) * self.parity[kx[1]])
-            peeled = self.ad("-", j, {kx: Fraction(1)})
-            return -sign * self.form(peeled, self._key_elem("-", sub, sidx))
+            # heights cancel, so ky is a generator F_j as well
+            j = self.basis[ky[1]][ky[2]][0]
+            return eps[i] if i == j else 0
         sub, sidx = parent
         sign = (-1) ** (self.hd.p(i) * self.parity[sub])
         peeled = self.ad("+", i, {ky: Fraction(1)})
@@ -878,11 +872,11 @@ def transport_images(real: Realization, words: dict, targets=None) -> dict:
 
     Walks the map in its breadth-first insertion order, so each vector costs
     one reflection automorphism applied to its parent's element.  With a
-    targets collection only their mirror-chain ancestors are computed.  A
-    target without a word of its own whose half beta has one (a doubled
-    root 2 beta, beta odd) gets [X_beta, X_beta], since automorphisms
-    preserve brackets; any other target missing from the map raises
-    DomainError.  The algebra grows to the heights the brackets reach.
+    targets collection only their ancestors in the tree are computed.  A
+    target outside the map whose half beta is in it (a doubled root
+    2 beta, beta odd) gets [X_beta, X_beta], since automorphisms preserve
+    brackets; any other target missing from the map raises DomainError.
+    The algebra grows to the heights the brackets reach.
 
     Each mirror is applied to each Ibar monomial once, at loop power 0, and
     that image serves every loop power m shifted by m (`_transport_step`):
@@ -892,21 +886,10 @@ def transport_images(real: Realization, words: dict, targets=None) -> dict:
     through weight 0, where the bracket adds to the central v; such a step
     applies `aut_n` directly.
     """
-    config = real.config
-    mirrors = {sym: mirror(config, sym.node, sym.star) for sym in b_all(config)}
-    parents: dict[Vec, Vec] = {}
-
-    def parent(vec, word):
-        if vec not in parents:
-            parents[vec] = root_to_ambient(
-                config, mirrors[word[-1]](root_of(config, vec)))
-        return parents[vec]
-
     needed = None
     doubled = {}
     if targets is not None:
         needed = set()
-        stack = []
         for vec in targets:
             if vec not in words:
                 half = tuple(x // 2 for x in vec)
@@ -917,25 +900,18 @@ def transport_images(real: Realization, words: dict, targets=None) -> dict:
                     )
                 doubled[vec] = half
                 vec = half
-            stack.append(vec)
-        while stack:
-            vec = stack.pop()
-            if vec in needed:
-                continue
-            needed.add(vec)
-            _, word = words[vec]
-            if word:
-                stack.append(parent(vec, word))
+            while vec is not None and vec not in needed:
+                needed.add(vec)
+                vec = words[vec][1]
     out: dict[Vec, LoopElement] = {}
     entries: dict = {}
-    for vec, (sym0, word) in words.items():
+    for vec, (sym0, up, nu) in words.items():
         if needed is not None and vec not in needed:
             continue
-        if not word:
+        if up is None:
             out[vec] = real.image(sym0.ident)
         else:
-            up = parent(vec, word)
-            out[vec] = _transport_step(real, word[-1], out[up], up, entries)
+            out[vec] = _transport_step(real, nu, out[up], up, entries)
     for vec, half in doubled.items():
         out[vec] = loop_bracket(out[half], out[half])
     return out
@@ -1067,15 +1043,16 @@ def witness_height(config: QebsConfig, rootset, words=None) -> int:
 
 
 def witness_words(config: QebsConfig, rootset) -> dict:
-    """Reflection words reaching every root of the rootset's window.
+    """The reflection tree reaching every root of the rootset's window.
 
-    The sweep runs on root tuples; the keys are lifted by `root_to_ambient`
-    to integer tuples of ambient length.  The sweep is allowed
-    to route through roots slightly outside the window; the membership table
-    extends two twist periods past it, which is enough slack for the mirror
-    chains.
+    The sweep runs on root tuples; the keys and the parents are lifted by
+    `root_to_ambient` to integer tuples of ambient length.  The sweep is
+    allowed to route through roots slightly outside the window, up to two
+    level periods past it, which is enough slack for the mirror chains.
 
-    Returns vector -> (starting base root, list of mirrors applied in order).
+    Returns vector -> (starting base root, parent, mirror sending the parent
+    to the vector), with parent and mirror None at a base root, in
+    breadth-first order.
     """
     c0_bound = rootset.window.M * rootset.delta0 + 2 * rootset.period
     n_bound = rootset.window.N + 2 * rootset.period
@@ -1091,5 +1068,9 @@ def witness_words(config: QebsConfig, rootset) -> dict:
     seeds = []
     for sym, _ in mirrors:
         seeds += [(sym.root(config), sym), (sym.negate().root(config), sym.negate())]
-    return {root_to_ambient(config, vec): val
-            for vec, val in closure(seeds, mirrors, keep).items()}
+    lift = {None: None}  # each parent is lifted before its children
+    tree = {}
+    for vec, (sym0, up, nu) in closure(seeds, mirrors, keep).items():
+        lift[vec] = root_to_ambient(config, vec)
+        tree[lift[vec]] = (sym0, lift[up], nu)
+    return tree

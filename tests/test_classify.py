@@ -1,11 +1,13 @@
 import pytest
 
-from erskit.ambient import DomainError
+from erskit.ambient import CheckError, DomainError
 from erskit.base_system import simple_config, validate_qebs
 from erskit.classify import (
     classify_rank1,
     classify_rank2,
+    classify_window,
     ears_data,
+    rank2_pairs,
     twist_4z,
 )
 from erskit.roots import RootWindow, generate
@@ -101,6 +103,21 @@ def test_rank2_rejects_non_adjacent():
     cfg = simple_config("D3(2)")
     with pytest.raises(DomainError):
         classify_rank2(cfg, 0, 2)
+
+
+def test_classify_window_grows_with_k():
+    # alpha_2* = alpha_2 + 4a needs marking bound 4; a fixed (3,3) window
+    # rejected A4(2) with k = (1,2,4) as too small for its generators
+    cfg = simple_config("A4(2)", k={0: 1, 1: 2, 2: 4})
+    assert validate_qebs(cfg).passed
+    assert (classify_window(cfg).M, classify_window(cfg).N) == (4, 4)
+    assert [classify_rank1(cfg, i).case for i in cfg.nodes] == ["i", "i", "i"]
+    assert classify_rank2(cfg, 0, 1).case == "iv"
+    # the pair (a1, a2) has k(a1) = 2 and meets the known marking -1 defect
+    assert (1, 2) in rank2_pairs(cfg)
+    with pytest.raises(CheckError, match="not at marking coordinate -1"):
+        classify_rank2(cfg, 1, 2)
+    assert classify_window(simple_config("G2(1)", k={0: 3, 1: 3, 2: 1})).N == 3
 
 
 def test_twist_4z_window_bijection():

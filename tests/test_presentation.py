@@ -14,11 +14,18 @@ from erskit.presentation import (
     emit_sr,
     emit_sr_sharp,
     emit_tsr,
-    x_coeff,
 )
 from erskit.quantum_torus import QRealization
 from erskit.unfold import Realization, root_to_ambient
 from conftest import SUITE_NAMES
+
+
+def x_coeff(config, mu, nu):
+    """Serre exponent for the ordered pair (mu, nu), from the integer keys
+    the emitters use."""
+    return presentation._x(config.space.cartan, presentation._key(config, mu),
+                           presentation._key(config, nu))
+
 
 # node 0 doubled (c = 2; odd with g = Z, even with 2Z+1) and unequal k: the
 # configs where a starred and a plain symbol pair with a factor != 1

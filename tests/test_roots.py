@@ -337,12 +337,13 @@ def test_mirror_matches_ambient_reflect(name, kwargs, valid):
     + [("G2(1)", {"k": {0: 3, 1: 3, 2: 1}}, RootWindow(1, 3))],
 )
 def test_member_beyond_kept_table(name, kwargs, window):
-    # a small window keeps a short level table; a wider window reaching two
-    # levels past it makes membership go through the level-period
-    # extrapolation, checked against the wider window's enumeration
+    # a small window detects its period on a level table out to level
+    # (M + 4 twist) delta0; a wider window reaching two levels past that
+    # table checks membership by level period against its enumeration
     cfg = simple_config(name, **kwargs)
     small = generate(cfg, window)
-    M = small._vkeep // small.delta0 + 2
+    kept = (window.M + 4 * cfg.space.type.twist) * small.delta0
+    M = kept // small.delta0 + 2
     inner = set(generate(cfg, RootWindow(M, 6)).inner)
 
     beyond = 0
@@ -352,5 +353,5 @@ def test_member_beyond_kept_table(name, kwargs, window):
                   tuple(3 * x for x in coords), c + (n + 1,)):
             if abs(v[0]) <= M * small.delta0 and abs(v[-1]) <= 6:
                 assert small.member(v) == (v in inner), v
-                beyond += abs(v[0]) > small._vkeep
+                beyond += abs(v[0]) > kept
     assert beyond

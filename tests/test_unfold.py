@@ -14,7 +14,7 @@ from erskit.ambient import CheckError, ConfigError, DomainError, build_ambient
 from erskit.base_system import EMPTY, GClass, QebsConfig, simple_config, validate_qebs
 from erskit.cyclo import Cyc, ONE, SQRT2
 from erskit.presentation import RelationSet, RootSym, b_all, emit_sr
-from erskit.roots import RootWindow, generate, mirror, root_of
+from erskit.roots import RootWindow, generate
 from erskit.unfold import (
     GradedAlgebra,
     HandyDatum,
@@ -560,15 +560,9 @@ def test_loop_bracket_shift_equivariant(name, kwargs):
 
 def _direct_transport(real, words):
     """transport_images over a whole words map, one aut_n per vector."""
-    cfg = real.config
     out = {}
-    for vec, (sym0, word) in words.items():
-        if not word:
-            out[vec] = real.image(sym0.ident)
-            continue
-        nu = word[-1]
-        up = root_to_ambient(cfg, mirror(cfg, nu.node, nu.star)(root_of(cfg, vec)))
-        out[vec] = aut_n(real, nu, out[up])
+    for vec, (sym0, up, nu) in words.items():
+        out[vec] = real.image(sym0.ident) if up is None else aut_n(real, nu, out[up])
     return out
 
 
@@ -793,17 +787,17 @@ def test_weight_map_rejects_bad_cartan_image(elem, match):
     ("A4(2)", {}),
 ])
 def test_witness_words_replay_through_ambient_reflections(name, kwargs):
-    # the integer reflection kernel against the Fraction AmbientSpace.reflect;
-    # each word extends one met earlier in the map, so one reflection each
+    # the integer reflection kernel against the Fraction AmbientSpace.reflect:
+    # every tree edge is one ambient reflection of a parent met earlier, and
+    # every seed is a base root
     cfg = simple_config(name, **kwargs)
     sp = cfg.space
     words = witness_words(cfg, generate(cfg, RootWindow(3, 3)))
-    replayed = {}
-    for vec, (sym0, word) in words.items():
-        if word:
-            prefix = replayed[(sym0, tuple(word[:-1]))]
-            cur = sp.reflect(root_to_ambient(cfg, word[-1].root(cfg)), prefix)
+    met = set()
+    for vec, (sym0, parent, nu) in words.items():
+        if parent is None:
+            assert nu is None and vec == root_to_ambient(cfg, sym0.root(cfg)), sym0
         else:
-            cur = root_to_ambient(cfg, sym0.root(cfg))
-        assert cur == vec, (sym0, word)
-        replayed[(sym0, tuple(word))] = cur
+            assert parent in met and words[parent][0] == sym0, vec
+            assert vec == sp.reflect(root_to_ambient(cfg, nu.root(cfg)), parent), vec
+        met.add(vec)

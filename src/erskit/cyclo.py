@@ -4,7 +4,8 @@ Elements are represented by 8 rational coordinates in the power basis
 1, z, ..., z^7 where z is a primitive 24th root of unity, reduced modulo
 the minimal polynomial x^8 - x^4 + 1.  They are stored as 8 integer
 numerators over one positive integer denominator, in lowest terms, so equal
-elements have equal storage and compare and hash as tuples.  An int or
+elements have equal storage and compare and hash as tuples, except that a
+rational element hashes as the int or Fraction it equals.  An int or
 Fraction operand scales or shifts the numerators directly, and a rational
 Cyc factor scales them too.  The field contains sqrt(-1) = z^6,
 sqrt(2) = z^3 + z^21 and every exp(pi*i/k) for k = 1, 2, 3, 4, which is
@@ -162,6 +163,9 @@ class Cyc:
                 and self.is_rational())
 
     def __hash__(self):
+        # a rational element equals, so hashes as, the Fraction of its value
+        if self.is_rational():
+            return hash(Fraction(self.num[0], self.den))
         return hash((self.num, self.den))
 
     def __bool__(self):

@@ -13,7 +13,7 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count
-from math import ceil, lcm
+from math import ceil, factorial, lcm
 
 from .ambient import CheckError, ConfigError, DomainError, Vec, cartan_symmetrizer
 from .base_system import Check, QebsConfig, Report
@@ -674,6 +674,7 @@ class Realization(RealizationBase):
         self.alg = build_graded(self.hd, height)
         self.kappa = None
         self._weights = None  # (alg.height, weight map) of loop_weight_dim
+        self._reflections: dict = {}  # nu.ident -> (e, f, sl2) of aut_n
         self.node_heights = _node_heights(config, self.hd.kvee)  # m_i of witness_height
 
     def _root_image(self, sym: RootSym) -> LoopElement:
@@ -827,23 +828,32 @@ def verify_pi(config: QebsConfig, relations=None) -> tuple[Report, Realization]:
 # reflection automorphisms
 # ---------------------------------------------------------------------------
 
+def _ad_power(x: LoopElement, term: LoopElement, n: int,
+              bound: int | None = None) -> LoopElement:
+    """[x, term] as the n-th power of ad x in a series or chain of `aut_n`.
+
+    Every term of x, a root-vector image or its square, moves the Ibar
+    height the same way, by at least one, and the algebra grows to hold
+    every nonzero term, so a nonzero (ad x)^n target has n <= 2 * height:
+    the default bound 2 * height + 2, read from the algebra at every power,
+    never cuts a series short, and a power past it raises ResourceError.
+    """
+    if n > (2 * x.alg.height + 2 if bound is None else bound):
+        raise ResourceError("ad is not nilpotent within the iteration bound")
+    return loop_bracket(x, term)
+
+
 def _exp_ad(x: LoopElement, target: LoopElement,
             bound: int | None = None) -> LoopElement:
-    """exp(ad x) applied to target, for x a root-vector image or its square.
-
-    Every term of such an x moves the Ibar height the same way, by at least
-    one, and the algebra grows to hold every nonzero term, so a nonzero
-    (ad x)^n target has n <= 2 * height: the default bound 2 * height + 2,
-    read from the algebra at every step, never cuts a series short.  Each
-    term is added in place to one sum with the factor 1/n!.
+    """exp(ad x) applied to target, one series of `aut_n`'s product for the
+    targets its sl2 closed form does not serve.  The powers come from
+    `_ad_power`, and each is added in place to one sum with factor 1/n!.
     """
     out = LoopElement(x.alg, dict(target.terms), target.v, target.w)
     term = target
     c = Fraction(1)
     for n in count(1):
-        if n > (2 * x.alg.height + 2 if bound is None else bound):
-            raise ResourceError("ad is not nilpotent within the iteration bound")
-        term = loop_bracket(x, term)
+        term = _ad_power(x, term, n, bound)
         if term.is_zero():
             return out
         c /= n
@@ -851,20 +861,73 @@ def _exp_ad(x: LoopElement, target: LoopElement,
         out.v = out.v + c * term.v
 
 
-def aut_n(real: Realization, nu: RootSym, target: LoopElement) -> LoopElement:
-    """The reflection automorphism attached to a base root, applied once."""
+def _reflection(real: Realization, nu: RootSym) -> tuple:
+    """(e, f, sl2), r_nu = exp(ad e) exp(ad f) exp(ad e), kept on real per
+    nu: e is the image of the positive one of +-nu and f minus that of the
+    negative one, or for an odd nu their squares scaled by 1/4.
+
+    sl2 tells whether (e, h, -f), h = [e, -f], is exactly an sl2 triple
+    whose h has every monomial at every loop power as an eigenvector:
+    [h, e] = 2e, [h, f] = -2f, and h has no w and only h and t keys at
+    loop power 0.
+    """
+    got = real._reflections.get(nu.ident)
+    if got is not None:
+        return got
     pos = real.image(nu.ident if nu.sign > 0 else nu.negate().ident)
     neg = real.image(nu.negate().ident if nu.sign > 0 else nu.ident)
     if nu.parity(real.config) == 0:
-        out = _exp_ad(pos, target)
-        out = _exp_ad(neg.scaled(-1), out)
-        return _exp_ad(pos, out)
-    quarter = Fraction(1, 4)
-    sq_pos = loop_bracket(pos, pos).scaled(quarter)
-    sq_neg = loop_bracket(neg, neg).scaled(quarter)
-    out = _exp_ad(sq_pos, target)
-    out = _exp_ad(sq_neg, out)
-    return _exp_ad(sq_pos, out)
+        e, f = pos, neg.scaled(-1)
+    else:
+        quarter = Fraction(1, 4)
+        e = loop_bracket(pos, pos).scaled(quarter)
+        f = loop_bracket(neg, neg).scaled(quarter)
+    h = loop_bracket(e, f.scaled(-1))
+    sl2 = (not h.w and all(k[0] in ("h", "t") and p == 0 for k, p in h.terms)
+           and loop_bracket(h, e) == e.scaled(2)
+           and loop_bracket(h, f) == f.scaled(-2))
+    got = real._reflections[nu.ident] = (e, f, sl2)
+    return got
+
+
+def _chain(x: LoopElement, term: LoopElement, n: int) -> LoopElement:
+    """(ad x)^N v / N! from term = (ad x)^n v, N the last power of ad x
+    that does not vanish on v; the powers come from `_ad_power`."""
+    while True:
+        step = _ad_power(x, term, n + 1)
+        if step.is_zero():
+            break
+        term, n = step, n + 1
+    if n == 0:
+        return LoopElement(term.alg, dict(term.terms), term.v, term.w)
+    return term.scaled(Fraction(1, factorial(n)))
+
+
+def aut_n(real: Realization, nu: RootSym, target: LoopElement) -> LoopElement:
+    """The reflection automorphism r_nu = exp(ad e) exp(ad f) exp(ad e) of a
+    base root (Kac, Infinite-Dimensional Lie Algebras, 3.8), applied once,
+    with (e, f) from `_reflection`.
+
+    Where (e, h, -f), h = [e, -f], is an sl2 triple, r_nu has a closed form
+    on a one-term target v (one monomial at one loop power, no v or w), an
+    h-eigenvector of weight k (Humphreys, Introduction to Lie Algebras and
+    Representation Theory, 7.2).  If [e, v] = 0 and (ad f)^m v is the last
+    nonzero power, then 0 = [e, (ad f)^(m+1) v] = -(m + 1)(k - m) (ad f)^m v
+    forces k = m, so v spans the sl2-module V(m), where the three series
+    give (ad f)^m v / m!.  If [f, v] = 0 and (ad e)^n v is the last nonzero
+    power, likewise k = -n and the image is (ad e)^n v / n!.  Either image
+    is exact, and the chains take their powers from `_ad_power`, under the
+    series' iteration bound.  Any other target, one in the middle of its
+    nu-string among them, takes the product of the three series.
+    """
+    e, f, sl2 = _reflection(real, nu)
+    if sl2 and len(target.terms) == 1 and not target.v and not target.w:
+        up = loop_bracket(e, target)
+        if up.is_zero():
+            return _chain(f, target, 0)
+        if loop_bracket(f, target).is_zero():
+            return _chain(e, up, 1)
+    return _exp_ad(e, _exp_ad(f, _exp_ad(e, target)))
 
 
 def transport_images(real: Realization, words: dict, targets=None) -> dict:
@@ -884,7 +947,9 @@ def transport_images(real: Realization, words: dict, targets=None) -> dict:
     sum, it never reads an operand's v, and root images have w = 0.  The
     one exception is a parent weight lam in Q nu, whose nu-string passes
     through weight 0, where the bracket adds to the central v; such a step
-    applies `aut_n` directly.
+    applies `aut_n` directly.  Either way `aut_n` applies its sl2 closed
+    form to each monomial that is an extremal vector of its nu-string, and
+    the product of its three series to any other target.
     """
     needed = None
     doubled = {}

@@ -80,6 +80,14 @@ def test_hash_consistency(a, b):
         assert hash(a) == hash(b)
 
 
+def test_rational_hash_matches_the_scalar_it_equals():
+    for q in (0, 1, -5, Fraction(1, 2), Fraction(-3, 7)):
+        c = Cyc.from_rational(q)
+        assert c == q and hash(c) == hash(q)
+    assert len({Cyc.from_rational(1), 1}) == 1
+    assert len({ONE, Fraction(1), 1}) == 1
+
+
 # -- an independent oracle: sympy's Q[x] modulo the 24th cyclotomic polynomial
 
 @pytest.fixture(scope="module")

@@ -45,6 +45,30 @@ def test_one_sparse_accumulator():
     assert not found, found
 
 
+def test_one_reflection_routine():
+    # unfold.aut_n is the one reflection routine: the series `_exp_ad` is
+    # named inside it alone, and aut_n and loop_bracket stay module-level
+    # functions, which perfbench/spans.py wraps by name
+    found, inside = [], 0
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        allowed = {id(node) for top in tree.body
+                   if path.name == "unfold.py" and isinstance(top, ast.FunctionDef)
+                   and top.name == "aut_n" for node in ast.walk(top)}
+        for node in ast.walk(tree):
+            name = node.id if isinstance(node, ast.Name) else \
+                node.attr if isinstance(node, ast.Attribute) else None
+            if name == "_exp_ad":
+                if id(node) in allowed:
+                    inside += 1
+                else:
+                    found.append(f"{path.name}:{node.lineno}")
+        if path.name == "unfold.py":
+            tops = {top.name for top in tree.body if isinstance(top, ast.FunctionDef)}
+            assert {"aut_n", "loop_bracket", "_exp_ad"} <= tops
+    assert inside and not found, found
+
+
 def test_src_imports_stdlib_and_click_only():
     # erskit runs on the standard library and click alone, and every
     # third-party module it imports is a declared dependency

@@ -21,10 +21,12 @@ from erskit.unfold import (
     LoopElement,
     Realization,
     ResourceError,
+    _ad_power,
     _exp_ad,
     _ibar_height,
     _image_heights,
     _node_heights,
+    _reflection,
     _transport_step,
     aut_n,
     build_graded,
@@ -109,6 +111,30 @@ def test_graded_dims_match_rank2_root_systems():
     assert g2.dims() == {
         (1, 0): 1, (0, 1): 1, (1, 1): 1, (1, 2): 1, (1, 3): 1, (2, 3): 1,
     }
+
+
+# (family, j): j in {1, 2} on eleven plain families, and j = 3 for the
+# r | j branch of D4(3)
+NULL_ROOT_CASES = [(name, j) for name in (
+    "A2(1)", "C2(1)", "G2(1)", "B3(1)", "D4(1)", "F4(1)",
+    "A4(2)", "D3(2)", "A5(2)", "D4(3)", "E6(2)") for j in (1, 2)] + [("D4(3)", 3)]
+
+
+@pytest.mark.parametrize("name, j", NULL_ROOT_CASES)
+def test_null_root_multiplicity_matches_kac(name, j):
+    # Kac, Infinite-Dimensional Lie Algebras, Cor. 8.3: for X_N^(r) with l
+    # the rank of the affine diagram minus one, mult(j delta) = l if r = 1,
+    # for A_2l^(2), or if r | j, and (N - l) / (r - 1) otherwise
+    letter, N, r = name[0], int(name[1:name.index("(")]), int(name[-2])
+    cfg = simple_config(name)
+    marks = cfg.space.delta_marks()
+    l = cfg.space.n_nodes - 1
+    hd = build_handy(cfg)
+    alg = build_graded(hd, j * sum(marks))
+    wt = tuple(j * marks[node] for node, _ in hd.ibar)
+    want = l if r == 1 or (letter == "A" and N == 2 * l) or j % r == 0 \
+        else (N - l) // (r - 1)
+    assert alg.dims().get(wt, 0) == want
 
 
 def test_graded_cap_raises_resource_error(monkeypatch):
@@ -442,9 +468,9 @@ def test_transport_does_not_grow_on_nilpotence_error(monkeypatch):
     monkeypatch.setenv("ERSKIT_MAX_MEM",
                        str(4 * Realization(cfg, h).alg._size))
     real = Realization(cfg, h)
-    short = _exp_ad
-    monkeypatch.setattr(erskit.unfold, "_exp_ad",
-                        lambda x, target, bound=None: short(x, target, 1))
+    short = _ad_power
+    monkeypatch.setattr(erskit.unfold, "_ad_power",
+                        lambda x, term, n, bound=None: short(x, term, n, 1))
     with pytest.raises(ResourceError, match="iteration bound"):
         transport_images(real, words, targets=vectors)
 
@@ -607,6 +633,75 @@ def test_transport_cache_matches_aut_n(name, kwargs):
             assert list(got.terms.items()) == list(want.terms.items())
             assert (got.v, got.w) == (want.v, want.w)
         assert bool(want.v) == nu.star
+
+
+def _product(real, nu, target):
+    """r_nu as the product exp(ad e) exp(ad f) exp(ad e) of three series,
+    with e and f built here from the generator images."""
+    pos = real.image(nu.ident)
+    neg = real.image(nu.negate().ident)
+    if nu.parity(real.config):
+        e = loop_bracket(pos, pos).scaled(Fraction(1, 4))
+        f = loop_bracket(neg, neg).scaled(Fraction(1, 4))
+    else:
+        e, f = pos, neg.scaled(-1)
+    return _exp_ad(e, _exp_ad(f, _exp_ad(e, target)))
+
+
+def _assert_aut_n_is_the_product(real, nus, monkeypatch):
+    """aut_n against `_product` on every built key at loop powers 0 and +-1,
+    in terms, coefficient types, v and w; returns how many targets aut_n
+    sent through its own product."""
+    alg = real.alg
+    keys = [(kind, i) for kind in ("h", "t") for i in range(alg.n)]
+    keys += [(sgn, wt, idx) for wt, basis in sorted(alg.basis.items())
+             for idx in range(len(basis)) for sgn in ("+", "-")]
+    series = []
+    inner = erskit.unfold._exp_ad
+    monkeypatch.setattr(erskit.unfold, "_exp_ad",
+                        lambda x, target: series.append(x) or inner(x, target))
+    products = 0
+    for nu in nus:
+        for key in keys:
+            for power in (-1, 0, 1):
+                target = loop_term(alg, {key: ONE}, power)
+                got = aut_n(real, nu, target)
+                products += bool(series)
+                series.clear()
+                want = _product(real, nu, target)
+                assert got.terms == want.terms, (nu, key, power)
+                assert ([type(c) for c in got.terms.values()]
+                        == [type(want.terms[k]) for k in got.terms]), (nu, key, power)
+                assert (got.v, got.w) == (want.v, want.w), (nu, key, power)
+    return products, len(nus) * len(keys) * 3
+
+
+@pytest.mark.parametrize("name, kwargs", [(name, {}) for name in SMALL_SUITE_NAMES] + [
+    ("D3(2)", {"g": {0: "Z"}}),
+    ("D3(2)", {"g": {0: "2Z+1"}}),
+    ("C2(1)", {"g": {1: "2Z+1"}}),
+], ids=SMALL_SUITE_NAMES + ["D3(2)-Z", "D3(2)-2Z+1", "C2(1)-2Z+1"])
+def test_aut_n_closed_form_is_the_product(name, kwargs, monkeypatch):
+    # the sl2 closed form on extremal vectors against the three series
+    cfg = simple_config(name, **kwargs)
+    real = Realization(cfg, 3)
+    nus = [sym for sym in b_all(cfg) if sym.sign > 0]
+    products, targets = _assert_aut_n_is_the_product(real, nus, monkeypatch)
+    # every triple checks out, and both paths of aut_n ran
+    assert all(_reflection(real, nu)[2] for nu in nus)
+    assert 0 < products < targets
+
+
+def test_aut_n_rejects_a_scaled_image(monkeypatch):
+    # E_nu scaled by 2 breaks [h, e] = 2e: the triple check rejects nu, and
+    # every target takes the product, which stays the reference
+    cfg = simple_config("A2(1)")
+    real = Realization(cfg, 3)
+    nu = RootSym(1, False, 1)
+    real._images[nu.ident] = real.image(nu.ident).scaled(2)
+    assert not _reflection(real, nu)[2]
+    products, targets = _assert_aut_n_is_the_product(real, [nu], monkeypatch)
+    assert products == targets
 
 
 def _scalar(x):

@@ -452,6 +452,9 @@ def _uses_only(word: LieWord, allowed: set[str]) -> bool:
 class RealizationBase:
     """Generator images in a model of L, cached by ident, and the values of
     bracket trees and words on them; h:a_i and h:a come from root images.
+    Each distinct tree is evaluated once per realization: its value is kept
+    on the instance, shared by every word that contains the tree, and never
+    mutated.
 
     A model supplies _root_image(sym), _cartan_image("Ld" or "La"),
     _bracket, _zero, _coeff (the identity here) and nonzero_witness ("" for
@@ -460,6 +463,7 @@ class RealizationBase:
     def __init__(self, config: QebsConfig):
         self.config = config
         self._images: dict[str, object] = {}
+        self._values: dict[tuple, object] = {}  # frozen tree -> its value
 
     def image(self, ident: str):
         if ident not in self._images:
@@ -495,17 +499,30 @@ class RealizationBase:
         return c
 
     def evaluate(self, tree: Tree):
+        """The value of tree, shared with every caller: never mutate it."""
         if isinstance(tree, str):
             return self.image(tree)
-        left, right = tree
-        return self._bracket(self.evaluate(left), self.evaluate(right))
+        key = _freeze(tree)
+        if key not in self._values:
+            left, right = key
+            self._values[key] = self._bracket(self.evaluate(left),
+                                              self.evaluate(right))
+        return self._values[key]
 
     def evaluate_word(self, word: LieWord):
+        """A fresh element: the sum of the word's monomials, each tree
+        evaluated once per realization and a coefficient equal to 1 added
+        without a product."""
         out = self._zero()
         for coeff, tree in word.monomials:
-            c = self._coeff(coeff)
-            out = out.plus(self.evaluate(tree).scaled(c))
+            value = self.evaluate(tree)
+            out = out.plus(value if coeff == 1 else value.scaled(self._coeff(coeff)))
         return out
+
+
+def _freeze(tree: Tree):
+    """tree with its lists as tuples, so that it can key a dict."""
+    return tree if isinstance(tree, str) else (_freeze(tree[0]), _freeze(tree[1]))
 
 
 def substitute(real: RealizationBase, rels: RelationSet,

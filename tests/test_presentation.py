@@ -6,7 +6,9 @@ import pytest
 from erskit import presentation
 from erskit.ambient import CheckError, ConfigError, DomainError
 from erskit.base_system import simple_config
+from erskit.cyclo import SQRT2
 from erskit.presentation import (
+    LieWord,
     RootSym,
     b_all,
     b_plus,
@@ -15,9 +17,15 @@ from erskit.presentation import (
     emit_sr_sharp,
     emit_tsr,
 )
-from erskit.quantum_torus import QRealization
-from erskit.unfold import Realization, root_to_ambient
-from conftest import SUITE_NAMES
+from erskit.quantum_torus import HatElement, QRealization, hat_bracket
+from erskit.unfold import (
+    Realization,
+    loop_bracket,
+    loop_zero,
+    required_height,
+    root_to_ambient,
+)
+from conftest import SMALL_SUITE_NAMES, SUITE_NAMES
 
 
 def x_coeff(config, mu, nu):
@@ -263,3 +271,86 @@ def test_relation_json_deterministic():
     assert emit_sr(cfg).to_json() == emit_sr(cfg).to_json()
     payload = json.loads(emit_tsr(cfg).to_json())
     assert isinstance(payload, list) and payload
+
+
+# ---------------------------------------------------------------------------
+# substitution against a plain recursion
+# ---------------------------------------------------------------------------
+
+def _plain_value(real, bracket, tree):
+    """The value of tree by plain recursion over the generator images."""
+    if isinstance(tree, str):
+        return real.image(tree)
+    return bracket(_plain_value(real, bracket, tree[0]),
+                   _plain_value(real, bracket, tree[1]))
+
+
+def _assert_matches_plain(real, bracket, zero, coeff, parts):
+    """evaluate_word on every emitted word equals the plain sum: each
+    monomial's plain value scaled by coeff of its coefficient, 1 included.
+    evaluate equals the plain recursion on every subtree s of the words, and
+    on [s, s with each root generator negated]: a whole relation word is 0,
+    which can hide a wrong inner value that this pairing shows.  Returns
+    the distinct subtrees."""
+    subtrees = {}
+    for rels in (emit_sr(real.config), emit_sr_sharp(real.config),
+                 emit_tsr(real.config)):
+        for label, word in rels.label_words:
+            want = zero
+            for c, tree in word.monomials:
+                want = want.plus(_plain_value(real, bracket, tree).scaled(coeff(c)))
+                subtrees.update((repr(sub), sub) for sub in _subtrees(tree))
+            got = real.evaluate_word(word)
+            assert parts(got) == parts(want), label
+            # a fresh element, not a stored value
+            assert got is not real.evaluate(word.monomials[0][1])
+    subtrees = list(subtrees.values())
+    for tree in subtrees + [[sub, _opposite(sub)] for sub in subtrees]:
+        assert parts(real.evaluate(tree)) == parts(_plain_value(real, bracket, tree)), tree
+    return subtrees
+
+
+def _subtrees(tree):
+    if isinstance(tree, str):
+        return []
+    return [tree, *_subtrees(tree[0]), *_subtrees(tree[1])]
+
+
+def _opposite(tree):
+    if isinstance(tree, str):
+        return tree if tree.startswith("h:") else RootSym.parse(tree).negate().ident
+    return [_opposite(tree[0]), _opposite(tree[1])]
+
+
+def _loop_parts(x):
+    return x.terms, x.v, x.w
+
+
+@pytest.mark.parametrize("name, kwargs", [(name, {}) for name in SMALL_SUITE_NAMES] + [
+    ("D3(2)", {"g": {0: "Z"}}),
+    ("D3(2)", {"g": {0: "2Z+1"}}),
+    ("C2(1)", {"g": {1: "Z"}}),
+], ids=SMALL_SUITE_NAMES + ["D3(2)-Z", "D3(2)-2Z+1", "C2(1)-Z"])
+def test_loop_substitution_matches_plain_recursion(name, kwargs):
+    cfg = simple_config(name, **kwargs)
+    height = max(required_height(cfg, rels)
+                 for rels in (emit_sr(cfg), emit_sr_sharp(cfg), emit_tsr(cfg)))
+    real = Realization(cfg, height)
+    trees = _assert_matches_plain(real, loop_bracket, loop_zero(real.alg),
+                                  lambda c: c, _loop_parts)
+    first = [_loop_parts(real.evaluate(t)) for t in trees]
+    assert [_loop_parts(real.evaluate(t)) for t in trees] == first
+    # a taller algebra gives every tree the value it had
+    real.alg.extend(real.alg.height + 1)
+    assert [_loop_parts(_plain_value(real, loop_bracket, t)) for t in trees] == first
+    assert [_loop_parts(real.evaluate(t)) for t in trees] == first
+
+
+@pytest.mark.parametrize("name", ["A2(1)", "A3(1)"])
+def test_q_substitution_matches_plain_recursion(name):
+    real = QRealization(simple_config(name))
+    _assert_matches_plain(real, hat_bracket, HatElement(real.size),
+                          lambda c: c.rational_value(), HatElement.parts)
+    # a coefficient other than 1 still goes through the rational check
+    with pytest.raises(DomainError, match="non-rational"):
+        real.evaluate_word(LieWord([(SQRT2, ["E:+a1", "E:+a2"])], 0))

@@ -5,7 +5,8 @@ import pytest
 from erskit import quantum_torus
 from erskit.ambient import DomainError
 from erskit.base_system import simple_config
-from erskit.presentation import RootSym, emit_sr
+from erskit.exact import acc, solve
+from erskit.presentation import RootSym, b_all, emit_sr
 from erskit.quantum_torus import (
     HatElement,
     QRealization,
@@ -96,6 +97,22 @@ def test_structure_suite_catches_broken_cocycle(monkeypatch, mutate):
     assert "form-invariance" in [e.label for e in rep.failures()]
 
 
+def test_structure_suite_catches_a_non_derivation(monkeypatch):
+    # d1 acting by x1 + 1 keeps the bracket antisymmetric, but is no
+    # derivation: [d1, [x, y]] gains 1 where [[d1, x], y] + [x, [d1, y]]
+    # gains 2, which the reduced Jacobi check must still see
+    def broken(out, d1, d2, mat, sign):
+        for axis, d in enumerate((d1, d2)):
+            for g, c in d.items():
+                acc(out, {(x1, x2, i, j, e + g): ((x1, x2)[axis] + 1 - axis) * v
+                          for (x1, x2, i, j, e), v in mat.items()}, sign * c)
+
+    monkeypatch.setattr(quantum_torus, "_derive", broken)
+    rep = structure_suite()
+    failed = [e.label for e in rep.failures()]
+    assert "jacobi" in failed and "antisymmetry" not in failed
+
+
 def test_untwisted_a_gate():
     assert is_untwisted_a(simple_config("A2(1)"))
     assert not is_untwisted_a(simple_config("D3(2)"))
@@ -134,6 +151,44 @@ def test_relation_labels_and_verdicts_match_loop_model(name):
     assert [(e.label, e.ok) for e in rep.entries if e.label in loop] == [
         (lbl, loop[lbl]) for lbl in kept
     ]
+
+
+def _leaves(tree):
+    return [tree] if isinstance(tree, str) else _leaves(tree[0]) + _leaves(tree[1])
+
+
+@pytest.mark.parametrize("name", ["A2(1)", "A3(1)"])
+def test_no_rescaling_of_the_images_holds_sr6_sr7_at_formal_q(name):
+    # E_mu -> q^(n_mu) E_mu multiplies a monomial by q to the sum of n over
+    # its leaves, so an SR6/SR7 word can vanish at formal q only when both
+    # monomials then reach the same power of q.  The q factor of the edge
+    # (0, l) cannot be absorbed around the cycle of the diagram: no
+    # rational n solves the system, while at q = 1 (every power 0) n = 0
+    # does, and without the four q-modified instances some n does
+    cfg = simple_config(name)
+    real = QRealization(cfg)
+    idents = [sym.ident for sym in b_all(cfg)]
+    rows, rhs, modified = [], [], []
+    for label, word in emit_sr(cfg).label_words:
+        if not label.startswith(("SR6[", "SR7[")):
+            continue
+        row, diff = [0] * len(idents), 0
+        assert len(word.monomials) == 2
+        for (_, tree), side in zip(word.monomials, (1, -1)):
+            value = real.evaluate(tree)
+            powers = {key[4] for key in value.mat}
+            assert len(powers) == 1 and not any(value.parts()[1:]), label
+            diff += side * powers.pop()
+            for leaf in _leaves(tree):
+                row[idents.index(leaf)] += side
+        rows.append(row)
+        rhs.append(-diff)
+        modified.append(quantum_torus._is_q_modified(cfg, label))
+    assert modified.count(True) == 4
+    assert solve(rows, rhs) is None
+    assert solve(rows, [0] * len(rows)) == [0] * len(idents)
+    kept = [n for n, m in enumerate(modified) if not m]
+    assert solve([rows[n] for n in kept], [rhs[n] for n in kept]) is not None
 
 
 def test_dropped_q_factor_breaks_qsr7():

@@ -309,3 +309,18 @@ def test_only_the_image_table_reads_g_classes_in_unfold():
                    for node in ast.walk(func)):
                 readers.add(name)
     assert readers == {"k_vee", "build_handy", "_ad3_pair", "_image_terms"}, sorted(readers)
+
+
+def test_one_substitution_path():
+    # RealizationBase evaluates trees and words for every model, through its
+    # per-realization memo; a model supplies brackets, not a second path
+    defined = {}
+    for name in ("presentation.py", "unfold.py", "quantum_torus.py"):
+        tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
+        for top in tree.body:
+            if isinstance(top, ast.ClassDef):
+                defined[top.name] = {f.name for f in top.body
+                                     if isinstance(f, ast.FunctionDef)}
+    assert {"evaluate", "evaluate_word"} <= defined["RealizationBase"]
+    for model in ("Realization", "QRealization"):
+        assert not {"evaluate", "evaluate_word"} & defined[model], model

@@ -24,6 +24,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 from . import exact
 from .ambient import CheckError, ConfigError, DomainError
@@ -158,6 +159,10 @@ class EllipticRootSet:
     alpha-part c; scaled by delta0 it is an integer vector.  The real parts
     repeat along the level with `period`, so one period of levels decides
     membership at every level.
+
+    `inner` maps each window root to its class's annotation (orbit_key, k,
+    g, doubled), one dict per orbit class and real/doubled kind, shared by
+    every root of that kind: never mutate it.
     """
 
     def __init__(self, config: QebsConfig, window: RootWindow, validate: bool = True):
@@ -232,19 +237,26 @@ class EllipticRootSet:
         return self._class_at(self._fin_key(c), c[0])
 
     def _enumerate_inner(self, levels: dict):
-        # in the level table's order, which SER3's early stop relies on
+        # in the level table's order, which SER3's early stop relies on; a
+        # root met as real, then as doubled, gets a dict of its own
         M, N = self.window.M, self.window.N
+        inner = self.inner
+        kinds = [[{"orbit_key": key, "k": cls.k, "g": cls.g.tag, "doubled": doubled}
+                  for key, doubled in ((cls.key, False), (4 * cls.key, True))]
+                 for cls in self.classes]
         for (phi, nu), lab in levels.items():
             cls = self.classes[lab]
+            real, twice = kinds[lab]
             c = self._alpha_part(phi, nu)
             if abs(nu) <= M * self.delta0:
                 for n in real_progression(cls).window(N):
-                    self._add_root(c, n, cls, cls.key, doubled=False)
+                    inner.setdefault(c + (n,), real)
             if not cls.g.is_empty and abs(2 * nu) <= M * self.delta0:
                 c2 = tuple(2 * x for x in c)
-                key2 = 4 * cls.key
                 for n in doubled_progression(cls).window(N):
-                    self._add_root(c2, n, cls, key2, doubled=True)
+                    ann = inner.setdefault(c2 + (n,), twice)
+                    if not ann["doubled"]:
+                        inner[c2 + (n,)] = {**ann, "doubled": True}
 
     def _alpha_part(self, phi, nu) -> APart:
         """The alpha-part with finite key phi at level nu."""
@@ -255,20 +267,6 @@ class EllipticRootSet:
                 raise DomainError(f"key {phi} has no integral alpha-part at level {nu}")
             out.append(x)
         return tuple(out)
-
-    def _add_root(self, c: APart, n: int, cls: OrbitClass, key: int, doubled: bool):
-        coords = c + (n,)
-        entry = self.inner.get(coords)
-        if entry is None:
-            entry = {
-                "orbit_key": key,
-                "k": cls.k,
-                "g": cls.g.tag,
-                "doubled": doubled,
-            }
-            self.inner[coords] = entry
-        else:
-            entry["doubled"] = entry["doubled"] or doubled
 
     def _assert_fixpoint(self):
         """One more reflection pass must add nothing inside the window: the
@@ -475,8 +473,8 @@ def check_ebs(rootset: EllipticRootSet) -> Report:
     # all pairings on the integer finite parts: rows = phi S, gram = rows phi^T
     n_nodes = sp.n_nodes
     cols = list(zip(*(row[1:] for row in sp.sym[1:])))
-    rows = [[sum(p * s for p, s in zip(g.phi, col)) for col in cols] for g in groups]
-    gram = [[sum(r * p for r, p in zip(row, g.phi)) for g in groups] for row in rows]
+    rows = [[sum(map(mul, g.phi, col)) for col in cols] for g in groups]
+    gram = [[sum(map(mul, row, g.phi)) for g in groups] for row in rows]
     norms = [row[i] for i, row in enumerate(gram)]
 
     ok1 = all(nb > 0 for nb in norms)

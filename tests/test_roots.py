@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 from hashlib import sha256
@@ -5,15 +6,19 @@ from hashlib import sha256
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from erskit import exact
 from erskit.ambient import CheckError, ConfigError
 from erskit.base_system import simple_config
 from erskit.presentation import b_all
 from erskit.roots import (
+    EllipticRootSet,
     RootWindow,
     _connected,
     check_ebs,
+    doubled_progression,
     generate,
     mirror,
+    real_progression,
     reflection_closure_oracle,
 )
 from erskit.unfold import root_to_ambient
@@ -112,6 +117,130 @@ def test_oracle_equality_with_doubling(kwargs):
     window = RootWindow(3, 3, 2)
     rs = generate(cfg, window)
     assert set(rs.inner) == reflection_closure_oracle(cfg, window)
+
+
+def per_root_inner(rs, levels):
+    """Reference for `EllipticRootSet._enumerate_inner`: a fresh annotation
+    dict per root, with doubled OR-ed into the first one met."""
+    M, N = rs.window.M, rs.window.N
+    inner = {}
+
+    def add(coords, cls, key, doubled):
+        entry = inner.get(coords)
+        if entry is None:
+            inner[coords] = {"orbit_key": key, "k": cls.k, "g": cls.g.tag,
+                             "doubled": doubled}
+        else:
+            entry["doubled"] = entry["doubled"] or doubled
+
+    for (phi, nu), lab in levels.items():
+        cls = rs.classes[lab]
+        c = rs._alpha_part(phi, nu)
+        if abs(nu) <= M * rs.delta0:
+            for n in real_progression(cls).window(N):
+                add(c + (n,), cls, cls.key, False)
+        if not cls.g.is_empty and abs(2 * nu) <= M * rs.delta0:
+            c2 = tuple(2 * x for x in c)
+            for n in doubled_progression(cls).window(N):
+                add(c2 + (n,), cls, 4 * cls.key, True)
+    return inner
+
+
+def generate_with_levels(monkeypatch, cfg, window, validate=True):
+    """generate(), plus the level table its enumeration read."""
+    seen = []
+    enumerate_inner = EllipticRootSet._enumerate_inner
+
+    def spy(self, levels):
+        seen.append(levels)
+        enumerate_inner(self, levels)
+
+    with monkeypatch.context() as m:
+        m.setattr(EllipticRootSet, "_enumerate_inner", spy)
+        rs = generate(cfg, window, validate=validate)
+    return rs, seen[0]
+
+
+@pytest.mark.parametrize(
+    "name, kwargs, valid",
+    [(name, {}, True) for name in SUITE_NAMES]
+    + [("D3(2)", {"g": {0: tag}}, True) for tag in ("Z", "2Z+1")]
+    + [(name, kwargs, False) for name, kwargs in KG_MUTANTS],
+)
+def test_enumeration_matches_per_root_reference(name, kwargs, valid, monkeypatch):
+    # one shared annotation per (orbit class, real/doubled) kind gives the
+    # per-root reference's keys, order and values, and no view or check
+    # writes to a shared annotation
+    cfg = simple_config(name, **kwargs)
+    for window in (RootWindow(6, 6, 2), RootWindow(4, 4), RootWindow(3, 5)):
+        rs, levels = generate_with_levels(monkeypatch, cfg, window, validate=valid)
+        ref = per_root_inner(rs, levels)
+        assert list(rs.inner) == list(ref)
+        assert list(rs.inner.values()) == list(ref.values())
+        assert len({id(ann) for ann in rs.inner.values()}) <= 2 * len(rs.classes)
+        before = copy.deepcopy(list(rs.inner.values()))
+        rs.to_json_entries()
+        rs.restrict({0, 1})
+        rs.sorted_roots()
+        check_ebs(rs)
+        assert list(rs.inner.values()) == before
+
+
+@pytest.mark.parametrize("real_first", [True, False])
+def test_root_met_as_real_and_as_doubled(real_first):
+    # no config reaches a root met first as real, then as doubled; this
+    # hand-made level table does: 2*alpha_0 as a real part of the class of
+    # a1, and alpha_0, whose class a0 doubles on 2Z+1
+    cfg = simple_config("D3(2)", g={0: "2Z+1"})
+    rs = generate(cfg, RootWindow(3, 3))
+    a0, a1 = rs.classes[0], rs.classes[1]
+    rows = [((rs._fin_key((2, 0, 0)), 2), 1), ((rs._fin_key((1, 0, 0)), 1), 0)]
+    levels = dict(rows if real_first else rows[::-1])
+    rs.inner = {}
+    rs._enumerate_inner(levels)
+    assert list(rs.inner.items()) == list(per_root_inner(rs, levels).items())
+
+    doubled = {(2, 0, 0, n): rs.inner[(2, 0, 0, n)] for n in (-3, -1, 1, 3)}
+    if real_first:
+        # the first class's key, k and g, with doubled set, in fresh dicts
+        first = {"orbit_key": a1.key, "k": a1.k, "g": a1.g.tag}
+        assert all(ann == {**first, "doubled": True} for ann in doubled.values())
+        assert len({id(ann) for ann in doubled.values()}) == 4
+        shared = {id(rs.inner[(2, 0, 0, n)]) for n in (-2, 0, 2)}
+        assert len(shared) == 1 and shared.isdisjoint(map(id, doubled.values()))
+        assert rs.inner[(2, 0, 0, 0)] == {**first, "doubled": False}
+    else:
+        # the doubled annotation of a0 is kept, shared and untouched
+        assert len({id(ann) for ann in doubled.values()}) == 1
+        assert doubled[(2, 0, 0, 1)] == {"orbit_key": 4 * a0.key, "k": a0.k,
+                                         "g": a0.g.tag, "doubled": True}
+    assert rs.inner[(1, 0, 0, 0)] == {"orbit_key": a0.key, "k": a0.k,
+                                      "g": a0.g.tag, "doubled": False}
+
+
+# rows of `inner` that SER3's early-stopping rank reads at window (6,6,2)
+SER3_ROWS_READ = {"E8(1)": 105, "E7(1)": 92, "F4(1)": 183, "D3(2)": 53}
+
+
+@pytest.mark.parametrize("name", sorted(SER3_ROWS_READ))
+def test_ser3_rank_stops_early_in_inner_order(name, ebs_runs, monkeypatch):
+    # SER3 reads `inner` in its level-table order until it finds full rank;
+    # in sorted order E8(1) would read 3,121 rows.  A change to the order of
+    # the enumeration must show here, not only in the lattice benchmark
+    (rs, _), _ = ebs_runs[name]
+    read = []
+    rank = exact.rank
+
+    def counted(rows, stop=None):
+        def rows_read():
+            for row in rows:
+                read.append(row)
+                yield row
+        return rank(rows_read(), stop)
+
+    monkeypatch.setattr(exact, "rank", counted)
+    assert check_ebs(rs).passed
+    assert len(read) == SER3_ROWS_READ[name]
 
 
 def test_window_symmetry_and_membership():

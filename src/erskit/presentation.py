@@ -115,25 +115,18 @@ def _key(config: QebsConfig, sym: RootSym) -> tuple[int, int, int]:
 
 class _BTable:
     """B = {+-alpha_i, +-alpha_i^*} on integers, built once per public emit
-    call and passed down: the key of every symbol and, by ident, its
-    parity."""
+    call and passed down: the key of every symbol, by ident its parity, and
+    sr5, which maps each ordered pair of B' (mu != nu, mu + nu != 0) whose
+    Serre exponent is nonzero to that exponent, in the order of B x B."""
 
     def __init__(self, config: QebsConfig):
         self.config = config
         self.key = {m: _key(config, m) for m in b_all(config)}
         self.parity = {m.ident: m.parity(config) for m in self.key}
-
-    def x(self, mu: RootSym, nu: RootSym) -> int:
-        return _x(self.config.space.cartan, self.key[mu], self.key[nu])
-
-    def b_prime(self):
-        """The ordered pairs of B with mu != nu and mu + nu != 0."""
-        return [
-            (mu, nu)
-            for mu, kmu in self.key.items()
-            for nu, knu in self.key.items()
-            if _in_b_prime(kmu, knu)
-        ]
+        cartan = config.space.cartan
+        self.sr5 = {(mu, nu): x for mu, kmu in self.key.items()
+                    for nu, knu in self.key.items()
+                    if _in_b_prime(kmu, knu) and (x := _x(cartan, kmu, knu))}
 
 
 def _in_b_prime(kmu: tuple, knu: tuple) -> bool:
@@ -199,12 +192,12 @@ def emit_sr(config: QebsConfig) -> RelationSet:
     """SR2 through SR9 fully instantiated; SR1/SR3 run over the l+4 basis
     Cartan generators."""
     table = _BTable(config)
-    return _emit_sr(table, table.b_prime(), "SR5")
+    return _emit_sr(table, table.sr5, "SR5")
 
 
 def _emit_sr(table: _BTable, pairs, tag: str) -> RelationSet:
-    """The SR relations with the SR5 family over `pairs`, labelled `tag`
-    (the sharp set narrows it)."""
+    """The SR relations with the SR5 family over those of `pairs` that
+    table.sr5 holds, labelled `tag` (the sharp set narrows it)."""
     config = table.config
     sp = config.space
     rels = RelationSet()
@@ -239,8 +232,8 @@ def _emit_sr(table: _BTable, pairs, tag: str) -> RelationSet:
         rels.add(f"SR4[{mu.ident}]", _word(table, mons))
 
     for mu, nu in pairs:
-        x = table.x(mu, nu)
-        if x == 0:
+        x = table.sr5.get((mu, nu))
+        if x is None:
             continue
         rels.add(
             f"{tag}[{mu.ident},{nu.ident};x={x}]",
@@ -279,7 +272,11 @@ def _emit_sr(table: _BTable, pairs, tag: str) -> RelationSet:
 # ---------------------------------------------------------------------------
 
 def sharp_sets(config: QebsConfig):
-    table = _BTable(config)
+    """(pi_pairs, ordered): the node pairs (i, j) that seed the sharp set,
+    and the SR5' pairs, every sign variant of a seed, sorted by ident.  Each
+    lies in B': keys of distinct nodes differ in the node, and those of
+    alpha_i and alpha_i^* in the a-coefficient (k_i >= 1), so no two are
+    equal or opposite.  A pair of exponent 0 is left for _emit_sr to skip."""
     cartan = config.space.cartan
     pi_pairs = []
     for i in config.nodes:
@@ -296,33 +293,19 @@ def sharp_sets(config: QebsConfig):
 
     seeds = set()
     for i, j in pi_pairs:
-        seeds.update(
-            {
-                (RootSym(i, False, 1), RootSym(j, False, 1)),
-                (RootSym(j, False, 1), RootSym(i, False, 1)),
-                (RootSym(i, True, 1), RootSym(j, False, 1)),
-                (RootSym(j, False, 1), RootSym(i, True, 1)),
-                (RootSym(i, False, 1), RootSym(j, True, 1)),
-            }
-        )
+        a, a_star = RootSym(i, False, 1), RootSym(i, True, 1)
+        b, b_star = RootSym(j, False, 1), RootSym(j, True, 1)
+        seeds |= {(a, b), (b, a), (a_star, b), (b, a_star), (a, b_star)}
     for i in config.nodes:
-        seeds.add((RootSym(i, False, 1), RootSym(i, True, 1)))
-        seeds.add((RootSym(i, True, 1), RootSym(i, False, 1)))
+        a, a_star = RootSym(i, False, 1), RootSym(i, True, 1)
+        seeds |= {(a, a_star), (a_star, a)}
 
-    b_prime = table.b_prime()
-    in_b_prime = set(b_prime)
-    pairs = set()
-    for mu, nu in seeds:
-        for s1 in (1, -1):
-            for s2 in (1, -1):
-                cand = (RootSym(mu.node, mu.star, s1 * mu.sign),
-                        RootSym(nu.node, nu.star, s2 * nu.sign))
-                if cand in in_b_prime:
-                    pairs.add(cand)
-    # J(mu, nu) = 0 exactly when a_ij = 0
-    pairs.update(
-        (mu, nu) for mu, nu in b_prime if cartan[mu.node][nu.node] == 0
-    )
+    pairs = {
+        (RootSym(mu.node, mu.star, s1), RootSym(nu.node, nu.star, s2))
+        for mu, nu in seeds
+        for s1 in (1, -1)
+        for s2 in (1, -1)
+    }
     ordered = sorted(pairs, key=lambda p: (p[0].ident, p[1].ident))
     return pi_pairs, ordered
 
@@ -334,8 +317,7 @@ def emit_sr_sharp(config: QebsConfig) -> RelationSet:
 def _emit_sr_sharp(table: _BTable) -> RelationSet:
     _, pairs = sharp_sets(table.config)
     rels = _emit_sr(table, pairs, "SR5'")
-    full = sum(1 for mu, nu in table.b_prime() if table.x(mu, nu))
-    if rels.count("SR5'") > full:
+    if rels.count("SR5'") > len(table.sr5):
         raise CheckError("reduced family larger than the full one")
     return rels
 
@@ -355,13 +337,7 @@ def elliptic_basis(config: QebsConfig):
     gamma = [RootSym(i, False, 1) for i in config.nodes] + [
         RootSym(i, True, 1) for i in pi_max
     ]
-    return {
-        "x": marks,
-        "m": m_vals,
-        "m_max": m_max,
-        "pi_max": pi_max,
-        "gamma": gamma,
-    }
+    return {"pi_max": pi_max, "gamma": gamma}
 
 
 def emit_tsr(config: QebsConfig) -> RelationSet:

@@ -311,7 +311,7 @@ class EllipticRootSet:
 
     def parity(self, coords: Root) -> int:
         """p(rho) = 1 iff 2*rho lies in R(k, g)."""
-        if not self.member(coords):
+        if not (coords in self.inner or self.member(coords)):
             raise DomainError(f"{coords} is not a root")
         doubled = tuple(2 * x for x in coords)
         return 1 if self.member(doubled) else 0

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -271,6 +272,117 @@ def test_relation_json_deterministic():
     assert emit_sr(cfg).to_json() == emit_sr(cfg).to_json()
     payload = json.loads(emit_tsr(cfg).to_json())
     assert isinstance(payload, list) and payload
+
+
+# sha256 of the emit_sr, emit_sr_sharp and emit_tsr JSON: a change here is a
+# change of the emitted relations
+RELATION_DIGESTS = {
+    "A2(1)": (
+        "0a7f1f621c9af9e40c7fb194e2837dd4638c89a683fcfc99a37bb7ebe7dc0705",
+        "a942b529e171a21822469b306d01d5fad877164da0ff2c0035191fb357b7fec0",
+        "31100a16498dcac9bd9e519c376c5f0fbb6add7720e09403f7ce230c5c5cf02e",
+    ),
+    "B3(1)": (
+        "64000c4e1bbc574b24622bfe2502db5734c0ca212b230322854f4b868e423523",
+        "d48d1460fd5ced184e7262562da1990dfb5aaaa8f40977f2a009c8406efdf2a8",
+        "7c89c2f8ac697836a89591517fc426e3f25361f320ed88f8c06491e88682be26",
+    ),
+    "C2(1)": (
+        "7b2d1e51f56156f7b5434a0aeff23924983e6d57242c4bf50d0a13d4d0b1d2d7",
+        "0ae688f2c39004767b3a28d294cf832527d2e8040f515eae59a4cb2625e79a92",
+        "ce9e27d42efdb01cbcaa15e21f6113575c23f231031f8f0221a141f5810e7219",
+    ),
+    "D4(1)": (
+        "403469894a306ce014392e80661d07974823c0272ba809ee4dca0a12d78fff40",
+        "aade5ed139367ce6ff810dfcf94830700d3061dcbd857542724661b20ff80847",
+        "109929a50fbc5bb116986d212642372a347813e55b99ca4b2e66eebd4800faef",
+    ),
+    "E6(1)": (
+        "54428a6cb4ff740ff992d637bde86231129430b5f2fc9856e15f1cee41f45ca6",
+        "b88dd084d27a05aa321e58abba4252956dac2c4ce9df6256e62b71bdad467f3b",
+        "d77dcc22f267286acc92188b99d3fa589bb79c14f29c05cf357e29cef52f7f1c",
+    ),
+    "E7(1)": (
+        "47807b4a3dd19166d2030b6ba78483e895fd4d5e466197e3cd95627b097b9910",
+        "ca63e6a2cd8f1a7650f4a4ed05008191974fab37d190f0dece8a5cb88e95c39e",
+        "fad4cb1ca6101def32bf7e667bbab0f6bbde3b5916af6b24f67b314ba7052661",
+    ),
+    "E8(1)": (
+        "df70f5c9511ec2057b39ddc3fe9218077a19feff3680e58cc338633a8ab0285c",
+        "583f01814cb13de14aa77ad881606462ac43abd8317d65857657195ac95bdd8f",
+        "e2fbb67aa86c3864c91c83ebf015eef3e0c5b68fd19c574a6166c09b736a06c3",
+    ),
+    "F4(1)": (
+        "2d8871af1bdbe2c7d5776e6b188be5520c87f28c00fee03665834fe245b2d2fe",
+        "4f48e291c5a4679ce8c8d28011458bfa845519f1956f4c5711a241695125f799",
+        "9de148e4ca82a20129bc243e8a72d18e0317299984b8528f2c9bf0354bbf1b5b",
+    ),
+    "G2(1)": (
+        "e7e5de9aeaf234689274ef3223dc69a73c635aeaf5d3ceacd27fda442e475382",
+        "e91a3ba8b7b7838ced8a0b7378f65c3c3961df8ae2e440cf7e3721139eab095b",
+        "a6b257189d6d3f6ac607fd260b2d248b35f8150877d8527633144930c0dfbb64",
+    ),
+    "A4(2)": (
+        "60a4c03ab9a21837fda77908e0d340a920d1b1ac29bb4341cc50ddc8154dbfe3",
+        "6cb0a80fa2b698a3cd708b420fe394da0415493138a9d5ee60f2683c701eb52b",
+        "5ce4ee601a128118ae1f4a0a14e2f14abc6d525e27604ce639590beb8e1ff7eb",
+    ),
+    "A5(2)": (
+        "f806aee97187908562e2bdd308078cf9e1347667a33304d246e0c59710b866a1",
+        "15042bbdb864b5d0d35b4237ef3ab7e4947a8c127fdd621c180dcf601f44037e",
+        "01c3a8f865b5fbd10dea164c4c93f6e7dd62a4bde4543030349a73b7ba71eca3",
+    ),
+    "D3(2)": (
+        "679852f205314bf65f1e22c04de33ba41182c1a1cf2522160da019630b15966d",
+        "b9ab6df9698ec66086503e2e6f68f1f6a8d43c0e2f23ca40833d871c47faa1d0",
+        "a46b173d37c63f9690eb9459a89eb204d9f485be550f96fbe743f34edc392ae9",
+    ),
+    "E6(2)": (
+        "203c9ac084ef520656b7463a2140dcb31488abe30daba01a11b8c020184ed6c5",
+        "6b5c7bfdf31a6ae2d17e955f3b54c4216ba41ad3bee5a3527bb302d86a725cf3",
+        "764b038366548d49f6a8015e947e41ac780ae5b6d8be623fe2f971d954aca346",
+    ),
+    "D4(3)": (
+        "2f10f6035f6f8939e75974e163e4cdbe4e4b814e8413e4fdfef0063687675e02",
+        "0e0e4159b674304960ec6b303fb4f9a4e71a2280c9a0c8fc13aaeede4c01201c",
+        "b845142fe8e20edc6cf39db180aa484b0d09d8477a8766cab4c9db495e0e1695",
+    ),
+    "D3(2)/g0=Z": (
+        "acc4164ef4db24a56dd776dd49b5931b4d2463919b20b2f9cd330b60b265c572",
+        "0dbba83783eb484f8887952d2355d332f57bad7d5ab22735e1f28102ac3716fd",
+        "c4aaacf52f0e276bde61404c88ae5eaca5edc307d2fcb7de9f0eeda44242ff45",
+    ),
+    "D3(2)/g0=2Z+1": (
+        "cb86100995a5d658f664d22f3c5c57c3260f1fec29c841d0d8e17e65a901ed7e",
+        "50d964faa668d1d2ea6d735ba6fadf12a820cb618a6900bd921f0a6523d2f980",
+        "957c59b9e48716e7b739644b19c637ec325e37d6407803aed4b245d29bbf00fe",
+    ),
+    "G2(1)/k=3,3,1": (
+        "5db527adf3c264917ee255759cce69756e8105f00597fdd3debcbed6e48689b0",
+        "de12b92110863f1916be21f189872bb749c51f13fc41e9d2e94c88d413daad33",
+        "fe683967ee6b4cf02357c2ee66684cc47513c45b198b35920d8e1f65d9b0e93f",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", SUITE_NAMES + list(VARIANTS))
+def test_relation_bytes_pinned(name):
+    cfg = _config(name)
+    got = tuple(hashlib.sha256(emit(cfg).to_json().encode()).hexdigest()
+                for emit in (emit_sr, emit_sr_sharp, emit_tsr))
+    assert got == RELATION_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", SUITE_NAMES + list(VARIANTS))
+def test_sharp_pairs_lie_in_b_prime(name):
+    # every SR5' pair has distinct, non-opposite roots, with or without a
+    # nonzero exponent
+    cfg = _config(name)
+    _, pairs = presentation.sharp_sets(cfg)
+    assert pairs
+    for mu, nu in pairs:
+        rm, rn = mu.root(cfg), nu.root(cfg)
+        assert rm != rn and any(a + b for a, b in zip(rm, rn)), (mu.ident, nu.ident)
 
 
 # ---------------------------------------------------------------------------

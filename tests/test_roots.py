@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from erskit import exact
-from erskit.ambient import CheckError, ConfigError
+from erskit.ambient import CheckError, ConfigError, DomainError
 from erskit.base_system import simple_config
 from erskit.presentation import b_all
 from erskit.roots import (
@@ -262,6 +262,23 @@ def test_parity_flags_doubled_roots():
     assert rs.parity(alpha0) == 1
     assert rs.parity((0, 1, 0, 0)) == 0
     assert rs.member((2, 0, 0, 1))
+
+
+def test_parity_reads_window_roots_once():
+    # a key of inner is a root already: parity asks member only whether its
+    # double is one, and a non-root still raises
+    cfg = simple_config("D3(2)", g={0: "Z"})
+    rs = generate(cfg, RootWindow(3, 3))
+    calls = []
+    member = rs.member
+    rs.member = lambda coords: calls.append(coords) or member(coords)
+    parities = [rs.parity(coords) for coords in rs.inner]
+    assert len(calls) == len(rs.inner) and 0 < sum(parities) < len(parities)
+    far = (1, 0, 0, 7 * cfg.k[0])  # alpha_0 + 7a, outside the window
+    assert far not in rs.inner and rs.parity(far) == 1
+    for coords in [(1, 1, 1, 0), (3, 0, 0, 0), (0, 0, 0, 0)]:
+        with pytest.raises(DomainError, match="is not a root"):
+            rs.parity(coords)
 
 
 def test_member_rejects_non_roots():

@@ -69,6 +69,29 @@ def test_one_reflection_routine():
     assert inside and not found, found
 
 
+def test_one_serre_exponent_table():
+    # presentation._BTable derives every Serre exponent once per emit call:
+    # `_x` is named inside it alone, and only the public emitters build one
+    found, inside, builders = [], 0, set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        allowed = {id(node) for top in tree.body
+                   if path.name == "presentation.py" and isinstance(top, ast.ClassDef)
+                   and top.name == "_BTable" for node in ast.walk(top)}
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and node.id == "_x":
+                    if id(node) in allowed:
+                        inside += 1
+                    else:
+                        found.append(f"{path.name}:{node.lineno}")
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                        and node.func.id == "_BTable":
+                    builders.add(getattr(top, "name", "<module>"))
+    assert inside and not found, found
+    assert builders == {"emit_sr", "emit_sr_sharp", "emit_tsr"}, sorted(builders)
+
+
 def test_src_imports_stdlib_and_click_only():
     # erskit runs on the standard library and click alone, and every
     # third-party module it imports is a declared dependency

@@ -114,14 +114,15 @@ def _key(config: QebsConfig, sym: RootSym) -> tuple[int, int, int]:
 
 
 class _BTable:
-    """B = {+-alpha_i, +-alpha_i^*} on integers, built once per public emit
-    call and passed down: the key of every symbol, by ident its parity, and
-    sr5, which maps each ordered pair of B' (mu != nu, mu + nu != 0) whose
-    Serre exponent is nonzero to that exponent, in the order of B x B."""
+    """The generators a relation set may use, a sublist of B = {+-alpha_i,
+    +-alpha_i^*}, on integers, built once per public emit call and passed
+    down: the key of every symbol, by ident its parity, and sr5, which maps
+    each ordered pair of B' (mu != nu, mu + nu != 0) whose Serre exponent
+    is nonzero to that exponent, in the order of syms x syms."""
 
-    def __init__(self, config: QebsConfig):
+    def __init__(self, config: QebsConfig, syms: list[RootSym]):
         self.config = config
-        self.key = {m: _key(config, m) for m in b_all(config)}
+        self.key = {m: _key(config, m) for m in syms}
         self.parity = {m.ident: m.parity(config) for m in self.key}
         cartan = config.space.cartan
         self.sr5 = {(mu, nu): x for mu, kmu in self.key.items()
@@ -191,13 +192,14 @@ def triples_A(config: QebsConfig) -> list[tuple[int, int, int]]:
 def emit_sr(config: QebsConfig) -> RelationSet:
     """SR2 through SR9 fully instantiated; SR1/SR3 run over the l+4 basis
     Cartan generators."""
-    table = _BTable(config)
+    table = _BTable(config, b_all(config))
     return _emit_sr(table, table.sr5, "SR5")
 
 
 def _emit_sr(table: _BTable, pairs, tag: str) -> RelationSet:
-    """The SR relations with the SR5 family over those of `pairs` that
-    table.sr5 holds, labelled `tag` (the sharp set narrows it)."""
+    """The SR relations on the table's generators: SR5 runs over those of
+    `pairs` that table.sr5 holds, labelled `tag` (the sharp set narrows it),
+    and an SR6-SR9 word with a leaf outside the table is left out."""
     config = table.config
     sp = config.space
     rels = RelationSet()
@@ -222,7 +224,7 @@ def _emit_sr(table: _BTable, pairs, tag: str) -> RelationSet:
 
     # the root coordinates name h:a0..h:al and h:a
     root_labels = labels[:sp.n_nodes] + [labels[sp.idx_a]]
-    for mu in b_plus(config):
+    for mu in [m for m in table.key if m.sign > 0]:
         root = mu.root(config)
         norm = sp.norm(root)
         mons = [(ONE, [mu.ident, mu.negate().ident])]
@@ -245,6 +247,8 @@ def _emit_sr(table: _BTable, pairs, tag: str) -> RelationSet:
         for sgn in (1, -1):
             aa, ss = RootSym(i, False, sgn).ident, RootSym(i, True, sgn).ident
             bb, bs = RootSym(j, False, sgn).ident, RootSym(j, True, sgn).ident
+            if not {aa, ss, bb, bs} <= table.parity.keys():
+                continue
             lead = c if sgn > 0 else (-1) ** (c + 1) * c
             rels.add(
                 f"{'SR6' if sgn > 0 else 'SR7'}[a{i},a{j};y={y}]",
@@ -253,17 +257,13 @@ def _emit_sr(table: _BTable, pairs, tag: str) -> RelationSet:
             )
         for part in range(1, y):
             for sgn in (1, -1):
-                aa = RootSym(i, False, sgn)
-                ss = RootSym(i, True, sgn)
-                bb = RootSym(j, False, sgn)
-                name = "SR8" if sgn > 0 else "SR9"
-                tree = _nest(
-                    aa.ident, part, _nest(ss.ident, y - part, bb.ident)
-                )
-                rels.add(
-                    f"{name}[a{i},a{j};y={y},i={part}]",
-                    _word(table, [(ONE, tree)]),
-                )
+                aa, ss = RootSym(i, False, sgn).ident, RootSym(i, True, sgn).ident
+                bb = RootSym(j, False, sgn).ident
+                if {aa, ss, bb} <= table.parity.keys():
+                    rels.add(
+                        f"{'SR8' if sgn > 0 else 'SR9'}[a{i},a{j};y={y},i={part}]",
+                        _word(table, [(ONE, _nest(aa, part, _nest(ss, y - part, bb)))]),
+                    )
     return rels
 
 
@@ -311,7 +311,7 @@ def sharp_sets(config: QebsConfig):
 
 
 def emit_sr_sharp(config: QebsConfig) -> RelationSet:
-    return _emit_sr_sharp(_BTable(config))
+    return _emit_sr_sharp(_BTable(config, b_all(config)))
 
 
 def _emit_sr_sharp(table: _BTable) -> RelationSet:
@@ -341,17 +341,15 @@ def elliptic_basis(config: QebsConfig):
 
 
 def emit_tsr(config: QebsConfig) -> RelationSet:
+    """The sharp set on the generators Gamma and -Gamma, each label
+    prefixed T, then the TSR10-TSR12 relations."""
     sp = config.space
-    table = _BTable(config)
     data = elliptic_basis(config)
-    allowed = {sym.ident for sym in data["gamma"]}
-    allowed |= {sym.negate().ident for sym in data["gamma"]}
-
-    base = _emit_sr_sharp(table)
-    rels = RelationSet()
-    for label, word in base.label_words:
-        if _uses_only(word, allowed):
-            rels.add("T" + label, word)
+    gamma = set(data["gamma"])
+    table = _BTable(config, [m for m in b_all(config)
+                             if m in gamma or m.negate() in gamma])
+    rels = RelationSet([("T" + label, word) for label, word
+                        in _emit_sr_sharp(table).label_words])
 
     pi_max = set(data["pi_max"])
     for i in config.nodes:
@@ -410,15 +408,6 @@ def emit_tsr(config: QebsConfig) -> RelationSet:
                         _word(table, [(ONE, tree)]),
                     )
     return rels
-
-
-def _uses_only(word: LieWord, allowed: set[str]) -> bool:
-    def walk(tree) -> bool:
-        if isinstance(tree, str):
-            return tree.startswith("h:") or tree in allowed
-        return walk(tree[0]) and walk(tree[1])
-
-    return all(walk(t) for _, t in word.monomials)
 
 
 # ---------------------------------------------------------------------------
@@ -501,13 +490,11 @@ def _freeze(tree: Tree):
     return tree if isinstance(tree, str) else (_freeze(tree[0]), _freeze(tree[1]))
 
 
-def substitute(real: RealizationBase, rels: RelationSet,
-               skip=None) -> list[Check]:
-    """One Check per relation whose label skip does not pick: the relation
-    holds when its word evaluates to zero in real."""
+def substitute(real: RealizationBase, rels: RelationSet) -> list[Check]:
+    """One Check per relation: it holds when its word evaluates to zero in
+    real."""
     out = []
     for label, word in rels.label_words:
-        if skip is None or not skip(label):
-            witness = real.nonzero_witness(real.evaluate_word(word))
-            out.append(Check(label, not witness, witness))
+        witness = real.nonzero_witness(real.evaluate_word(word))
+        out.append(Check(label, not witness, witness))
     return out

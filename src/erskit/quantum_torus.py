@@ -208,9 +208,14 @@ def _is_q_modified(config: QebsConfig, label: str) -> bool:
 
 
 def verify_q(config: QebsConfig, q_numeric: Fraction | None = None) -> Report:
+    """Every emitted relation at the given q, qSR6/qSR7 and the grading.  The
+    four SR6/SR7 instances that qSR6/qSR7 replace are reported in the
+    `replaced` field with their verdict at q, not among the checks."""
     real = QRealization(config, q_numeric)
-    rep = Report(substitute(real, emit_sr(config),
-                            lambda label: _is_q_modified(config, label)))
+    checks = substitute(real, emit_sr(config))
+    rep = Report([e for e in checks if not _is_q_modified(config, e.label)],
+                 {"replaced": [e._asdict() for e in checks
+                               if _is_q_modified(config, e.label)]})
     l = real.l
 
     # q^{+-1} [E_{+-a0*}, E_{+-al}] = [E_{+-a0}, E_{+-al*}]

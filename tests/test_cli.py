@@ -355,13 +355,13 @@ PINNED_REPORTS = [
                  "deac5b2f71dfd6a21982fb0241861db81b6a9870967077c9cb98c6c18a9bb5a3",
                  id="verify-pi-odd"),
     pytest.param(["qtorus-verify"],
-                 "bdab63206c7a429bbf25595bcff6323c0cc843e1be5ceb8da155e3592d12461c",
+                 "4453fb83c7d5cdf27904077ed467cbf9810ba67f73d0751e2fe4db6d4cfc7262",
                  id="qtorus-formal"),
     pytest.param(["qtorus-verify", "--q-numeric", "2/3"],
-                 "3bd55a97998c2b5b820856250761b1bc3a4441a0608f633b01467b03d6ae85b8",
+                 "d5c3acd880b20ce090d014132852aa2c57b8be6c12c7fd450079daf51887e470",
                  id="qtorus-q-2-3"),
     pytest.param(["qtorus-verify", "--rank", "3"],
-                 "9fa22820a5508656d4aabf18f9d0fb1594f555167a73bc6d4c6e618fce03dff0",
+                 "94b90e9bde00eb8b43b0eaf2ee257387a12399cdcb7bf6eb58a846abecfe1ea5",
                  id="qtorus-rank-3"),
     pytest.param(_RELATIONS,
                  "3b1df684b2523e8f914c7dddfb83566310659bb8ddd72173be837a78b75fe802",

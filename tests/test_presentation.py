@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ import pytest
 
 from erskit import presentation
 from erskit.ambient import CheckError, ConfigError, DomainError
-from erskit.base_system import simple_config
+from erskit.base_system import simple_config, validate_qebs
 from erskit.cyclo import SQRT2
 from erskit.presentation import (
     LieWord,
@@ -265,6 +266,46 @@ def test_tsr_symbols_confined_to_elliptic_basis():
                     assert node in allowed, node
                 else:
                     stack.extend(node)
+
+
+def _uses_only(word, allowed):
+    """Whether every root leaf of word lies in allowed: the filter that once
+    cut the TSR set out of the sharp set, kept as an oracle."""
+    def walk(tree):
+        if isinstance(tree, str):
+            return tree.startswith("h:") or tree in allowed
+        return walk(tree[0]) and walk(tree[1])
+
+    return all(walk(t) for _, t in word.monomials)
+
+
+def _k_g_configs(name):
+    """The configs of name with k in {1, 2} on each node and g empty, or Z
+    or 2Z+1 on one node, that validate_qebs accepts; name alone above five
+    nodes."""
+    n = simple_config(name).space.n_nodes
+    if n > 5:
+        return [simple_config(name)]
+    gs = [None] + [{i: tag} for i in range(n) for tag in ("Z", "2Z+1")]
+    cfgs = (simple_config(name, k=dict(enumerate(ks)), g=g)
+            for ks in itertools.product((1, 2), repeat=n) for g in gs)
+    return [cfg for cfg in cfgs if validate_qebs(cfg).passed]
+
+
+@pytest.mark.parametrize("name", SUITE_NAMES + list(VARIANTS))
+def test_tsr_is_the_sharp_set_on_gamma(name):
+    # before TSR10-TSR12, emit_tsr is the sharp set filtered to the words on
+    # Gamma and -Gamma, T-prefixed, in the same order
+    cfgs = [_config(name)] if name in VARIANTS else _k_g_configs(name)
+    for cfg in cfgs:
+        gamma = elliptic_basis(cfg)["gamma"]
+        allowed = {m.ident for m in gamma} | {m.negate().ident for m in gamma}
+        want = [("T" + label, word)
+                for label, word in emit_sr_sharp(cfg).label_words
+                if _uses_only(word, allowed)]
+        got = [(label, word) for label, word in emit_tsr(cfg).label_words
+               if not label.startswith(("TSR10", "TSR11", "TSR12"))]
+        assert got == want, cfg.describe()
 
 
 def test_relation_json_deterministic():

@@ -153,6 +153,25 @@ def test_relation_labels_and_verdicts_match_loop_model(name):
     ]
 
 
+@pytest.mark.parametrize("name", ["A2(1)", "A3(1)"])
+def test_replaced_instances_reported_with_their_verdict(name):
+    # the four SR6/SR7 instances that qSR6/qSR7 replace are substituted too
+    # and reported by label in the `replaced` field, outside the checks: each
+    # is nonzero at formal q and at q = 2/3, and zero at q = 1
+    cfg = simple_config(name)
+    four = [lbl for lbl in emit_sr(cfg).labels()
+            if quantum_torus._is_q_modified(cfg, lbl)]
+    assert len(four) == 4
+    for q, holds in ((None, False), (Fraction(2, 3), False), (Fraction(1), True)):
+        rep = verify_q(cfg, q_numeric=q)
+        assert rep.passed, rep.failures()
+        assert not {e.label for e in rep.entries} & set(four)
+        assert [(r["label"], r["ok"], not r["witness"])
+                for r in rep.to_dict()["replaced"]] == [
+            (lbl, holds, holds) for lbl in four
+        ]
+
+
 def _leaves(tree):
     return [tree] if isinstance(tree, str) else _leaves(tree[0]) + _leaves(tree[1])
 

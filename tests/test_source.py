@@ -92,6 +92,17 @@ def test_one_serre_exponent_table():
     assert builders == {"emit_sr", "emit_sr_sharp", "emit_tsr"}, sorted(builders)
 
 
+def test_emitters_are_entry_points():
+    # one call of emit_sr, emit_sr_sharp or emit_tsr is one emission: no
+    # code in presentation.py calls a public emitter, so none nests another
+    emitters = {"emit_sr", "emit_sr_sharp", "emit_tsr"}
+    tree = ast.parse((SRC / "presentation.py").read_text(encoding="utf-8"))
+    calls = [f"{node.func.id}:{node.lineno}" for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id in emitters]
+    assert not calls, calls
+
+
 def test_src_imports_stdlib_and_click_only():
     # erskit runs on the standard library and click alone, and every
     # third-party module it imports is a declared dependency

@@ -10,6 +10,10 @@ Fraction operand scales or shifts the numerators directly, and a rational
 Cyc factor scales them too.  The field contains sqrt(-1) = z^6,
 sqrt(2) = z^3 + z^21 and every exp(pi*i/k) for k = 1, 2, 3, 4, which is
 all the realization formulas ever need.
+
+A rational Cyc is a valid value, but the sums of the loop realization do
+not keep one: exact.acc stores every rational coefficient as an int, or a
+Fraction when its denominator is > 1, so a Cyc it stores lies outside Q.
 """
 from __future__ import annotations
 

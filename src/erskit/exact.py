@@ -8,21 +8,28 @@ Fractions; results are Fractions.
 One sparse accumulator, acc, for linear combinations stored as
 {key: nonzero coefficient} dicts with any exact scalars (ints, Fractions,
 Cyc): every such sum in the package goes through it, so it is the one
-place that drops a coefficient once it cancels to zero.
+place that drops a coefficient once it cancels to zero, and the one place
+that stores a rational coefficient as an int, or as a Fraction when its
+denominator is > 1, leaving Cyc to the values outside Q.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
 
+from .cyclo import Cyc
+
 
 def acc(out: dict, elem: dict, scalar=1) -> None:
     """out += scalar * elem, in place, removing every entry of out that
-    becomes zero.  New keys are appended in the order of elem.  Only the
-    int 1 skips the product: Fraction(1) or Cyc 1 would change the type of
-    the coefficients they multiply."""
+    becomes zero.  New keys are appended in the order of elem.  Every
+    coefficient is stored in its one exact form (`_canonical`), and the
+    scalar is brought to that form first, so any scalar equal to 1 (the int
+    1, Fraction(1) or the Cyc 1) skips the product."""
     if not scalar:
         return
+    if type(scalar) is not int:
+        scalar = _canonical(scalar)
     one = type(scalar) is int and scalar == 1
     for key, c in elem.items():
         if not one:
@@ -31,9 +38,23 @@ def acc(out: dict, elem: dict, scalar=1) -> None:
         if old is not None:
             c = old + c
         if c:
-            out[key] = c
+            out[key] = c if type(c) is int else _canonical(c)
         elif old is not None:
             del out[key]
+
+
+def _canonical(c):
+    """The one stored form of an exact scalar: an int for an integer, a
+    Fraction for any other rational, a Cyc only for a value outside Q."""
+    t = type(c)
+    if t is Cyc:
+        num = c.num
+        if any(num[1:]):
+            return c
+        return num[0] if c.den == 1 else Fraction(num[0], c.den)
+    if t is Fraction and c.denominator == 1:
+        return c.numerator
+    return c
 
 
 def rref(rows, stop: int | None = None) -> dict[int, list[Fraction]]:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 
 from . import exact
@@ -553,7 +553,9 @@ def _doubled_targets(rootset, phi_img, nu_img):
 
 def _closure_fallback(rootset, gb, gr, t, pb, pr):
     """Exact enumeration over the inner window; used on the rare pairs the
-    progression argument cannot settle, and to produce concrete witnesses."""
+    progression argument cannot settle, and to produce concrete witnesses.
+    A pair of alpha-parts whose image markings all lie in the image's
+    progressions (`_covered`) is passed over without the marking loop."""
     N, bound = rootset.window.N, rootset.window.M * rootset.delta0
 
     def alpha_parts(g: _Group) -> list[APart]:
@@ -561,19 +563,32 @@ def _closure_fallback(rootset, gb, gr, t, pb, pr):
                 if nu % rootset.period == g.nu_res
                 and rootset._lookup_group(g.phi, nu, g.doubled)]
 
+    wb, wr = pb.window(N), pr.window(N)
     crs = alpha_parts(gr)
     for cb in alpha_parts(gb):
         for cr in crs:
             ci = tuple(r - t * b for r, b in zip(cr, cb))
             progs = rootset.markings(ci)
-            for n_b in pb.window(N):
-                for n_r in pr.window(N):
+            if progs and _covered(progs, wb, wr, t):
+                continue
+            for n_b in wb:
+                for n_r in wr:
                     n_img = n_r - t * n_b
                     if not any(p.contains(n_img) for p in progs):
                         beta = cb + (n_b,)
                         rho = cr + (n_r,)
                         return f"s_{beta} sends {rho} to {ci + (n_img,)} outside R"
     return ""
+
+
+def _covered(progs: list[Progression], wb: list[int], wr: list[int],
+             t: int) -> bool:
+    """Every n_r - t n_b, n_b in wb and n_r in wr, lies in one of progs.
+    Membership in each depends only on n mod the lcm m of their steps, so
+    the test runs over the residues mod m the two windows reach."""
+    m = lcm(*(p.step for p in progs))
+    imgs = {(r - t * b) % m for r in {n % m for n in wr} for b in {n % m for n in wb}}
+    return all(any(p.contains(x) for p in progs) for x in imgs)
 
 
 def _connected(gram) -> bool:

@@ -17,7 +17,7 @@ from math import ceil, factorial, lcm
 
 from .ambient import CheckError, ConfigError, DomainError, Vec, cartan_symmetrizer
 from .base_system import Check, QebsConfig, Report
-from .cyclo import Cyc, ONE, SQRT2, SQRT_M1, ZERO, exp_pi_i_over
+from .cyclo import Cyc, SQRT2, SQRT_M1, exp_pi_i_over
 from .exact import acc
 from .presentation import RealizationBase, RootSym, b_all, emit_sr, substitute
 from .roots import closure, mirror
@@ -286,7 +286,7 @@ def _verify_hd(hd: HandyDatum):
 # graded contragredient algebra
 # ---------------------------------------------------------------------------
 
-# element: dict mapping a monomial key to a scalar (Fraction or Cyc).
+# element: dict mapping a monomial key to a scalar (int or Fraction).
 # keys: ("h", i), ("t", i), (sign, weight, idx) with sign "+" or "-",
 # weight a tuple of multiplicities over Ibar.
 
@@ -334,8 +334,8 @@ class GradedAlgebra:
     def _unit(self, i: int) -> tuple:
         return tuple(1 if j == i else 0 for j in range(self.n))
 
-    def weight_h(self, wt: tuple, i: int) -> Fraction:
-        return Fraction(sum(c * self.hd.abar[i][m] for m, c in enumerate(wt)))
+    def weight_h(self, wt: tuple, i: int) -> int:
+        return sum(c * self.hd.abar[i][m] for m, c in enumerate(wt))
 
     def monomial_parity(self, wt: tuple) -> int:
         return sum(c * self.hd.p(m) for m, c in enumerate(wt)) % 2
@@ -351,7 +351,7 @@ class GradedAlgebra:
             self.basis[wt] = [(i, None)]
             self.parity[wt] = self.hd.p(i)
             self.fact[(wt, 0)] = {
-                j: ({("h", i): Fraction((-1) ** (self.hd.p(i) + 1))} if j == i else {})
+                j: ({("h", i): (-1) ** (self.hd.p(i) + 1)} if j == i else {})
                 for j in range(self.n)
             }
             self.eact[(wt, 0)] = {}
@@ -412,16 +412,16 @@ class GradedAlgebra:
             expr: dict[int, Fraction] = {}
             for pcol, prow, rexpr in pivots:
                 if pcol in vec:
-                    fac = vec[pcol] / prow[pcol]
+                    fac = Fraction(vec[pcol], prow[pcol])
                     acc(expr, rexpr, fac)
                     acc(vec, prow, -fac)
             if vec:
                 bidx = len(basis_mon)
                 basis_mon.append(cand)
-                rexpr = {bidx: Fraction(1)}
+                rexpr = {bidx: 1}
                 acc(rexpr, expr, -1)
                 pivots.append((next(iter(vec)), vec, rexpr))
-                expansions[cand] = {bidx: Fraction(1)}
+                expansions[cand] = {bidx: 1}
             else:
                 expansions[cand] = expr
 
@@ -439,7 +439,7 @@ class GradedAlgebra:
     def _f_on_candidate(self, j: int, i: int, sub: tuple, idx: int) -> dict:
         """[F_j, [E_i, b]] for b the idx-th basis monomial at weight sub."""
         hd = self.hd
-        sign = Fraction((-1) ** (hd.p(i) * hd.p(j)))
+        sign = (-1) ** (hd.p(i) * hd.p(j))
         out: dict = {}
         if i == j:
             # -sign [h_i, b] with b of weight sub
@@ -449,7 +449,7 @@ class GradedAlgebra:
         return out
 
     def _key_elem(self, sgn: str, wt: tuple, idx: int) -> dict:
-        return {(sgn, wt, idx): Fraction(1)}
+        return {(sgn, wt, idx): 1}
 
     # -- brackets -----------------------------------------------------------
 
@@ -475,8 +475,8 @@ class GradedAlgebra:
         if key[0] in ("h", "t"):
             flip = -1 if sgn == "+" else 1
             if key[0] == "h":
-                return {(sgn, self._unit(i), 0): flip * Fraction(self.hd.abar[key[1]][i])}
-            return {(sgn, self._unit(i), 0): Fraction(flip)} if key[1] == i else {}
+                return {(sgn, self._unit(i), 0): flip * self.hd.abar[key[1]][i]}
+            return {(sgn, self._unit(i), 0): flip} if key[1] == i else {}
         side, wt, idx = key
         if side == sgn:
             out = self._e_on(i, wt, idx)
@@ -530,15 +530,15 @@ class GradedAlgebra:
         sign = (-1) ** (self.hd.p(i) * self.parity[sub])
         out = self.ad(sgn, i, self._br_keys((sgn, sub, sidx), ky))
         acc(out, self.bracket(self._key_elem(sgn, sub, sidx), self.ad(sgn, i, ky)),
-            -Fraction(sign))
+            -sign)
         return out
 
-    def _cartan_eig(self, hkey, ekey) -> Fraction:
+    def _cartan_eig(self, hkey, ekey) -> int:
         sgn, wt, _ = ekey
         flip = 1 if sgn == "+" else -1
         if hkey[0] == "h":
             return flip * self.weight_h(wt, hkey[1])
-        return flip * Fraction(wt[hkey[1]])
+        return flip * wt[hkey[1]]
 
     # -- invariant form ------------------------------------------------------
 
@@ -577,7 +577,7 @@ class GradedAlgebra:
             return eps[i] if i == j else 0
         sub, sidx = parent
         sign = (-1) ** (self.hd.p(i) * self.parity[sub])
-        peeled = self.ad("+", i, {ky: Fraction(1)})
+        peeled = self.ad("+", i, {ky: 1})
         return -sign * self.form(self._key_elem("+", sub, sidx), peeled)
 
 
@@ -681,7 +681,7 @@ class Realization(RealizationBase):
         alg, sign = self.alg, "+" if sym.sign > 0 else "-"
 
         def gen(x):  # the unit E or F at Ibar node (sym.node, x)
-            return {(sign, alg._unit(self.hd.index(sym.node, x)), 0): ONE}
+            return {(sign, alg._unit(self.hd.index(sym.node, x)), 0): 1}
 
         power, terms = _image_terms(self.config, self.hd.kvee, sym)
         elem: dict = {}
@@ -692,7 +692,7 @@ class Realization(RealizationBase):
 
     def _cartan_image(self, label: str) -> LoopElement:
         if label == "La":
-            return LoopElement(self.alg, w=ONE)
+            return LoopElement(self.alg, w=1)
         sp = self.config.space
         coef = sp.gram[sp.idx_Ld][0]
         elem = {("t", self.hd.index(0, x)): coef
@@ -718,16 +718,16 @@ def _image_terms(config: QebsConfig, kv: dict[int, int], sym: RootSym):
     tag, n = config.g[node].tag, kv[node]
     if not sym.star:
         if tag in ("empty", "Z", "2Z"):
-            return 0, [(ONE, (x,)) for x in range(1, n + 1)]
+            return 0, [(1, (x,)) for x in range(1, n + 1)]
         if tag == "2Z+1":
             return 0, [(SQRT2, (1,)), (SQRT2, (2,))]
         if tag == "4Z+2":
-            return 0, [(SQRT2, (2,)), (s / SQRT2 * ONE, (1, 3))]
-        return 0, [(ONE, (1,)), (Fraction(s) * ONE, (3, 2))]  # 4Z
+            return 0, [(SQRT2, (2,)), (s / SQRT2, (1, 3))]
+        return 0, [(1, (1,)), (s, (3, 2))]  # 4Z
     if tag == "2Z+1":
         return s, [(SQRT_M1, (1, 2))]
     if tag == "4Z+2":
-        return s, [(ONE, (1,)), (SQRT_M1, (3, 2))]
+        return s, [(1, (1,)), (SQRT_M1, (3, 2))]
     if tag == "4Z":
         return s, [(SQRT2, (2,)), (SQRT2 * SQRT_M1 / 2, (1, 3))]
     zeta = exp_pi_i_over(n)
@@ -806,7 +806,7 @@ def verify_pi(config: QebsConfig, relations=None) -> tuple[Report, Realization]:
         and not ha.w
         and kappa is not None
         and ha.v == kappa
-        and real.image("h:La").w == ONE
+        and real.image("h:La").w == 1
     )
     rep.entries.append(Check("PD3", pd3, "" if pd3 else "h_a or h_La image is off"))
     for lab in labels:
@@ -996,7 +996,7 @@ def _transport_step(real: Realization, nu: RootSym, target: LoopElement,
     for (key, m), c in target.terms.items():
         entry = entries.get((nu.ident, key))
         if entry is None:
-            entry = aut_n(real, nu, loop_term(real.alg, {key: ONE}, 0)).terms
+            entry = aut_n(real, nu, loop_term(real.alg, {key: 1}, 0)).terms
             entries[(nu.ident, key)] = entry
         acc(terms, {(k, n + m): e for (k, n), e in entry.items()}, c)
     return LoopElement(real.alg, terms, target.v, target.w)
@@ -1026,21 +1026,20 @@ def _weight_map(real: Realization):
     """
     sp, alg = real.config.space, real.alg
     la = sp.gram[sp.idx_La]
-    rows = []  # [M | T] over Q(zeta24)
+    rows = []  # [M | T] over Q
     for x, lab in enumerate(sp.basis_labels()):
         img = real.image(f"h:{lab}")
-        row = [ZERO] * alg.n
+        row = [0] * alg.n
         for (k, p), c in img.terms.items():
             if p != 0 or k[0] not in ("h", "t"):
                 raise CheckError("Cartan image has non-Cartan terms")
+            if type(c) is Cyc:  # acc stores every rational as int or Fraction
+                raise CheckError("a Cartan image has a non-rational coefficient")
             if k[0] == "t":
                 row[k[1]] += c
             else:
                 row = [r + c * a for r, a in zip(row, alg.hd.abar[k[1]])]
-        rows.append(row + [ONE * g - img.w * gl for g, gl in zip(sp.gram[x], la)])
-    if not all(q.is_rational() for row in rows for q in row):
-        raise CheckError("a Cartan image has a non-rational coefficient")
-    rows = [[q.rational_value() for q in row] for row in rows]
+        rows.append(row + [g - img.w * gl for g, gl in zip(sp.gram[x], la)])
     D = lcm(*(q.denominator for row in rows + [la] for q in row))
 
     def sparse(row):

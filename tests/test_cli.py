@@ -354,6 +354,9 @@ PINNED_REPORTS = [
     pytest.param(["verify-pi", "--config", "odd.json"],
                  "deac5b2f71dfd6a21982fb0241861db81b6a9870967077c9cb98c6c18a9bb5a3",
                  id="verify-pi-odd"),
+    pytest.param(["verify-pi", "--config", "g21.json"],
+                 "c637719a83d7fdc26f53a13d57788463e659a7538091790fe25e5c0ef3e175c8",
+                 id="verify-pi-g21"),
     pytest.param(["qtorus-verify"],
                  "4453fb83c7d5cdf27904077ed467cbf9810ba67f73d0751e2fe4db6d4cfc7262",
                  id="qtorus-formal"),

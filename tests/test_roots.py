@@ -12,8 +12,10 @@ from erskit.base_system import simple_config
 from erskit.presentation import b_all
 from erskit.roots import (
     EllipticRootSet,
+    Progression,
     RootWindow,
     _connected,
+    _covered,
     check_ebs,
     doubled_progression,
     generate,
@@ -345,6 +347,20 @@ def test_check_ebs_mutants():
         cfg = simple_config(name, **kwargs)
         rep = check_ebs(generate(cfg, RootWindow(6, 6, 2), validate=False))
         assert [(e.axiom, e.witness) for e in rep.failures()] == failures, name
+
+
+_PROGRESSION = st.builds(Progression, st.integers(1, 8), st.integers(-8, 8))
+
+
+@given(st.lists(_PROGRESSION, min_size=1, max_size=2), _PROGRESSION,
+       _PROGRESSION, st.integers(-4, 4), st.integers(0, 6))
+@settings(max_examples=300, deadline=None)
+def test_covered_matches_the_marking_loop(progs, pb, pr, t, n):
+    # the fallback passes over an alpha-part pair exactly when its marking
+    # loop would find no image outside the image's progressions
+    wb, wr = pb.window(n), pr.window(n)
+    every = all(any(p.contains(r - t * b) for p in progs) for b in wb for r in wr)
+    assert _covered(progs, wb, wr, t) == every
 
 
 def test_connected_needs_a_nonzero_pairing_path():

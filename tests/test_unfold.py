@@ -635,6 +635,45 @@ def test_transport_cache_matches_aut_n(name, kwargs):
         assert bool(want.v) == nu.star
 
 
+def _stored_form(c) -> bool:
+    """c is in the one form acc stores a coefficient in: an int, a Fraction
+    with denominator > 1, or a Cyc outside Q."""
+    if type(c) is Fraction:
+        return c.denominator > 1
+    if type(c) is Cyc:
+        return not c.is_rational()
+    return type(c) is int
+
+
+def test_stored_form_rejects_other_scalars():
+    assert all(map(_stored_form, (3, -1, Fraction(1, 2), SQRT2)))
+    assert not any(map(_stored_form, (1.0, 0.5, Fraction(2), ONE, True)))
+
+
+@pytest.mark.parametrize("name, kwargs", [(name, {}) for name in SMALL_SUITE_NAMES] + [
+    ("D3(2)", {"g": {0: "Z"}}),
+    ("D3(2)", {"g": {0: "2Z+1"}}),
+    ("G2(1)", {"k": {0: 3, 1: 3, 2: 1}}),
+], ids=SMALL_SUITE_NAMES + ["D3(2)-Z", "D3(2)-2Z+1", "G2(1)-k331"])
+def test_coefficients_in_stored_form(name, kwargs):
+    # every rational coefficient of the realization is an int or a Fraction,
+    # never a Cyc, a Fraction equal to an int or a float: the structure
+    # constants, the generator images and the transported root vectors
+    cfg = simple_config(name, **kwargs)
+    rs = generate(cfg, RootWindow(3, 3))
+    words = witness_words(cfg, rs)
+    real = Realization(cfg, witness_height(cfg, rs, words))
+    images = [real.image(sym.ident) for sym in b_all(cfg)]
+    images += transport_images(real, words).values()
+    values = [c for img in images for c in img.terms.values()]
+    values += [c for table in (real.alg.eact, real.alg.fact)
+               for acts in table.values() for elem in acts.values()
+               for c in elem.values()]
+    assert values
+    bad = [c for c in values if not _stored_form(c)]
+    assert not bad, bad[:5]
+
+
 def _product(real, nu, target):
     """r_nu as the product exp(ad e) exp(ad f) exp(ad e) of three series,
     with e and f built here from the generator images."""

@@ -23,13 +23,13 @@ from .cyclo import Cyc
 def acc(out: dict, elem: dict, scalar=1) -> None:
     """out += scalar * elem, in place, removing every entry of out that
     becomes zero.  New keys are appended in the order of elem.  Every
-    coefficient is stored in its one exact form (`_canonical`), and the
+    coefficient is stored in its one exact form (`canonical`), and the
     scalar is brought to that form first, so any scalar equal to 1 (the int
     1, Fraction(1) or the Cyc 1) skips the product."""
     if not scalar:
         return
     if type(scalar) is not int:
-        scalar = _canonical(scalar)
+        scalar = canonical(scalar)
     one = type(scalar) is int and scalar == 1
     for key, c in elem.items():
         if not one:
@@ -38,12 +38,12 @@ def acc(out: dict, elem: dict, scalar=1) -> None:
         if old is not None:
             c = old + c
         if c:
-            out[key] = c if type(c) is int else _canonical(c)
+            out[key] = c if type(c) is int else canonical(c)
         elif old is not None:
             del out[key]
 
 
-def _canonical(c):
+def canonical(c):
     """The one stored form of an exact scalar: an int for an integer, a
     Fraction for any other rational, a Cyc only for a value outside Q."""
     t = type(c)

@@ -18,7 +18,7 @@ from math import ceil, factorial, lcm
 from .ambient import CheckError, ConfigError, DomainError, Vec, cartan_symmetrizer
 from .base_system import Check, QebsConfig, Report
 from .cyclo import Cyc, SQRT2, SQRT_M1, exp_pi_i_over
-from .exact import acc
+from .exact import acc, canonical
 from .presentation import RealizationBase, RootSym, b_all, emit_sr, substitute
 from .roots import closure, mirror
 
@@ -312,6 +312,11 @@ class GradedAlgebra:
     of a stacked rational matrix.  Only the positive half is built: the
     automorphism omega: E_i -> F_i, F_i -> (-1)^{p_i} E_i, h -> -h maps it
     onto the negative half, and `ad` reads F-monomial brackets through it.
+    The form on root vectors is read off the bracket, [x, y] = (x|y)
+    nu^-1(alpha) for x in g_alpha, y in g_-alpha (Kac, Infinite-Dimensional
+    Lie Algebras, Thm 2.2(e)), with nu^-1(alpha_i) = h_i / eps_i, as
+    (h_i|h) = eps_i alpha_i(h) by HD10; its proof uses only invariance, an
+    even h and nondegeneracy on h, so it holds for the superalgebra too.
     """
 
     def __init__(self, hd: HandyDatum, height: int):
@@ -327,7 +332,18 @@ class GradedAlgebra:
         self.fact: dict[tuple, dict[int, dict]] = {}
         self._size = 0
         self._cap = _default_cap()
-        self._build(height)
+        for i in range(self.n):
+            wt = self._unit(i)
+            self.basis[wt] = [(i, None)]
+            self.parity[wt] = self.hd.p(i)
+            self.fact[(wt, 0)] = {
+                j: ({("h", i): (-1) ** (self.hd.p(i) + 1)} if j == i else {})
+                for j in range(self.n)
+            }
+            self.eact[(wt, 0)] = {}
+        self.height = 1
+        self._top = list(self.basis)  # the weights with a basis at self.height
+        self.extend(height)
 
     # -- weights ------------------------------------------------------------
 
@@ -345,40 +361,23 @@ class GradedAlgebra:
 
     # -- construction -------------------------------------------------------
 
-    def _build(self, height: int):
-        for i in range(self.n):
-            wt = self._unit(i)
-            self.basis[wt] = [(i, None)]
-            self.parity[wt] = self.hd.p(i)
-            self.fact[(wt, 0)] = {
-                j: ({("h", i): (-1) ** (self.hd.p(i) + 1)} if j == i else {})
-                for j in range(self.n)
-            }
-            self.eact[(wt, 0)] = {}
-        self.height = 1
-        self.extend(height)
-
     def extend(self, height: int):
-        """Build the heights self.height + 1 .. height; self.height is the
-        highest height completed, also after a ResourceError over the basis
-        budget."""
+        """Build the heights self.height + 1 .. height, each from the weights
+        with a basis at the height below; self.height is the highest height
+        completed, also after a ResourceError over the basis budget."""
         for h in range(self.height + 1, height + 1):
-            for wt in sorted(self._weights_at(h)):
+            top = []
+            for wt in sorted({wt[:i] + (wt[i] + 1,) + wt[i + 1:]
+                              for wt in self._top for i in range(self.n)}):
                 self._build_weight(wt, h)
                 if self._size > self._cap:
                     raise ResourceError(
                         f"basis size {self._size} over the budget",
                         self.height,
                     )
-            self.height = h
-
-    def _weights_at(self, h: int) -> list[tuple]:
-        prev = [wt for wt in self.basis if sum(wt) == h - 1 and self.basis[wt]]
-        out = set()
-        for wt in prev:
-            for i in range(self.n):
-                out.add(tuple(c + (1 if m == i else 0) for m, c in enumerate(wt)))
-        return list(out)
+                if self.basis[wt]:
+                    top.append(wt)
+            self._top, self.height = top, h
 
     def _build_weight(self, wt: tuple, h: int):
         cands = []
@@ -443,13 +442,10 @@ class GradedAlgebra:
         out: dict = {}
         if i == j:
             # -sign [h_i, b] with b of weight sub
-            acc(out, self._key_elem("+", sub, idx), -sign * self.weight_h(sub, i))
+            acc(out, {("+", sub, idx): 1}, -sign * self.weight_h(sub, i))
         inner = self.fact[(sub, idx)][j]
         acc(out, self.ad("+", i, inner), sign)
         return out
-
-    def _key_elem(self, sgn: str, wt: tuple, idx: int) -> dict:
-        return {(sgn, wt, idx): 1}
 
     # -- brackets -----------------------------------------------------------
 
@@ -472,11 +468,8 @@ class GradedAlgebra:
                 acc(out, self.ad(sgn, i, key), c)
             return out
         key = arg
-        if key[0] in ("h", "t"):
-            flip = -1 if sgn == "+" else 1
-            if key[0] == "h":
-                return {(sgn, self._unit(i), 0): flip * self.hd.abar[key[1]][i]}
-            return {(sgn, self._unit(i), 0): flip} if key[1] == i else {}
+        if key[0] in ("h", "t"):  # -[h, X_i], from _cartan_eig
+            return self._br_keys((sgn, self._unit(i), 0), key)
         side, wt, idx = key
         if side == sgn:
             out = self._e_on(i, wt, idx)
@@ -499,11 +492,6 @@ class GradedAlgebra:
             return 0
         return self.parity[key[1]]
 
-    def key_height(self, key) -> int:
-        if key[0] in ("h", "t"):
-            return 0
-        return sum(key[1]) * (1 if key[0] == "+" else -1)
-
     def bracket(self, x: dict, y: dict) -> dict:
         out: dict = {}
         for kx, cx in x.items():
@@ -521,16 +509,14 @@ class GradedAlgebra:
             inner = self._br_keys(ky, kx)
             return {k: -v for k, v in inner.items()}
         sgn, wt, idx = kx
-        mon = self.basis[wt][idx]
-        i, parent = mon
+        i, parent = self.basis[wt][idx]
         if parent is None:
             return self.ad(sgn, i, ky)
         sub, sidx = parent
         # [ [X_i, x'], y ] = [X_i, [x', y]] - (-1)^{p_i p_x'} [x', [X_i, y]]
         sign = (-1) ** (self.hd.p(i) * self.parity[sub])
         out = self.ad(sgn, i, self._br_keys((sgn, sub, sidx), ky))
-        acc(out, self.bracket(self._key_elem(sgn, sub, sidx), self.ad(sgn, i, ky)),
-            -sign)
+        acc(out, self.bracket({(sgn, sub, sidx): 1}, self.ad(sgn, i, ky)), -sign)
         return out
 
     def _cartan_eig(self, hkey, ekey) -> int:
@@ -542,18 +528,17 @@ class GradedAlgebra:
 
     # -- invariant form ------------------------------------------------------
 
-    def form(self, x: dict, y: dict):
-        out = 0
-        for kx, cx in x.items():
-            for ky, cy in y.items():
-                val = self._form_keys(kx, ky)
-                if val:
-                    out = out + cx * cy * val
-        return out
-
     def _form_keys(self, kx, ky):
+        """(kx|ky), through the bracket for root keys of opposite weights."""
+        opposite = kx[0] in _FLIP and ky[0] == _FLIP[kx[0]] and kx[1] == ky[1]
+        return self._form_read(kx, ky, self._br_keys(kx, ky) if opposite else {})
+
+    def _form_read(self, kx, ky, part):
+        """(kx|ky) from part = [kx, ky]: the h/t table, or on root keys
+        +-eps_i c / w_i, c the h_i coefficient of part, w the weight of kx,
+        i its first nonzero coordinate, and - for an F-monomial kx."""
         eps = self.hd.eps
-        if kx[0] in ("h", "t") and ky[0] in ("h", "t"):
+        if kx[0] in ("h", "t") or ky[0] in ("h", "t"):
             i, j = kx[1], ky[1]
             if kx[0] == "h" and ky[0] == "h":
                 return eps[j] * self.hd.abar[i][j]
@@ -562,23 +547,13 @@ class GradedAlgebra:
             if kx[0] == "t" and ky[0] == "h":
                 return eps[j] if i == j else 0
             return 0
-        if kx[0] in ("h", "t") or ky[0] in ("h", "t"):
+        wt = kx[1]
+        i = next(m for m, c in enumerate(wt) if c)
+        c = part.get(("h", i))
+        if not c:
             return 0
-        if self.key_height(kx) + self.key_height(ky) != 0:
-            return 0
-        if kx[0] == "-":
-            sign = (-1) ** (self.parity[kx[1]] * self.parity[ky[1]])
-            return sign * self._form_keys(ky, kx)
-        wt, idx = kx[1], kx[2]
-        i, parent = self.basis[wt][idx]
-        if parent is None:
-            # heights cancel, so ky is a generator F_j as well
-            j = self.basis[ky[1]][ky[2]][0]
-            return eps[i] if i == j else 0
-        sub, sidx = parent
-        sign = (-1) ** (self.hd.p(i) * self.parity[sub])
-        peeled = self.ad("+", i, {ky: 1})
-        return -sign * self.form(self._key_elem("+", sub, sidx), peeled)
+        val = eps[i] * c / wt[i]
+        return -val if kx[0] == "-" else val
 
 
 def build_graded(hd: HandyDatum, height: int) -> GradedAlgebra:
@@ -595,6 +570,10 @@ class LoopElement:
     terms: dict = field(default_factory=dict)  # (key, power) -> scalar
     v: object = 0
     w: object = 0
+
+    def __post_init__(self):
+        # v and w are stored in the one form acc stores a coefficient in
+        self.v, self.w = canonical(self.v), canonical(self.w)
 
     def is_zero(self) -> bool:
         return not self.terms and not self.v and not self.w
@@ -635,7 +614,7 @@ def loop_bracket(x: LoopElement, y: LoopElement) -> LoopElement:
     for (kx, m), cx in x.terms.items():
         for (ky, n), cy in y.terms.items():
             part = alg._br_keys(kx, ky)
-            j = alg._form_keys(kx, ky) if m + n == 0 and m != 0 else 0
+            j = alg._form_read(kx, ky, part) if m + n == 0 and m != 0 else 0
             if not part and not j:
                 continue
             c = cx * cy
@@ -849,16 +828,16 @@ def _exp_ad(x: LoopElement, target: LoopElement,
     targets its sl2 closed form does not serve.  The powers come from
     `_ad_power`, and each is added in place to one sum with factor 1/n!.
     """
-    out = LoopElement(x.alg, dict(target.terms), target.v, target.w)
+    terms, v = dict(target.terms), target.v
     term = target
     c = Fraction(1)
     for n in count(1):
         term = _ad_power(x, term, n, bound)
         if term.is_zero():
-            return out
+            return LoopElement(x.alg, terms, v, target.w)
         c /= n
-        acc(out.terms, term.terms, c)
-        out.v = out.v + c * term.v
+        acc(terms, term.terms, c)
+        v = v + c * term.v
 
 
 def _reflection(real: Realization, nu: RootSym) -> tuple:

@@ -69,6 +69,30 @@ def test_one_reflection_routine():
     assert inside and not found, found
 
 
+def test_one_bracket_recursion():
+    # GradedAlgebra._br_keys is the one structure rule that walks a basis
+    # monomial's build: the (letter, parent) entry basis[wt][idx] is read
+    # inside it alone, and the invariant form is read off the bracket
+    tree = ast.parse((SRC / "unfold.py").read_text(encoding="utf-8"))
+    allowed = {id(node) for cls in tree.body
+               if isinstance(cls, ast.ClassDef) and cls.name == "GradedAlgebra"
+               for top in cls.body
+               if isinstance(top, ast.FunctionDef) and top.name == "_br_keys"
+               for node in ast.walk(top)}
+    found, inside = [], 0
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Subscript):
+            table = node.value.value
+            name = table.id if isinstance(table, ast.Name) else \
+                table.attr if isinstance(table, ast.Attribute) else None
+            if name == "basis":
+                if id(node) in allowed:
+                    inside += 1
+                else:
+                    found.append(f"unfold.py:{node.lineno}")
+    assert inside and not found, found
+
+
 def test_one_serre_exponent_table():
     # presentation._BTable derives every Serre exponent once per emit call:
     # `_x` is named inside it alone, and only the public emitters build one

@@ -227,6 +227,53 @@ def test_negative_half_is_the_omega_image(name, kwargs):
     assert alg.height == 10
 
 
+def _form_oracle(alg, kx, ky):
+    """(kx|ky) by invariance over the E-monomial's build [E_i, x']:
+    ([E_i, x'] | y) = -(-1)^{p_i p_x'} (x' | [E_i, y]), down to
+    (E_i | F_j) = delta_ij eps_i, with (F-mon | E-mon) by supersymmetry and
+    the h/t table (h_i|h_j) = eps_j a_ij, (h_i|t_j) = eps_i delta_ij."""
+    eps = alg.hd.eps
+    if kx[0] in ("h", "t") and ky[0] in ("h", "t"):
+        i, j = kx[1], ky[1]
+        if kx[0] == ky[0] == "h":
+            return eps[j] * alg.hd.abar[i][j]
+        return eps[i] if kx[0] != ky[0] and i == j else 0
+    if kx[0] in ("h", "t") or ky[0] in ("h", "t") or kx[0] == ky[0] \
+            or sum(kx[1]) != sum(ky[1]):
+        return 0
+    if kx[0] == "-":
+        sign = (-1) ** (alg.parity[kx[1]] * alg.parity[ky[1]])
+        return sign * _form_oracle(alg, ky, kx)
+    i, parent = alg.basis[kx[1]][kx[2]]
+    if parent is None:  # heights cancel, so ky is a generator F_j as well
+        return eps[i] if i == alg.basis[ky[1]][ky[2]][0] else 0
+    sub, sidx = parent
+    sign = (-1) ** (alg.hd.p(i) * alg.parity[sub])
+    peeled = alg.ad("+", i, ky)
+    return -sign * sum(c * _form_oracle(alg, ("+", sub, sidx), key)
+                       for key, c in peeled.items())
+
+
+@pytest.mark.parametrize("name,kwargs", [(name, {}) for name in SMALL_SUITE_NAMES] + [
+    ("D3(2)", {"g": {0: "Z"}}), ("D3(2)", {"g": {0: "2Z+1"}}),
+    ("C2(1)", {"g": {1: "Z"}}), ("A4(2)", {"g": {0: "Z"}}),
+    ("G2(1)", {"k": {0: 3, 1: 3, 2: 1}})])
+def test_form_is_read_off_the_bracket(name, kwargs):
+    # _form_keys reads (x|y) on root vectors off [x, y] (Kac Thm 2.2(e));
+    # the recursion over each monomial's build computes it independently
+    alg = build_graded(build_handy(simple_config(name, **kwargs)), 8)
+    keys = [(kind, i) for kind in ("h", "t") for i in range(alg.n)]
+    keys += [(sgn, wt, idx) for wt, basis in alg.basis.items()
+             for idx in range(len(basis)) for sgn in ("+", "-")]
+    paired = 0
+    for kx in keys:
+        for ky in keys:
+            want = _form_oracle(alg, kx, ky)
+            assert alg._form_keys(kx, ky) == want, (kx, ky)
+            paired += bool(want) and kx[0] in ("+", "-")
+    assert paired and alg.height == 8
+
+
 _CENSUS_FAMILIES = ["A2(1)", "C2(1)", "G2(1)", "A4(2)", "D3(2)", "D4(3)",
                     "B3(1)", "C3(1)", "D4(2)", "E6(2)", "A5(2)"]
 
@@ -391,7 +438,7 @@ def test_image_heights_match_built_images(name, kwargs):
     real = Realization(cfg, 2)
     per = _image_heights(cfg)
     for sym in b_all(cfg):
-        built = max(abs(real.alg.key_height(key)) for key, _ in real.image(sym.ident).terms)
+        built = max(sum(key[1]) for key, _ in real.image(sym.ident).terms)
         assert per[sym.ident] == built, sym.ident
 
 
@@ -658,14 +705,16 @@ def test_stored_form_rejects_other_scalars():
 def test_coefficients_in_stored_form(name, kwargs):
     # every rational coefficient of the realization is an int or a Fraction,
     # never a Cyc, a Fraction equal to an int or a float: the structure
-    # constants, the generator images and the transported root vectors
+    # constants, and the terms, v and w of the generator images, the Cartan
+    # images and the transported root vectors
     cfg = simple_config(name, **kwargs)
     rs = generate(cfg, RootWindow(3, 3))
     words = witness_words(cfg, rs)
     real = Realization(cfg, witness_height(cfg, rs, words))
     images = [real.image(sym.ident) for sym in b_all(cfg)]
+    images += [real.image(f"h:{lab}") for lab in cfg.space.basis_labels()]
     images += transport_images(real, words).values()
-    values = [c for img in images for c in img.terms.values()]
+    values = [c for img in images for c in (*img.terms.values(), img.v, img.w)]
     values += [c for table in (real.alg.eact, real.alg.fact)
                for acts in table.values() for elem in acts.values()
                for c in elem.values()]

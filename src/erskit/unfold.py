@@ -353,9 +353,6 @@ class GradedAlgebra:
     def weight_h(self, wt: tuple, i: int) -> int:
         return sum(c * self.hd.abar[i][m] for m, c in enumerate(wt))
 
-    def monomial_parity(self, wt: tuple) -> int:
-        return sum(c * self.hd.p(m) for m, c in enumerate(wt)) % 2
-
     def dims(self) -> dict[tuple, int]:
         return {wt: len(b) for wt, b in self.basis.items() if b}
 
@@ -369,7 +366,7 @@ class GradedAlgebra:
             top = []
             for wt in sorted({wt[:i] + (wt[i] + 1,) + wt[i + 1:]
                               for wt in self._top for i in range(self.n)}):
-                self._build_weight(wt, h)
+                self._build_weight(wt)
                 if self._size > self._cap:
                     raise ResourceError(
                         f"basis size {self._size} over the budget",
@@ -379,7 +376,7 @@ class GradedAlgebra:
                     top.append(wt)
             self._top, self.height = top, h
 
-    def _build_weight(self, wt: tuple, h: int):
+    def _build_weight(self, wt: tuple):
         cands = []
         for i in range(self.n):
             if wt[i] == 0:
@@ -390,7 +387,7 @@ class GradedAlgebra:
         if not cands:
             self.basis[wt] = []
             return
-        self.parity[wt] = self.monomial_parity(wt)
+        self.parity[wt] = sum(c * self.hd.p(m) for m, c in enumerate(wt)) % 2
 
         # image of each candidate under every lowering operator, by j
         lowered = {
@@ -526,6 +523,13 @@ class GradedAlgebra:
             return flip * self.weight_h(wt, hkey[1])
         return flip * wt[hkey[1]]
 
+    def h_eig(self, h, key):
+        """[H, key] / key for H = sum c hk t^0, h the terms {(hk, 0): c}."""
+        if key[0] in ("h", "t"):
+            return 0
+        eig = sum(c * self._cartan_eig(hk, key) for (hk, _), c in h.items())
+        return canonical(eig)
+
     # -- invariant form ------------------------------------------------------
 
     def _form_keys(self, kx, ky):
@@ -653,7 +657,7 @@ class Realization(RealizationBase):
         self.alg = build_graded(self.hd, height)
         self.kappa = None
         self._weights = None  # (alg.height, weight map) of loop_weight_dim
-        self._reflections: dict = {}  # nu.ident -> (e, f, sl2) of aut_n
+        self._reflections: dict = {}  # nu.ident -> (e, f, sl2, h) of aut_n
         self.node_heights = _node_heights(config, self.hd.kvee)  # m_i of witness_height
 
     def _root_image(self, sym: RootSym) -> LoopElement:
@@ -809,13 +813,13 @@ def verify_pi(config: QebsConfig, relations=None) -> tuple[Report, Realization]:
 
 def _ad_power(x: LoopElement, term: LoopElement, n: int,
               bound: int | None = None) -> LoopElement:
-    """[x, term] as the n-th power of ad x in a series or chain of `aut_n`.
+    """[x, term] as the n-th power of ad x in `aut_n`'s form or series.
 
     Every term of x, a root-vector image or its square, moves the Ibar
     height the same way, by at least one, and the algebra grows to hold
     every nonzero term, so a nonzero (ad x)^n target has n <= 2 * height:
     the default bound 2 * height + 2, read from the algebra at every power,
-    never cuts a series short, and a power past it raises ResourceError.
+    never cuts a power short, and a power past it raises ResourceError.
     """
     if n > (2 * x.alg.height + 2 if bound is None else bound):
         raise ResourceError("ad is not nilpotent within the iteration bound")
@@ -824,10 +828,8 @@ def _ad_power(x: LoopElement, term: LoopElement, n: int,
 
 def _exp_ad(x: LoopElement, target: LoopElement,
             bound: int | None = None) -> LoopElement:
-    """exp(ad x) applied to target, one series of `aut_n`'s product for the
-    targets its sl2 closed form does not serve.  The powers come from
-    `_ad_power`, and each is added in place to one sum with factor 1/n!.
-    """
+    """exp(ad x) applied to target, one series of `aut_n`'s fallback product;
+    each power, from `_ad_power`, is added in place with factor 1/n!."""
     terms, v = dict(target.terms), target.v
     term = target
     c = Fraction(1)
@@ -841,17 +843,17 @@ def _exp_ad(x: LoopElement, target: LoopElement,
 
 
 def _reflection(real: Realization, nu: RootSym) -> tuple:
-    """(e, f, sl2), r_nu = exp(ad e) exp(ad f) exp(ad e), kept on real per
-    nu: e is the image of the positive one of +-nu and f minus that of the
-    negative one, or for an odd nu their squares scaled by 1/4.
+    """(e, f, sl2, h), r_nu = exp(ad e) exp(ad f) exp(ad e), kept on real
+    per nu: e is the image of the positive one of +-nu and f minus that of
+    the negative one, or for an odd nu their squares scaled by 1/4.
 
     sl2 tells whether (e, h, -f), h = [e, -f], is exactly an sl2 triple
     whose h has every monomial at every loop power as an eigenvector:
     [h, e] = 2e, [h, f] = -2f, and h has no w and only h and t keys at
-    loop power 0.
+    loop power 0.  h is kept as its terms, with which `GradedAlgebra.h_eig`
+    reads a key's h-eigenvalue off its weight.
     """
-    got = real._reflections.get(nu.ident)
-    if got is not None:
+    if (got := real._reflections.get(nu.ident)) is not None:
         return got
     pos = real.image(nu.ident if nu.sign > 0 else nu.negate().ident)
     neg = real.image(nu.negate().ident if nu.sign > 0 else nu.ident)
@@ -865,21 +867,8 @@ def _reflection(real: Realization, nu: RootSym) -> tuple:
     sl2 = (not h.w and all(k[0] in ("h", "t") and p == 0 for k, p in h.terms)
            and loop_bracket(h, e) == e.scaled(2)
            and loop_bracket(h, f) == f.scaled(-2))
-    got = real._reflections[nu.ident] = (e, f, sl2)
+    got = real._reflections[nu.ident] = (e, f, sl2, h.terms)
     return got
-
-
-def _chain(x: LoopElement, term: LoopElement, n: int) -> LoopElement:
-    """(ad x)^N v / N! from term = (ad x)^n v, N the last power of ad x
-    that does not vanish on v; the powers come from `_ad_power`."""
-    while True:
-        step = _ad_power(x, term, n + 1)
-        if step.is_zero():
-            break
-        term, n = step, n + 1
-    if n == 0:
-        return LoopElement(term.alg, dict(term.terms), term.v, term.w)
-    return term.scaled(Fraction(1, factorial(n)))
 
 
 def aut_n(real: Realization, nu: RootSym, target: LoopElement) -> LoopElement:
@@ -887,26 +876,49 @@ def aut_n(real: Realization, nu: RootSym, target: LoopElement) -> LoopElement:
     base root (Kac, Infinite-Dimensional Lie Algebras, 3.8), applied once,
     with (e, f) from `_reflection`.
 
-    Where (e, h, -f), h = [e, -f], is an sl2 triple, r_nu has a closed form
-    on a one-term target v (one monomial at one loop power, no v or w), an
-    h-eigenvector of weight k (Humphreys, Introduction to Lie Algebras and
-    Representation Theory, 7.2).  If [e, v] = 0 and (ad f)^m v is the last
-    nonzero power, then 0 = [e, (ad f)^(m+1) v] = -(m + 1)(k - m) (ad f)^m v
-    forces k = m, so v spans the sl2-module V(m), where the three series
-    give (ad f)^m v / m!.  If [f, v] = 0 and (ad e)^n v is the last nonzero
-    power, likewise k = -n and the image is (ad e)^n v / n!.  Either image
-    is exact, and the chains take their powers from `_ad_power`, under the
-    series' iteration bound.  Any other target, one in the middle of its
-    nu-string among them, takes the product of the three series.
+    Where (E, H, F) = (e, h, -f) is an sl2 triple, r_nu fixes the central v
+    and is applied to each term c key t^m and to the w part: an H-eigenvector
+    x of weight k, read off the key's weight through h (0 for w, h, t).  For
+    k >= 0 and p the last power with (ad e)^p x != 0,
+        r_nu x = sum_{c=0..p} (ad f)^(k+c) (ad e)^c x / ((k+c)! c!),
+    and for k < 0 e and f swap and k becomes -k (r_nu = exp(ad f) exp(ad e)
+    exp(ad f) too).  Proof: ad is locally finite, so x is a sum of
+    x_i = F^i u / i! in modules V(k + 2i), u highest, and r_nu x_i =
+    (-1)^(k+i) x_(k+i); E^c x_i = C(k+i+c, c) c! x_(i-c) and F^(k+c) x_(i-c)
+    = C(k+i, i-c) (k+c)! x_(k+i), so the sum is (-1)^k x_(k+i) sum_c
+    C(-k-i-1, c) C(k+i, i-c) = (-1)^(k+i) x_(k+i) by Vandermonde.  It runs
+    as Horner in ad f with the integer weights p!/c! (k+p)!/(k+c)!, then
+    one scaling by 1/(p! (k+p)!); each power goes through `_ad_power` and
+    its iteration bound.  An uncertified triple, or a k that is not an
+    int, takes the product of the three series.
     """
-    e, f, sl2 = _reflection(real, nu)
-    if sl2 and len(target.terms) == 1 and not target.v and not target.w:
-        up = loop_bracket(e, target)
-        if up.is_zero():
-            return _chain(f, target, 0)
-        if loop_bracket(f, target).is_zero():
-            return _chain(e, up, 1)
-    return _exp_ad(e, _exp_ad(f, _exp_ad(e, target)))
+    e, f, sl2, h = _reflection(real, nu)
+    alg = real.alg
+    parts = [(km[0], LoopElement(alg, {km: 1}), c) for km, c in target.terms.items()]
+    if target.w:  # w has weight 0, as a t key has
+        parts.append((("t", 0), LoopElement(alg, {}, 0, 1), target.w))
+    if sl2:  # else h may hold root keys, which h_eig cannot read
+        ks = [alg.h_eig(h, key) for key, _, _ in parts]
+    if not sl2 or any(type(k) is not int for k in ks):
+        return _exp_ad(e, _exp_ad(f, _exp_ad(e, target)))
+    terms, v, w = {}, target.v, 0
+    for k, (_, x, coeff) in zip(ks, parts):
+        up, down = (e, f) if k >= 0 else (f, e)
+        k, ups = abs(k), [x]  # ups[c] = (ad up)^c x
+        while not (nxt := _ad_power(up, ups[-1], len(ups))).is_zero():
+            ups.append(nxt)
+        p = len(ups) - 1
+        out, wgt = ups[p], 1
+        for c in range(p - 1, -1, -1):
+            wgt *= (c + 1) * (k + c + 1)
+            out = _ad_power(down, out, p - c).plus(ups[c].scaled(wgt))
+        for n in range(p + 1, p + k + 1):
+            out = _ad_power(down, out, n)
+        d = factorial(p) * factorial(k + p)
+        scale = coeff if d == 1 else coeff * Fraction(1, d)
+        acc(terms, out.terms, scale)
+        v, w = v + scale * out.v, w + scale * out.w
+    return LoopElement(alg, terms, v, w)
 
 
 def transport_images(real: Realization, words: dict, targets=None) -> dict:
@@ -926,9 +938,7 @@ def transport_images(real: Realization, words: dict, targets=None) -> dict:
     sum, it never reads an operand's v, and root images have w = 0.  The
     one exception is a parent weight lam in Q nu, whose nu-string passes
     through weight 0, where the bracket adds to the central v; such a step
-    applies `aut_n` directly.  Either way `aut_n` applies its sl2 closed
-    form to each monomial that is an extremal vector of its nu-string, and
-    the product of its three series to any other target.
+    applies `aut_n` directly; either way its one sl2 closed form serves.
     """
     needed = None
     doubled = {}
@@ -966,15 +976,15 @@ def _transport_step(real: Realization, nu: RootSym, target: LoopElement,
     """aut_n(real, nu, target) for target a vector of ambient weight
     `weight`, as the sum over its terms c key t^m of c times the image of
     key t^0 with every power shifted by m.  entries caches those images
-    by (nu.ident, key); a target with a w part or a weight in Q nu goes
-    through aut_n itself."""
-    nu_vec = root_to_ambient(real.config, nu.root(real.config))
+    by (nu.ident, key), and nu's ambient vector by nu.ident; a target with
+    a w part or a weight in Q nu goes through aut_n itself."""
+    if (nu_vec := entries.get(nu.ident)) is None:
+        nu_vec = entries[nu.ident] = root_to_ambient(real.config, nu.root(real.config))
     if target.w or _parallel(weight, nu_vec):
         return aut_n(real, nu, target)
     terms: dict = {}
     for (key, m), c in target.terms.items():
-        entry = entries.get((nu.ident, key))
-        if entry is None:
+        if (entry := entries.get((nu.ident, key))) is None:
             entry = aut_n(real, nu, loop_term(real.alg, {key: 1}, 0)).terms
             entries[(nu.ident, key)] = entry
         acc(terms, {(k, n + m): e for (k, n), e in entry.items()}, c)

@@ -158,9 +158,9 @@ def test_graded_cap_checked_per_weight(monkeypatch):
     built = []
     build_weight = GradedAlgebra._build_weight
 
-    def counting(self, wt, h):
+    def counting(self, wt):
         built.append(wt)
-        return build_weight(self, wt, h)
+        return build_weight(self, wt)
 
     monkeypatch.setattr(GradedAlgebra, "_build_weight", counting)
     monkeypatch.setenv("ERSKIT_MAX_MEM", str(total - 1))
@@ -736,14 +736,19 @@ def _product(real, nu, target):
     return _exp_ad(e, _exp_ad(f, _exp_ad(e, target)))
 
 
+def _built_keys(alg):
+    """Every h and t key and every built monomial key of either sign."""
+    keys = [(kind, i) for kind in ("h", "t") for i in range(alg.n)]
+    return keys + [(sgn, wt, idx) for wt, basis in sorted(alg.basis.items())
+                   for idx in range(len(basis)) for sgn in ("+", "-")]
+
+
 def _assert_aut_n_is_the_product(real, nus, monkeypatch):
     """aut_n against `_product` on every built key at loop powers 0 and +-1,
     in terms, coefficient types, v and w; returns how many targets aut_n
     sent through its own product."""
     alg = real.alg
-    keys = [(kind, i) for kind in ("h", "t") for i in range(alg.n)]
-    keys += [(sgn, wt, idx) for wt, basis in sorted(alg.basis.items())
-             for idx in range(len(basis)) for sgn in ("+", "-")]
+    keys = _built_keys(alg)
     series = []
     inner = erskit.unfold._exp_ad
     monkeypatch.setattr(erskit.unfold, "_exp_ad",
@@ -768,16 +773,27 @@ def _assert_aut_n_is_the_product(real, nus, monkeypatch):
     ("D3(2)", {"g": {0: "Z"}}),
     ("D3(2)", {"g": {0: "2Z+1"}}),
     ("C2(1)", {"g": {1: "2Z+1"}}),
-], ids=SMALL_SUITE_NAMES + ["D3(2)-Z", "D3(2)-2Z+1", "C2(1)-2Z+1"])
+    ("G2(1)", {"k": {0: 3, 1: 3, 2: 1}}),
+], ids=SMALL_SUITE_NAMES + ["D3(2)-Z", "D3(2)-2Z+1", "C2(1)-2Z+1", "G2(1)-k331"])
 def test_aut_n_closed_form_is_the_product(name, kwargs, monkeypatch):
-    # the sl2 closed form on extremal vectors against the three series
+    # the sl2 closed form on every target, extremal or mid-string, against
+    # the three series
     cfg = simple_config(name, **kwargs)
     real = Realization(cfg, 3)
     nus = [sym for sym in b_all(cfg) if sym.sign > 0]
     products, targets = _assert_aut_n_is_the_product(real, nus, monkeypatch)
-    # every triple checks out, and both paths of aut_n ran
+    # every triple checks out, and no target took the product
     assert all(_reflection(real, nu)[2] for nu in nus)
-    assert 0 < products < targets
+    assert targets and products == 0
+    # a target with several terms, a v and a w: the form applies term by
+    # term and to w, and fixes v
+    alg = real.alg
+    wts = [wt for wt, basis in sorted(alg.basis.items()) if basis][:3]
+    mixed = loop_term(alg, {(sgn, wt, 0): ONE for wt in wts for sgn in "+-"}, 1)
+    mixed = LoopElement(alg, mixed.terms, 3, 2)
+    for nu in nus:
+        got, want = aut_n(real, nu, mixed), _product(real, nu, mixed)
+        assert (got.terms, got.v, got.w) == (want.terms, want.v, want.w), nu
 
 
 def test_aut_n_rejects_a_scaled_image(monkeypatch):
@@ -790,6 +806,56 @@ def test_aut_n_rejects_a_scaled_image(monkeypatch):
     assert not _reflection(real, nu)[2]
     products, targets = _assert_aut_n_is_the_product(real, [nu], monkeypatch)
     assert products == targets
+
+
+@pytest.mark.parametrize("name, kwargs", [(name, {}) for name in SMALL_SUITE_NAMES] + [
+    ("D3(2)", {"g": {0: "Z"}}),
+    ("D3(2)", {"g": {0: "2Z+1"}}),
+], ids=SMALL_SUITE_NAMES + ["D3(2)-Z", "D3(2)-2Z+1"])
+def test_h_eigenvalue_read_off_the_weight(name, kwargs):
+    # the weight k that aut_n reads off a key through h's coefficients is
+    # the coefficient of [h, key t^m] / key t^m at every loop power m, and
+    # an int; w has weight 0
+    cfg = simple_config(name, **kwargs)
+    real = Realization(cfg, 3)
+    alg = real.alg
+    keys = _built_keys(alg)
+    for nu in b_all(cfg):
+        e, f, sl2, h = _reflection(real, nu)
+        assert sl2, nu
+        hx = loop_bracket(e, f.scaled(-1))
+        assert hx.terms == h
+        assert loop_bracket(hx, LoopElement(alg, {}, 0, 1)).is_zero()
+        for key in keys:
+            k = alg.h_eig(h, key)
+            assert type(k) is int, (nu, key, k)
+            for power in (-1, 0, 1):
+                x = loop_term(alg, {key: ONE}, power)
+                assert loop_bracket(hx, x) == x.scaled(k), (nu, key, power)
+
+
+@pytest.mark.parametrize("mutant", ["h/7", "root key in h"])
+def test_aut_n_product_where_the_form_does_not_apply(mutant, monkeypatch):
+    # h/7: a record whose h is a seventh of the true one gives every target
+    # of nonzero weight (|k| <= 2 here) a non-integral k, so those targets
+    # take the product, and the weight-0 ones the closed form.  root key in
+    # h: F_nu replaced by F_nu + E_a2 puts [E_a1, E_a2] into h, which
+    # fails the triple check, so every target takes the product
+    cfg = simple_config("A2(1)")
+    real = Realization(cfg, 3)
+    nu = RootSym(1, False, 1)
+    e, f, sl2, h = _reflection(real, nu)
+    if mutant == "h/7":
+        seventh = {key: Fraction(c, 7) for key, c in h.items()}
+        real._reflections[nu.ident] = (e, f, sl2, seventh)
+        want = 3 * sum(1 for key in _built_keys(real.alg) if real.alg.h_eig(h, key))
+    else:
+        real._reflections.clear()
+        neg = nu.negate().ident
+        real._images[neg] = real.image(neg).plus(real.image("E:+a2"))
+        assert not _reflection(real, nu)[2]
+    products, targets = _assert_aut_n_is_the_product(real, [nu], monkeypatch)
+    assert products == (want if mutant == "h/7" else targets) and 0 < products
 
 
 def _scalar(x):

@@ -12,7 +12,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import count
 from math import ceil, factorial, lcm
 
 from .ambient import CheckError, ConfigError, DomainError, Vec, cartan_symmetrizer
@@ -137,6 +136,8 @@ class HandyDatum:
         return len(self.ibar)
 
     def index(self, node: int, x: int) -> int:
+        if (node, x) not in self.ibar:
+            raise ConfigError(f"Ibar has no node (a{node},{x})")
         return self.ibar.index((node, x))
 
     def p(self, i: int) -> int:
@@ -657,7 +658,7 @@ class Realization(RealizationBase):
         self.alg = build_graded(self.hd, height)
         self.kappa = None
         self._weights = None  # (alg.height, weight map) of loop_weight_dim
-        self._reflections: dict = {}  # nu.ident -> (e, f, sl2, h) of aut_n
+        self._reflections: dict = {}  # nu.ident -> (e, f, h, memo) of aut_n
         self.node_heights = _node_heights(config, self.hd.kvee)  # m_i of witness_height
 
     def _root_image(self, sym: RootSym) -> LoopElement:
@@ -811,47 +812,31 @@ def verify_pi(config: QebsConfig, relations=None) -> tuple[Report, Realization]:
 # reflection automorphisms
 # ---------------------------------------------------------------------------
 
-def _ad_power(x: LoopElement, term: LoopElement, n: int,
-              bound: int | None = None) -> LoopElement:
-    """[x, term] as the n-th power of ad x in `aut_n`'s form or series.
+def _ad_power(x: LoopElement, term: LoopElement, n: int) -> LoopElement:
+    """[x, term] as the n-th power of ad x in `aut_n`'s closed form.
 
     Every term of x, a root-vector image or its square, moves the Ibar
     height the same way, by at least one, and the algebra grows to hold
     every nonzero term, so a nonzero (ad x)^n target has n <= 2 * height:
-    the default bound 2 * height + 2, read from the algebra at every power,
-    never cuts a power short, and a power past it raises ResourceError.
+    the bound 2 * height + 2, read from the algebra at every power, never
+    cuts a power short, and a power past it raises ResourceError.
     """
-    if n > (2 * x.alg.height + 2 if bound is None else bound):
+    if n > 2 * x.alg.height + 2:
         raise ResourceError("ad is not nilpotent within the iteration bound")
     return loop_bracket(x, term)
 
 
-def _exp_ad(x: LoopElement, target: LoopElement,
-            bound: int | None = None) -> LoopElement:
-    """exp(ad x) applied to target, one series of `aut_n`'s fallback product;
-    each power, from `_ad_power`, is added in place with factor 1/n!."""
-    terms, v = dict(target.terms), target.v
-    term = target
-    c = Fraction(1)
-    for n in count(1):
-        term = _ad_power(x, term, n, bound)
-        if term.is_zero():
-            return LoopElement(x.alg, terms, v, target.w)
-        c /= n
-        acc(terms, term.terms, c)
-        v = v + c * term.v
-
-
 def _reflection(real: Realization, nu: RootSym) -> tuple:
-    """(e, f, sl2, h), r_nu = exp(ad e) exp(ad f) exp(ad e), kept on real
+    """(e, f, h, memo), r_nu = exp(ad e) exp(ad f) exp(ad e), kept on real
     per nu: e is the image of the positive one of +-nu and f minus that of
     the negative one, or for an odd nu their squares scaled by 1/4.
 
-    sl2 tells whether (e, h, -f), h = [e, -f], is exactly an sl2 triple
-    whose h has every monomial at every loop power as an eigenvector:
-    [h, e] = 2e, [h, f] = -2f, and h has no w and only h and t keys at
-    loop power 0.  h is kept as its terms, with which `GradedAlgebra.h_eig`
-    reads a key's h-eigenvalue off its weight.
+    (e, h, -f), h = [e, -f], must be exactly an sl2 triple whose h has every
+    monomial at every loop power as an eigenvector: [h, e] = 2e,
+    [h, f] = -2f, and h has only h and t keys at loop power 0; otherwise
+    CheckError.  h is kept as its terms, with which `GradedAlgebra.h_eig`
+    reads a key's h-eigenvalue off its weight.  memo maps a key to
+    r_nu(key t^0), filled by `aut_n`.
     """
     if (got := real._reflections.get(nu.ident)) is not None:
         return got
@@ -864,22 +849,52 @@ def _reflection(real: Realization, nu: RootSym) -> tuple:
         e = loop_bracket(pos, pos).scaled(quarter)
         f = loop_bracket(neg, neg).scaled(quarter)
     h = loop_bracket(e, f.scaled(-1))
-    sl2 = (not h.w and all(k[0] in ("h", "t") and p == 0 for k, p in h.terms)
-           and loop_bracket(h, e) == e.scaled(2)
-           and loop_bracket(h, f) == f.scaled(-2))
-    got = real._reflections[nu.ident] = (e, f, sl2, h.terms)
+    if not (all(k[0] in ("h", "t") and p == 0 for k, p in h.terms)
+            and loop_bracket(h, e) == e.scaled(2)
+            and loop_bracket(h, f) == f.scaled(-2)):
+        raise CheckError(f"(e, [e, -f], -f) of {nu.ident} is not an sl2 triple")
+    got = real._reflections[nu.ident] = (e, f, h.terms, {})
     return got
 
 
 def aut_n(real: Realization, nu: RootSym, target: LoopElement) -> LoopElement:
     """The reflection automorphism r_nu = exp(ad e) exp(ad f) exp(ad e) of a
     base root (Kac, Infinite-Dimensional Lie Algebras, 3.8), applied once,
-    with (e, f) from `_reflection`.
+    with (e, f, h, memo) from `_reflection`.
 
-    Where (E, H, F) = (e, h, -f) is an sl2 triple, r_nu fixes the central v
-    and is applied to each term c key t^m and to the w part: an H-eigenvector
-    x of weight k, read off the key's weight through h (0 for w, h, t).  For
-    k >= 0 and p the last power with (ad e)^p x != 0,
+    r_nu is linear and fixes the central v.  A term c key t^m adds c times
+    memo[key] = r_nu(key t^0), from `_sl2_image`, with every loop power
+    shifted by m, and memo[key]'s v only at m = 0.  This is exact:
+    `loop_bracket`'s terms read the operands' powers only through their sum
+    and never read an operand's v, so the closed form at key t^m is the one
+    at key t^0 shifted by m; and r_nu sends a weight lam != 0 to
+    s_nu(lam) != 0, so r_nu(key t^m) has a central part only at weight 0,
+    an h or t key at m = 0.  The w part goes through `_sl2_image` itself.
+    """
+    e, f, h, memo = _reflection(real, nu)
+    alg = real.alg
+    terms, v, w = {}, target.v, 0
+    for (key, m), c in target.terms.items():
+        if (img := memo.get(key)) is None:
+            img = memo[key] = _sl2_image(e, f, h, key, LoopElement(alg, {(key, 0): 1}))
+        acc(terms, {(k, n + m): d for (k, n), d in img.terms.items()}, c)
+        if not m:
+            v = v + c * img.v
+    if target.w:  # w has weight 0, as a t key has
+        img = _sl2_image(e, f, h, ("t", 0), LoopElement(alg, {}, 0, 1))
+        acc(terms, img.terms, target.w)
+        v, w = v + target.w * img.v, target.w * img.w
+    return LoopElement(alg, terms, v, w)
+
+
+def _sl2_image(e: LoopElement, f: LoopElement, h: dict, key,
+               x: LoopElement) -> LoopElement:
+    """r_nu x for x the key at one loop power, or w with key ("t", 0), by
+    the sl2 closed form.
+
+    x is an eigenvector of H in the triple (E, H, F) = (e, h, -f), of weight
+    k read off the key's weight through h (0 for w, h and t).  For k >= 0
+    and p the last power with (ad e)^p x != 0,
         r_nu x = sum_{c=0..p} (ad f)^(k+c) (ad e)^c x / ((k+c)! c!),
     and for k < 0 e and f swap and k becomes -k (r_nu = exp(ad f) exp(ad e)
     exp(ad f) too).  Proof: ad is locally finite, so x is a sum of
@@ -889,56 +904,37 @@ def aut_n(real: Realization, nu: RootSym, target: LoopElement) -> LoopElement:
     C(-k-i-1, c) C(k+i, i-c) = (-1)^(k+i) x_(k+i) by Vandermonde.  It runs
     as Horner in ad f with the integer weights p!/c! (k+p)!/(k+c)!, then
     one scaling by 1/(p! (k+p)!); each power goes through `_ad_power` and
-    its iteration bound.  An uncertified triple, or a k that is not an
-    int, takes the product of the three series.
+    its iteration bound.  A k that is not an int raises CheckError.
     """
-    e, f, sl2, h = _reflection(real, nu)
-    alg = real.alg
-    parts = [(km[0], LoopElement(alg, {km: 1}), c) for km, c in target.terms.items()]
-    if target.w:  # w has weight 0, as a t key has
-        parts.append((("t", 0), LoopElement(alg, {}, 0, 1), target.w))
-    if sl2:  # else h may hold root keys, which h_eig cannot read
-        ks = [alg.h_eig(h, key) for key, _, _ in parts]
-    if not sl2 or any(type(k) is not int for k in ks):
-        return _exp_ad(e, _exp_ad(f, _exp_ad(e, target)))
-    terms, v, w = {}, target.v, 0
-    for k, (_, x, coeff) in zip(ks, parts):
-        up, down = (e, f) if k >= 0 else (f, e)
-        k, ups = abs(k), [x]  # ups[c] = (ad up)^c x
-        while not (nxt := _ad_power(up, ups[-1], len(ups))).is_zero():
-            ups.append(nxt)
-        p = len(ups) - 1
-        out, wgt = ups[p], 1
-        for c in range(p - 1, -1, -1):
-            wgt *= (c + 1) * (k + c + 1)
-            out = _ad_power(down, out, p - c).plus(ups[c].scaled(wgt))
-        for n in range(p + 1, p + k + 1):
-            out = _ad_power(down, out, n)
-        d = factorial(p) * factorial(k + p)
-        scale = coeff if d == 1 else coeff * Fraction(1, d)
-        acc(terms, out.terms, scale)
-        v, w = v + scale * out.v, w + scale * out.w
-    return LoopElement(alg, terms, v, w)
+    k = x.alg.h_eig(h, key)
+    if type(k) is not int:
+        raise CheckError(f"h-eigenvalue {k} of {key} is not an int")
+    up, down = (e, f) if k >= 0 else (f, e)
+    k, ups = abs(k), [x]  # ups[c] = (ad up)^c x
+    while not (nxt := _ad_power(up, ups[-1], len(ups))).is_zero():
+        ups.append(nxt)
+    p = len(ups) - 1
+    out, wgt = ups[p], 1
+    for c in range(p - 1, -1, -1):
+        wgt *= (c + 1) * (k + c + 1)
+        out = _ad_power(down, out, p - c).plus(ups[c].scaled(wgt))
+    for n in range(p + 1, p + k + 1):
+        out = _ad_power(down, out, n)
+    d = factorial(p) * factorial(k + p)
+    return out if d == 1 else out.scaled(Fraction(1, d))
 
 
 def transport_images(real: Realization, words: dict, targets=None) -> dict:
     """Transported root vectors for vectors in a words map.
 
     Walks the map in its breadth-first insertion order, so each vector costs
-    one reflection automorphism applied to its parent's element.  With a
-    targets collection only their ancestors in the tree are computed.  A
-    target outside the map whose half beta is in it (a doubled root
-    2 beta, beta odd) gets [X_beta, X_beta], since automorphisms preserve
-    brackets; any other target missing from the map raises DomainError.
-    The algebra grows to the heights the brackets reach.
-
-    Each mirror is applied to each Ibar monomial once, at loop power 0, and
-    that image serves every loop power m shifted by m (`_transport_step`):
-    `loop_bracket`'s terms read the operands' powers only through their
-    sum, it never reads an operand's v, and root images have w = 0.  The
-    one exception is a parent weight lam in Q nu, whose nu-string passes
-    through weight 0, where the bracket adds to the central v; such a step
-    applies `aut_n` directly; either way its one sl2 closed form serves.
+    one `aut_n` call on its parent's element; aut_n's per-key memo applies
+    each mirror to each Ibar monomial once.  With a targets collection only
+    their ancestors in the tree are computed.  A target outside the map
+    whose half beta is in it (a doubled root 2 beta, beta odd) gets
+    [X_beta, X_beta], since automorphisms preserve brackets; any other
+    target missing from the map raises DomainError.  The algebra grows to
+    the heights the brackets reach.
     """
     needed = None
     doubled = {}
@@ -958,43 +954,12 @@ def transport_images(real: Realization, words: dict, targets=None) -> dict:
                 needed.add(vec)
                 vec = words[vec][1]
     out: dict[Vec, LoopElement] = {}
-    entries: dict = {}
     for vec, (sym0, up, nu) in words.items():
-        if needed is not None and vec not in needed:
-            continue
-        if up is None:
-            out[vec] = real.image(sym0.ident)
-        else:
-            out[vec] = _transport_step(real, nu, out[up], up, entries)
+        if needed is None or vec in needed:
+            out[vec] = real.image(sym0.ident) if up is None else aut_n(real, nu, out[up])
     for vec, half in doubled.items():
         out[vec] = loop_bracket(out[half], out[half])
     return out
-
-
-def _transport_step(real: Realization, nu: RootSym, target: LoopElement,
-                    weight: Vec, entries: dict) -> LoopElement:
-    """aut_n(real, nu, target) for target a vector of ambient weight
-    `weight`, as the sum over its terms c key t^m of c times the image of
-    key t^0 with every power shifted by m.  entries caches those images
-    by (nu.ident, key), and nu's ambient vector by nu.ident; a target with
-    a w part or a weight in Q nu goes through aut_n itself."""
-    if (nu_vec := entries.get(nu.ident)) is None:
-        nu_vec = entries[nu.ident] = root_to_ambient(real.config, nu.root(real.config))
-    if target.w or _parallel(weight, nu_vec):
-        return aut_n(real, nu, target)
-    terms: dict = {}
-    for (key, m), c in target.terms.items():
-        if (entry := entries.get((nu.ident, key))) is None:
-            entry = aut_n(real, nu, loop_term(real.alg, {key: 1}, 0)).terms
-            entries[(nu.ident, key)] = entry
-        acc(terms, {(k, n + m): e for (k, n), e in entry.items()}, c)
-    return LoopElement(real.alg, terms, target.v, target.w)
-
-
-def _parallel(lam, nu) -> bool:
-    """lam is a rational multiple of the nonzero vector nu."""
-    k = next(i for i, x in enumerate(nu) if x)
-    return all(a * nu[k] == b * lam[k] for a, b in zip(lam, nu))
 
 
 def root_to_ambient(config: QebsConfig, coords) -> tuple[int, ...]:

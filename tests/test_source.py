@@ -46,9 +46,11 @@ def test_one_sparse_accumulator():
 
 
 def test_one_reflection_routine():
-    # unfold.aut_n is the one reflection routine: the series `_exp_ad` is
-    # named inside it alone, and aut_n and loop_bracket stay module-level
-    # functions, which perfbench/spans.py wraps by name
+    # unfold.aut_n is the one reflection routine: its closed form
+    # `_sl2_image` is named inside it alone, the three-series product and
+    # transport's own cached step are gone, and aut_n and loop_bracket stay
+    # module-level functions, which perfbench/spans.py wraps by name
+    gone = {"_exp_ad", "_transport_step", "_parallel"}
     found, inside = [], 0
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -57,15 +59,18 @@ def test_one_reflection_routine():
                    and top.name == "aut_n" for node in ast.walk(top)}
         for node in ast.walk(tree):
             name = node.id if isinstance(node, ast.Name) else \
-                node.attr if isinstance(node, ast.Attribute) else None
-            if name == "_exp_ad":
+                node.attr if isinstance(node, ast.Attribute) else \
+                node.name if isinstance(node, ast.FunctionDef) else None
+            if name in gone:
+                found.append(f"{path.name}:{node.lineno}")
+            elif name == "_sl2_image" and not isinstance(node, ast.FunctionDef):
                 if id(node) in allowed:
                     inside += 1
                 else:
                     found.append(f"{path.name}:{node.lineno}")
         if path.name == "unfold.py":
             tops = {top.name for top in tree.body if isinstance(top, ast.FunctionDef)}
-            assert {"aut_n", "loop_bracket", "_exp_ad"} <= tops
+            assert {"aut_n", "loop_bracket", "_sl2_image"} <= tops
     assert inside and not found, found
 
 

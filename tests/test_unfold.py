@@ -13,6 +13,7 @@ import erskit
 from erskit.ambient import CheckError, ConfigError, DomainError, build_ambient
 from erskit.base_system import EMPTY, GClass, QebsConfig, simple_config, validate_qebs
 from erskit.cyclo import Cyc, ONE, SQRT2
+from erskit.exact import acc
 from erskit.presentation import RelationSet, RootSym, b_all, emit_sr
 from erskit.roots import RootWindow, generate
 from erskit.unfold import (
@@ -22,12 +23,10 @@ from erskit.unfold import (
     Realization,
     ResourceError,
     _ad_power,
-    _exp_ad,
     _ibar_height,
     _image_heights,
     _node_heights,
     _reflection,
-    _transport_step,
     aut_n,
     build_graded,
     build_handy,
@@ -84,6 +83,14 @@ def test_handy_incompatible_even_doubling():
             build_handy(
                 simple_config("D3(2)", k={0: 1, 1: 2, 2: 1}, g={0: tag})
             )
+
+
+def test_image_past_the_handy_nodes_is_a_config_error():
+    # validate_qebs rejects this config (KG3) and build_handy accepts it,
+    # with k_vee(a0) = 1; the 2Z+1 image of E:+a0 asks for the node (a0,2)
+    cfg = simple_config("D3(2)", k={0: 1, 1: 2, 2: 1}, g={0: "2Z+1"})
+    with pytest.raises(ConfigError, match=r"\(a0,2\)"):
+        Realization(cfg, 3).image("E:+a0")
 
 
 def _plain_datum(abar, iodd=()):
@@ -515,9 +522,9 @@ def test_transport_does_not_grow_on_nilpotence_error(monkeypatch):
     monkeypatch.setenv("ERSKIT_MAX_MEM",
                        str(4 * Realization(cfg, h).alg._size))
     real = Realization(cfg, h)
-    short = _ad_power
+    short = _ad_power  # past the first power, as with a bound of 1
     monkeypatch.setattr(erskit.unfold, "_ad_power",
-                        lambda x, term, n, bound=None: short(x, term, n, 1))
+                        lambda x, term, n: short(x, term, n + 2 * x.alg.height + 1))
     with pytest.raises(ResourceError, match="iteration bound"):
         transport_images(real, words, targets=vectors)
 
@@ -605,7 +612,7 @@ def test_witness_height_matches_the_padded_bound(name, kwargs):
     ("D3(2)", {"g": {0: "2Z+1"}}),
 ], ids=["A2(1)", "D3(2)-2Z+1"])
 def test_loop_bracket_shift_equivariant(name, kwargs):
-    # the invariant behind transport's per-monomial cache: bracketing with a
+    # the invariant behind aut_n's per-key memo: bracketing with a
     # root image or an odd square shifts the loop power of every term and
     # adds to v only at total power 0
     cfg = simple_config(name, **kwargs)
@@ -631,14 +638,6 @@ def test_loop_bracket_shift_equivariant(name, kwargs):
                 assert not got.v or power + m == 0, (x, key, m)
 
 
-def _direct_transport(real, words):
-    """transport_images over a whole words map, one aut_n per vector."""
-    out = {}
-    for vec, (sym0, up, nu) in words.items():
-        out[vec] = real.image(sym0.ident) if up is None else aut_n(real, nu, out[up])
-    return out
-
-
 @pytest.mark.parametrize("name, kwargs", [
     ("A2(1)", {}),
     ("G2(1)", {"k": {0: 3, 1: 3, 2: 1}}),
@@ -646,38 +645,29 @@ def _direct_transport(real, words):
     ("D3(2)", {"g": {0: "Z"}}),
     ("C2(1)", {"g": {1: "2Z+1"}}),
 ], ids=["A2(1)", "G2(1)-k331", "D3(2)-2Z+1", "D3(2)-Z", "C2(1)-2Z+1"])
-def test_transport_cache_matches_aut_n(name, kwargs):
+def test_transport_matches_the_product(name, kwargs):
+    # every transported vector is the three-series product applied to its
+    # parent's image, which reads neither aut_n's memo nor its closed form
     cfg = simple_config(name, **kwargs)
     rs = generate(cfg, RootWindow(3, 3))
     words = witness_words(cfg, rs)
-    h = witness_height(cfg, rs, words)
-    real = Realization(cfg, h)
+    real = Realization(cfg, witness_height(cfg, rs, words))
     images = transport_images(real, words)
-    ref_real = Realization(cfg, h)
-    ref = _direct_transport(ref_real, words)
-    assert list(images) == list(ref)
-    for vec, img in images.items():
-        want = ref[vec]
-        # equal by value; the key order of a multi-term image may differ
+    assert list(images) == list(words)
+    for vec, (sym0, up, nu) in words.items():
+        img = images[vec]
+        want = real.image(sym0.ident) if up is None else _product(real, nu, images[up])
         assert img.terms == want.terms, vec
         assert ([type(c) for c in img.terms.values()]
                 == [type(want.terms[k]) for k in img.terms]), vec
         assert (img.v, img.w) == (want.v, want.w), vec
-    assert (real.alg.height, real.alg._size) == (ref_real.alg.height,
-                                                  ref_real.alg._size)
-    # parent weights in Q nu, where the nu-string meets weight 0 and the
-    # brackets add to v, take aut_n itself: -nu, which no words map
-    # reaches, and 0, where a Cartan image under a starred nu gains a v
-    # that a shifted sum would miss
-    zero = (0,) * cfg.space.dim
+    # targets in Q nu, where the nu-string meets weight 0 and the brackets
+    # add to v: -nu, which no words map reaches, and 0, where a Cartan image
+    # under a starred nu gains a v, which the memo keeps at loop power 0 only
     for nu in (RootSym(1, False, 1), RootSym(0, True, 1)):
-        cases = [(real.image(nu.negate().ident),
-                  root_to_ambient(cfg, nu.negate().root(cfg))),
-                 (real.image(f"h:a{nu.node}"), zero)]
-        for target, weight in cases:
-            got = _transport_step(real, nu, target, weight, {})
-            want = aut_n(real, nu, target)
-            assert list(got.terms.items()) == list(want.terms.items())
+        for target in (real.image(nu.negate().ident), real.image(f"h:a{nu.node}")):
+            got, want = aut_n(real, nu, target), _product(real, nu, target)
+            assert got.terms == want.terms
             assert (got.v, got.w) == (want.v, want.w)
         assert bool(want.v) == nu.star
 
@@ -723,9 +713,26 @@ def test_coefficients_in_stored_form(name, kwargs):
     assert not bad, bad[:5]
 
 
+def _exp_ad(x, target, bound=40):
+    """exp(ad x) applied to target, the series of (ad x)^n target / n!, each
+    power added in place; a power past bound raises ResourceError."""
+    terms, v = dict(target.terms), target.v
+    term, c = target, Fraction(1)
+    for n in itertools.count(1):
+        if n > bound:
+            raise ResourceError("ad is not nilpotent within the iteration bound")
+        term = loop_bracket(x, term)
+        if term.is_zero():
+            return LoopElement(x.alg, terms, v, target.w)
+        c /= n
+        acc(terms, term.terms, c)
+        v = v + c * term.v
+
+
 def _product(real, nu, target):
     """r_nu as the product exp(ad e) exp(ad f) exp(ad e) of three series,
-    with e and f built here from the generator images."""
+    with e and f built here from the generator images: the reference for
+    aut_n's memo and closed form."""
     pos = real.image(nu.ident)
     neg = real.image(nu.negate().ident)
     if nu.parity(real.config):
@@ -743,30 +750,28 @@ def _built_keys(alg):
                    for idx in range(len(basis)) for sgn in ("+", "-")]
 
 
-def _assert_aut_n_is_the_product(real, nus, monkeypatch):
-    """aut_n against `_product` on every built key at loop powers 0 and +-1,
-    in terms, coefficient types, v and w; returns how many targets aut_n
-    sent through its own product."""
+def _assert_aut_n_is_the_product(real, nus):
+    """aut_n against `_product` on every built key at loop powers 0, +-1,
+    +-p and +-2p, p the loop power of nu's e, in terms, coefficient types, v
+    and w; returns how many targets it compared.  For a starred nu and an
+    odd square the powers +-p and +-2p meet the central term, which the
+    memo's image, taken at power 0, must leave out."""
     alg = real.alg
     keys = _built_keys(alg)
-    series = []
-    inner = erskit.unfold._exp_ad
-    monkeypatch.setattr(erskit.unfold, "_exp_ad",
-                        lambda x, target: series.append(x) or inner(x, target))
-    products = 0
+    targets = 0
     for nu in nus:
+        (p,) = {n for _, n in _reflection(real, nu)[0].terms}
         for key in keys:
-            for power in (-1, 0, 1):
+            for power in sorted({-1, 0, 1, p, -p, 2 * p, -2 * p}):
                 target = loop_term(alg, {key: ONE}, power)
                 got = aut_n(real, nu, target)
-                products += bool(series)
-                series.clear()
                 want = _product(real, nu, target)
                 assert got.terms == want.terms, (nu, key, power)
                 assert ([type(c) for c in got.terms.values()]
                         == [type(want.terms[k]) for k in got.terms]), (nu, key, power)
                 assert (got.v, got.w) == (want.v, want.w), (nu, key, power)
-    return products, len(nus) * len(keys) * 3
+                targets += 1
+    return targets
 
 
 @pytest.mark.parametrize("name, kwargs", [(name, {}) for name in SMALL_SUITE_NAMES] + [
@@ -775,16 +780,13 @@ def _assert_aut_n_is_the_product(real, nus, monkeypatch):
     ("C2(1)", {"g": {1: "2Z+1"}}),
     ("G2(1)", {"k": {0: 3, 1: 3, 2: 1}}),
 ], ids=SMALL_SUITE_NAMES + ["D3(2)-Z", "D3(2)-2Z+1", "C2(1)-2Z+1", "G2(1)-k331"])
-def test_aut_n_closed_form_is_the_product(name, kwargs, monkeypatch):
+def test_aut_n_closed_form_is_the_product(name, kwargs):
     # the sl2 closed form on every target, extremal or mid-string, against
     # the three series
     cfg = simple_config(name, **kwargs)
     real = Realization(cfg, 3)
     nus = [sym for sym in b_all(cfg) if sym.sign > 0]
-    products, targets = _assert_aut_n_is_the_product(real, nus, monkeypatch)
-    # every triple checks out, and no target took the product
-    assert all(_reflection(real, nu)[2] for nu in nus)
-    assert targets and products == 0
+    assert _assert_aut_n_is_the_product(real, nus)
     # a target with several terms, a v and a w: the form applies term by
     # term and to w, and fixes v
     alg = real.alg
@@ -796,16 +798,36 @@ def test_aut_n_closed_form_is_the_product(name, kwargs, monkeypatch):
         assert (got.terms, got.v, got.w) == (want.terms, want.v, want.w), nu
 
 
-def test_aut_n_rejects_a_scaled_image(monkeypatch):
+def test_aut_n_rejects_a_scaled_image():
     # E_nu scaled by 2 breaks [h, e] = 2e: the triple check rejects nu, and
-    # every target takes the product, which stays the reference
+    # aut_n with it, with CheckError
     cfg = simple_config("A2(1)")
     real = Realization(cfg, 3)
     nu = RootSym(1, False, 1)
     real._images[nu.ident] = real.image(nu.ident).scaled(2)
-    assert not _reflection(real, nu)[2]
-    products, targets = _assert_aut_n_is_the_product(real, [nu], monkeypatch)
-    assert products == targets
+    with pytest.raises(CheckError, match="not an sl2 triple"):
+        _reflection(real, nu)
+    with pytest.raises(CheckError, match="not an sl2 triple"):
+        aut_n(real, nu, real.image("E:+a2"))
+    assert nu.ident not in real._reflections
+
+
+@pytest.mark.parametrize("name, kwargs", [(name, {}) for name in SUITE_NAMES] + [
+    ("D3(2)", {"g": {0: "Z"}}),
+    ("D3(2)", {"g": {0: "2Z+1"}}),
+    ("C2(1)", {"g": {1: "2Z+1"}}),
+    ("G2(1)", {"k": {0: 3, 1: 3, 2: 1}}),
+], ids=SUITE_NAMES + ["D3(2)-Z", "D3(2)-2Z+1", "C2(1)-2Z+1", "G2(1)-k331"])
+def test_reflection_certifies_every_nu(name, kwargs):
+    # no config that builds reaches an uncertified triple: every base root
+    # of either sign gets its sl2 triple.  The other two D3(2) doubling
+    # variants, k = (1,2,1) with g(a0) = 4Z or 2Z, fail build_handy (HD5)
+    cfg = simple_config(name, **kwargs)
+    real = Realization(cfg, 2)
+    for sym in b_all(cfg):
+        e, f, h, memo = _reflection(real, sym)
+        assert h and not memo, sym.ident
+    assert len(real._reflections) == len(b_all(cfg))
 
 
 @pytest.mark.parametrize("name, kwargs", [(name, {}) for name in SMALL_SUITE_NAMES] + [
@@ -821,8 +843,7 @@ def test_h_eigenvalue_read_off_the_weight(name, kwargs):
     alg = real.alg
     keys = _built_keys(alg)
     for nu in b_all(cfg):
-        e, f, sl2, h = _reflection(real, nu)
-        assert sl2, nu
+        e, f, h, _ = _reflection(real, nu)
         hx = loop_bracket(e, f.scaled(-1))
         assert hx.terms == h
         assert loop_bracket(hx, LoopElement(alg, {}, 0, 1)).is_zero()
@@ -835,27 +856,34 @@ def test_h_eigenvalue_read_off_the_weight(name, kwargs):
 
 
 @pytest.mark.parametrize("mutant", ["h/7", "root key in h"])
-def test_aut_n_product_where_the_form_does_not_apply(mutant, monkeypatch):
-    # h/7: a record whose h is a seventh of the true one gives every target
-    # of nonzero weight (|k| <= 2 here) a non-integral k, so those targets
-    # take the product, and the weight-0 ones the closed form.  root key in
-    # h: F_nu replaced by F_nu + E_a2 puts [E_a1, E_a2] into h, which
-    # fails the triple check, so every target takes the product
+def test_aut_n_product_where_the_form_does_not_apply(mutant):
+    # h/7: a record whose h is a seventh of the true one gives every key of
+    # nonzero weight (|k| <= 2 here) a non-integral k, which the closed form
+    # rejects with CheckError, while a weight-0 key still maps to the
+    # product.  root key in h: F_nu replaced by F_nu + E_a2 puts
+    # [E_a1, E_a2] into h, which fails the triple check
     cfg = simple_config("A2(1)")
     real = Realization(cfg, 3)
     nu = RootSym(1, False, 1)
-    e, f, sl2, h = _reflection(real, nu)
-    if mutant == "h/7":
-        seventh = {key: Fraction(c, 7) for key, c in h.items()}
-        real._reflections[nu.ident] = (e, f, sl2, seventh)
-        want = 3 * sum(1 for key in _built_keys(real.alg) if real.alg.h_eig(h, key))
-    else:
-        real._reflections.clear()
+    if mutant == "root key in h":
         neg = nu.negate().ident
         real._images[neg] = real.image(neg).plus(real.image("E:+a2"))
-        assert not _reflection(real, nu)[2]
-    products, targets = _assert_aut_n_is_the_product(real, [nu], monkeypatch)
-    assert products == (want if mutant == "h/7" else targets) and 0 < products
+        with pytest.raises(CheckError, match="not an sl2 triple"):
+            aut_n(real, nu, real.image("E:+a2"))
+        return
+    e, f, h, _ = _reflection(real, nu)
+    real._reflections[nu.ident] = (e, f, {key: Fraction(c, 7) for key, c in h.items()}, {})
+    keys = _built_keys(real.alg)
+    moved = [key for key in keys if real.alg.h_eig(h, key)]
+    assert 0 < len(moved) < len(keys)
+    for key in keys:
+        target = loop_term(real.alg, {key: ONE}, 1)
+        if key in moved:
+            with pytest.raises(CheckError, match="not an int"):
+                aut_n(real, nu, target)
+        else:
+            got, want = aut_n(real, nu, target), _product(real, nu, target)
+            assert (got.terms, got.v, got.w) == (want.terms, want.v, want.w), key
 
 
 def _scalar(x):
@@ -907,11 +935,15 @@ def test_exp_ad_bound_follows_height():
     # [E, F] = h and [E, h] = -2E are nonzero, [E, E] = 0: three steps
     with pytest.raises(ResourceError, match="iteration bound"):
         _exp_ad(pos, neg, bound=2)
+    # aut_n's powers stop at 2 * height + 2 = 8
+    assert not _ad_power(pos, neg, 8).is_zero()
+    with pytest.raises(ResourceError, match="iteration bound"):
+        _ad_power(pos, neg, 9)
 
     def same(x, y):
         return x.plus(y.scaled(-1)).is_zero()
 
-    # the default bound 2 * height + 2 = 8 reproduces the old fixed bound 40
+    # the bound 2 * height + 2 = 8 reproduces the fixed bound 40
     nu = RootSym(1, False, 1)
     for target in (neg, pos, real.image("E:+a2"), real.image("h:a1")):
         old = _exp_ad(pos, target, 40)

@@ -255,12 +255,13 @@ class AmbientSpace:
         self.r = 2 if affine_type.family == "A_even(2)" else 1
         self.cartan = cartan_matrix(affine_type)
         self.sym = _symmetrize(self.cartan)
-        _check_affine_block(self.sym)
+        self._marks = _kernel_marks(self.sym)
+        if self._marks[0] != self.r:
+            raise ConfigError("kernel of the Cartan block is not a null root")
         self.idx_Ld = self.l + 1
         self.idx_a = self.l + 2
         self.idx_La = self.l + 3
         self.gram = self._build_gram()
-        self._marks = None
 
     def _build_gram(self) -> tuple[Vec, ...]:
         n = self.dim
@@ -325,12 +326,9 @@ class AmbientSpace:
     def delta_marks(self) -> list[int]:
         """The coordinates of delta over Pi: delta in Z_+ Pi with Z delta the
         isotropic part of Z Pi.  J(delta, delta) = 0 as delta spans the
-        kernel of the block; J(Ld, delta) = delta_0 / r must be 1."""
-        if self._marks is None:
-            marks = _kernel_marks(self.sym)
-            if marks[0] != self.r:
-                raise ConfigError("kernel of the Cartan block is not a null root")
-            self._marks = marks
+        kernel of the block; J(Ld, delta) = delta_0 / r must be 1.  Read
+        when the space is built, by `_kernel_marks`, which also shows that
+        the block is affine."""
         return list(self._marks)
 
     def node_orbit_classes(self) -> list[set[int]]:
@@ -370,38 +368,28 @@ def build_ambient(affine_type: AffineType | str) -> AmbientSpace:
 
 
 # ---------------------------------------------------------------------------
-# affine block checks
+# the affine block
 # ---------------------------------------------------------------------------
 
-def _check_affine_block(B: list[list[int]]) -> None:
-    """The symmetrized block must be PSD with a 1-dimensional kernel."""
-    n = len(B)
-    a = [[Fraction(x) for x in row] for row in B]
-    alive = list(range(n))
-    rank = 0
-    while alive:
-        piv = next((i for i in alive if a[i][i] > 0), None)
-        if piv is None:
-            # PSD requires every remaining row to vanish entirely
-            for i in alive:
-                if a[i][i] < 0 or any(a[i][j] != 0 for j in alive):
-                    raise ConfigError("Cartan block is not positive semidefinite")
-            break
-        rank += 1
-        alive.remove(piv)
-        p = a[piv][piv]
-        for i in alive:
-            if a[i][piv] != 0:
-                f = a[i][piv] / p
-                for j in alive:
-                    a[i][j] -= f * a[piv][j]
-                a[i][piv] = Fraction(0)
-    if rank != n - 1:
-        raise ConfigError(f"Cartan block has corank {n - rank}, expected 1")
-
-
 def _kernel_marks(B: list[list[int]]) -> list[int]:
-    """Coprime positive integer kernel vector of the symmetrized block."""
+    """Coprime positive integer kernel vector of the symmetrized block B.
+
+    B must have the sign pattern of a generalized Cartan matrix: a positive
+    diagonal and no positive entry off it.  A connected such B (the
+    symmetrizer demands it) with a strictly positive kernel vector d is of
+    affine type (Kac, Infinite-Dimensional Lie Algebras, Thm 4.3; the book
+    is not in this repository, so the numbering is from memory).  For
+    symmetric B the rest needs no citation: as sum_j B_ij d_j = 0,
+
+        x^T B x = -1/2 sum_{i != j} B_ij d_i d_j (x_i/d_i - x_j/d_j)^2,
+
+    a sum of terms >= 0, so B is positive semidefinite; and x^T B x = 0
+    forces x_i/d_i = x_j/d_j along every edge B_ij < 0, so over the
+    connected diagram x is a multiple of d and B has corank 1."""
+    n = len(B)
+    if any(B[i][i] <= 0 or any(B[i][j] > 0 for j in range(n) if j != i)
+           for i in range(n)):
+        raise ConfigError("Cartan block lacks the sign pattern of a Cartan matrix")
     ker = exact.kernel(B)
     if len(ker) != 1:
         raise ConfigError(f"Cartan block has corank {len(ker)}, expected 1")

@@ -1,9 +1,9 @@
 """Exact linear algebra over Q.
 
-One reduced-row-echelon routine, built a row at a time so that a caller
-who only needs to know whether a rank is reached can stop reading rows;
-rank, kernel and solve are read off its result.  Entries may be ints or
-Fractions; results are Fractions.
+One row elimination, expansions: it reads rows one at a time and expands
+each row that depends on the rows before it in the independent ones.  The
+graded build of unfold reads it; rank, kernel and solve are read off it.
+Entries may be ints or Fractions; kernel and solve return Fractions.
 
 One sparse accumulator, acc, for linear combinations stored as
 {key: nonzero coefficient} dicts with any exact scalars (ints, Fractions,
@@ -57,68 +57,68 @@ def canonical(c):
     return c
 
 
-def rref(rows, stop: int | None = None) -> dict[int, list[Fraction]]:
-    """Reduced row echelon form of the span of rows, as {pivot column: row}.
+def expansions(rows):
+    """For each row, None when it is independent of the rows before it, else
+    its exact expansion {position of an independent row: c} in them.
 
-    Each row is 1 at its pivot column and 0 at every other pivot column
-    (and at every column before its pivot), so the result is the unique
-    RREF whatever the row order.  With stop, rows are read only until that
-    many pivots are found."""
-    piv: dict[int, list[Fraction]] = {}
-    for row in rows:
-        row = list(row)
-        for c, p in piv.items():
-            f = row[c]
-            if f:
-                row = [x - f * y if y else x for x, y in zip(row, p)]
-        lead = next((c for c, x in enumerate(row) if x), None)
-        if lead is None:
-            continue
-        inv = 1 / Fraction(row[lead])
-        row = [x * inv for x in row]
-        for c, p in piv.items():
-            f = p[lead]
-            if f:
-                piv[c] = [x - f * y if y else x for x, y in zip(p, row)]
-        piv[lead] = row
-        if len(piv) == stop:
-            break
-    return piv
+    Rows are sparse {column: nonzero entry} dicts, read lazily and reduced
+    in place.  Each pivot row (its pivot is its first key) carries its
+    expression in the independent rows, so a row that reduces to zero is
+    the combination it met; being unique, that does not depend on the
+    pivot rule."""
+    pivots: list[tuple] = []  # (pivot column, reduced row, expression)
+    for pos, vec in enumerate(rows):
+        expr: dict = {}
+        for pcol, prow, rexpr in pivots:
+            if pcol in vec:
+                fac = Fraction(vec[pcol], prow[pcol])
+                acc(expr, rexpr, fac)
+                acc(vec, prow, -fac)
+        if vec:
+            rexpr = {pos: 1}
+            acc(rexpr, expr, -1)
+            pivots.append((next(iter(vec)), vec, rexpr))
+            yield None
+        else:
+            yield expr
+
+
+def _sparse(row) -> dict:
+    return {c: x for c, x in enumerate(row) if x}
+
+
+def _dense(n: int, combo: dict) -> list[Fraction]:
+    v = [Fraction(0)] * n
+    for k, x in combo.items():
+        v[k] = Fraction(x)
+    return v
 
 
 def rank(rows, stop: int | None = None) -> int:
-    """Rank of rows over Q, or stop if it is at least stop."""
-    return len(rref(rows, stop))
+    """Rank of rows over Q, or stop if it is at least stop: no row past the
+    stop-th independent one is read."""
+    r = 0
+    for combo in expansions(_sparse(row) for row in rows):
+        if combo is None:
+            r += 1
+            if r == stop:
+                break
+    return r
 
 
 def kernel(matrix) -> list[list[Fraction]]:
-    """A basis of {v : matrix v = 0}, one vector per non-pivot column, with
-    1 at that column and 0 at the other non-pivot columns."""
-    n = len(matrix[0])
-    piv = rref(matrix)
-    basis = []
-    for free in range(n):
-        if free in piv:
-            continue
-        v = [Fraction(0)] * n
-        v[free] = Fraction(1)
-        for c, p in piv.items():
-            v[c] = -p[free]
-        basis.append(v)
-    return basis
+    """The nullspace basis of the RREF: for each column that depends on the
+    columns before it, 1 there and minus its expansion in them."""
+    cols = expansions(_sparse(col) for col in zip(*matrix))
+    return [_dense(len(matrix[0]), {c: 1, **{k: -x for k, x in combo.items()}})
+            for c, combo in enumerate(cols) if combo is not None]
 
 
 def solve(matrix, rhs) -> list[Fraction] | None:
-    """One solution of matrix v = rhs (0 at every non-pivot column), or None
-    when the system is inconsistent."""
-    n = len(matrix[0])
-    piv = rref(list(row) + [b] for row, b in zip(matrix, rhs))
-    if n in piv:
-        return None
-    v = [Fraction(0)] * n
-    for c, p in piv.items():
-        v[c] = p[n]
-    return v
+    """The solution of matrix v = rhs that is 0 off the independent columns,
+    or None when the system is inconsistent."""
+    *_, combo = expansions(_sparse(col) for col in [*zip(*matrix), rhs])
+    return None if combo is None else _dense(len(matrix[0]), combo)
 
 
 def primitive(v) -> list[int]:

@@ -343,15 +343,22 @@ class EllipticRootSet:
         return out
 
     def to_json_entries(self) -> list[dict]:
+        """One entry per root, in sorted order.  The parity of (c, n) tests
+        2n against the markings of 2c, read once per alpha-part c."""
         out = []
+        doubles: dict[APart, list[Progression]] = {}
         for coords, ann in self.sorted_roots():
+            c = coords[:-1]
+            progs = doubles.get(c)
+            if progs is None:
+                progs = doubles[c] = self.markings(tuple(2 * x for x in c))
             out.append(
                 {
                     "coords": list(coords),
                     "orbit_key": str(ann["orbit_key"]),
                     "k": ann["k"],
                     "g": ann["g"],
-                    "parity": self.parity(coords),
+                    "parity": int(any(p.contains(2 * coords[-1]) for p in progs)),
                     "doubled": ann["doubled"],
                 }
             )

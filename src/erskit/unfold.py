@@ -17,7 +17,7 @@ from math import ceil, factorial, lcm
 from .ambient import CheckError, ConfigError, DomainError, Vec, cartan_symmetrizer
 from .base_system import Check, QebsConfig, Report
 from .cyclo import Cyc, SQRT2, SQRT_M1, exp_pi_i_over
-from .exact import acc, canonical
+from .exact import acc, canonical, expansions
 from .presentation import RealizationBase, RootSym, b_all, emit_sr, substitute
 from .roots import closure, mirror
 
@@ -309,8 +309,10 @@ class GradedAlgebra:
     """Height-truncated quotient by the radical of the invariant form.
 
     For height >= 2 an element lies in the radical iff all lowering
-    operators kill it, which turns the per-weight quotient into the kernel
-    of a stacked rational matrix.  Only the positive half is built: the
+    operators kill it.  So at each weight, `exact.expansions` reads the
+    stacked lowered images of the candidates [E_i, b]: the independent
+    candidates become the basis, and every candidate's expansion in them
+    is its row of eact.  Only the positive half is built: the
     automorphism omega: E_i -> F_i, F_i -> (-1)^{p_i} E_i, h -> -h maps it
     onto the negative half, and `ad` reads F-monomial brackets through it.
     The form on root vectors is read off the bracket, [x, y] = (x|y)
@@ -391,47 +393,25 @@ class GradedAlgebra:
         self.parity[wt] = sum(c * self.hd.p(m) for m, c in enumerate(wt)) % 2
 
         # image of each candidate under every lowering operator, by j
-        lowered = {
-            cand: {j: self._f_on_candidate(j, *cand) for j in range(self.n)}
-            for cand in cands
-        }
+        lowered = [{j: self._f_on_candidate(j, *cand) for j in range(self.n)}
+                   for cand in cands]
 
-        # greedy row reduction; independent candidates become the basis.
-        # Each reduced pivot row carries its expression as a combination of
-        # the images of the basis candidates, so a dependent candidate gets
-        # an exact expansion in the chosen basis.  Any nonzero entry serves
-        # as pivot: the basis and the expansions do not depend on the choice.
-        pivots: list[tuple] = []  # (pivot column, reduced row, expression)
-        basis_mon = []
-        expansions: dict[tuple, dict] = {}
-        for cand, parts in lowered.items():
-            vec = {(j, key): c for j, part in parts.items() for key, c in part.items()}
-            expr: dict[int, Fraction] = {}
-            for pcol, prow, rexpr in pivots:
-                if pcol in vec:
-                    fac = Fraction(vec[pcol], prow[pcol])
-                    acc(expr, rexpr, fac)
-                    acc(vec, prow, -fac)
-            if vec:
-                bidx = len(basis_mon)
-                basis_mon.append(cand)
-                rexpr = {bidx: 1}
-                acc(rexpr, expr, -1)
-                pivots.append((next(iter(vec)), vec, rexpr))
-                expansions[cand] = {bidx: 1}
-            else:
-                expansions[cand] = expr
+        # the candidates independent of those before them become the basis;
+        # a dependent one gets its exact expansion in the basis candidates
+        rows = ({(j, key): c for j, part in parts.items() for key, c in part.items()}
+                for parts in lowered)
+        bidx: dict[int, int] = {}  # candidate position -> basis index
+        for pos, ((i, sub, idx), combo) in enumerate(zip(cands, expansions(rows))):
+            if combo is None:
+                bidx[pos] = len(bidx)
+                combo = {pos: 1}
+            self.eact[(sub, idx)][i] = {("+", wt, bidx[p]): v for p, v in combo.items()}
 
-        self.basis[wt] = [(i, (sub, idx)) for i, sub, idx in basis_mon]
-        self._size += len(basis_mon)
-
-        # record raising action on the sub-basis and lowering on the new basis
-        for cand, combo in expansions.items():
-            i, sub, idx = cand
-            self.eact[(sub, idx)][i] = {("+", wt, b): v for b, v in combo.items()}
-        for bidx, cand in enumerate(basis_mon):
-            self.eact[(wt, bidx)] = {}
-            self.fact[(wt, bidx)] = lowered[cand]
+        self.basis[wt] = [(cands[p][0], cands[p][1:]) for p in bidx]
+        self._size += len(bidx)
+        for b, p in enumerate(bidx):
+            self.eact[(wt, b)] = {}
+            self.fact[(wt, b)] = lowered[p]
 
     def _f_on_candidate(self, j: int, i: int, sub: tuple, idx: int) -> dict:
         """[F_j, [E_i, b]] for b the idx-th basis monomial at weight sub."""

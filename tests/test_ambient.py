@@ -7,7 +7,6 @@ from erskit.ambient import (
     AffineType,
     ConfigError,
     DomainError,
-    _check_affine_block,
     _kernel_marks,
     build_ambient,
 )
@@ -110,8 +109,16 @@ def test_kernel_marks_rejects_non_affine_blocks(block):
 
 
 def test_affine_block_check_rejects_negative_semidefinite_block():
-    # corank 1 with the positive kernel (1, 1): only the PSD test rejects it
+    # corank 1 with the positive kernel (1, 1): the sign pattern rejects it
     block = [[Fraction(x) for x in row] for row in [[-2, 2], [2, -2]]]
-    assert _kernel_marks(block) == [1, 1]
-    with pytest.raises(ConfigError, match="not positive semidefinite"):
-        _check_affine_block(block)
+    with pytest.raises(ConfigError, match="lacks the sign pattern"):
+        _kernel_marks(block)
+
+
+@pytest.mark.parametrize("name", SUITE_NAMES)
+def test_symmetrized_block_is_psd_of_corank_one(name):
+    # what _kernel_marks reads off the positive null vector, checked by sympy
+    sympy = pytest.importorskip("sympy")
+    B = sympy.Matrix(build_ambient(name).sym)
+    assert B.is_positive_semidefinite
+    assert B.rank() == B.rows - 1

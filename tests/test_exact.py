@@ -34,14 +34,29 @@ def test_rank_matches_sympy(sympy, matrix):
         assert exact.rank(matrix, stop=k) == min(k, want)
 
 
+def _sparse(row):
+    return {c: x for c, x in enumerate(row) if x}
+
+
 @settings(max_examples=200, deadline=None)
 @given(matrices())
-def test_rref_is_sympys_whatever_the_row_order(sympy, matrix):
-    reduced, pivots = sympy.Matrix(matrix).rref()
-    want = {c: [Fraction(int(x.p), int(x.q)) for x in reduced.row(r)]
-            for r, c in enumerate(pivots)}
-    assert exact.rref(matrix) == want
-    assert exact.rref(matrix[::-1]) == want
+def test_expansions_and_kernel_match_sympy(sympy, matrix):
+    combos = list(exact.expansions(_sparse(row) for row in matrix))
+    for pos, combo in enumerate(combos):
+        # independent exactly where the row raises the rank of its prefix
+        raises = (sympy.Matrix(matrix[:pos + 1]).rank()
+                  > (sympy.Matrix(matrix[:pos]).rank() if pos else 0))
+        assert (combo is None) == raises
+        if combo is not None:
+            # a dependent row is its expansion in the independent rows
+            # before it
+            assert all(k < pos and combos[k] is None for k in combo)
+            got = [sum(c * matrix[k][col] for k, c in combo.items())
+                   for col in range(len(matrix[0]))]
+            assert got == matrix[pos]
+    want = [[Fraction(int(x.p), int(x.q)) for x in v]
+            for v in sympy.Matrix(matrix).nullspace()]
+    assert exact.kernel(matrix) == want
 
 
 @settings(max_examples=200, deadline=None)

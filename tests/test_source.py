@@ -74,6 +74,32 @@ def test_one_reflection_routine():
     assert inside and not found, found
 
 
+def test_one_elimination():
+    # exact.expansions is the one row elimination: the dense RREF and the
+    # symmetric pivoting of the affine-block check are gone, and the graded
+    # build reads its basis and expansions off expansions
+    gone = {"rref", "_check_affine_block"}
+    found, calls = [], 0
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            name = node.id if isinstance(node, ast.Name) else \
+                node.attr if isinstance(node, ast.Attribute) else \
+                node.name if isinstance(node, ast.FunctionDef) else None
+            if name in gone:
+                found.append(f"{path.name}:{node.lineno}")
+        if path.name == "unfold.py":
+            build = next(top for cls in tree.body
+                         if isinstance(cls, ast.ClassDef) and cls.name == "GradedAlgebra"
+                         for top in cls.body
+                         if isinstance(top, ast.FunctionDef) and top.name == "_build_weight")
+            calls = sum(isinstance(node, ast.Call) and (
+                getattr(node.func, "id", None) == "expansions"
+                or getattr(node.func, "attr", None) == "expansions")
+                for node in ast.walk(build))
+    assert calls and not found, found
+
+
 def test_one_bracket_recursion():
     # GradedAlgebra._br_keys is the one structure rule that walks a basis
     # monomial's build: the (letter, parent) entry basis[wt][idx] is read

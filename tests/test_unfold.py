@@ -234,6 +234,30 @@ def test_negative_half_is_the_omega_image(name, kwargs):
     assert alg.height == 10
 
 
+@pytest.mark.parametrize("name,kwargs", [(name, {}) for name in SMALL_SUITE_NAMES] + [
+    ("D3(2)", {"g": {0: "Z"}}), ("D3(2)", {"g": {0: "2Z+1"}}),
+    ("C2(1)", {"g": {1: "Z"}})])
+def test_raising_expansions_reproduce_the_lowered_images(name, kwargs):
+    # the graded build keeps [E_i, b] as its expansion eact[b][i] in the new
+    # basis; every lowering operator F_j must then agree on both sides:
+    # [F_j, [E_i, b]] is the fact rows of that basis combined by eact[b][i]
+    alg = build_graded(build_handy(simple_config(name, **kwargs)), 12)
+    checked = 0
+    for wt, basis in list(alg.basis.items()):
+        if sum(wt) == alg.height:
+            continue
+        for idx in range(len(basis)):
+            for i in range(alg.n):
+                combo = alg.eact[(wt, idx)][i]
+                for j in range(alg.n):
+                    got = {}
+                    for (_, up, b), c in combo.items():
+                        acc(got, alg.fact[(up, b)][j], c)
+                    assert got == alg._f_on_candidate(j, i, wt, idx), (wt, idx, i, j)
+                    checked += 1
+    assert checked and alg.height == 12
+
+
 def _form_oracle(alg, kx, ky):
     """(kx|ky) by invariance over the E-monomial's build [E_i, x']:
     ([E_i, x'] | y) = -(-1)^{p_i p_x'} (x' | [E_i, y]), down to

@@ -639,6 +639,7 @@ class Realization(RealizationBase):
         self.kappa = None
         self._weights = None  # (alg.height, weight map) of loop_weight_dim
         self._reflections: dict = {}  # nu.ident -> (e, f, h, memo) of aut_n
+        self._translations: dict = {}  # (j, +-1) -> (letters, chars) of _translate
         self.node_heights = _node_heights(config, self.hd.kvee)  # m_i of witness_height
 
     def _root_image(self, sym: RootSym) -> LoopElement:
@@ -904,12 +905,58 @@ def _sl2_image(e: LoopElement, f: LoopElement, h: dict, key,
     return out if d == 1 else out.scaled(Fraction(1, d))
 
 
+def _translate(real: Realization, edge: tuple, target: LoopElement) -> LoopElement:
+    """T = r_(j*) r_j for edge (j, 1), or r_j r_(j*) for (j, -1), applied to
+    a root vector by its character, kept on real per edge: once per edge T
+    is taken through `aut_n` on the 2n Ibar generators E_g and F_g at t^0,
+    and each image must be exactly that generator times chi_g at loop power
+    s_g, with no v and no w, else CheckError.  Then c key t^m goes to
+    c chi(key) key t^(m+s(key)), chi the product of the chi_g and s the sum
+    of the s_g over the key's Ibar weight, on the E or F letters by sign.
+    Exact: T is an automorphism, a product of two certified r_nu; an E- (F-)
+    monomial is a bracket of E_g (F_g) at t^0; `loop_bracket` reads powers
+    only through their sum and adds no central term inside one half; and
+    `aut_n`'s shift rule carries over to T, with no v at a weight != 0.  A
+    Cartan key, a v or a w in the target raises CheckError.
+    """
+    alg = real.alg
+    if (got := real._translations.get(edge)) is None:
+        j, sign = edge
+        first, then = [RootSym(j, False, 1), RootSym(j, True, 1)][::sign]
+        letters = {"+": [], "-": []}  # sign -> (chi_g, s_g) per Ibar node g
+        for g in range(alg.n):
+            for half, row in letters.items():
+                key = (half, alg._unit(g), 0)
+                img = aut_n(real, then, aut_n(real, first, LoopElement(alg, {(key, 0): 1})))
+                if len(img.terms) != 1 or next(iter(img.terms))[0] != key or img.v or img.w:
+                    raise CheckError(f"T of {edge} is not diagonal on {key}")
+                ((_, s), chi), = img.terms.items()
+                row.append((chi, s))
+        got = real._translations[edge] = (letters, {})
+    letters, chars = got  # chars: key -> (chi(key), s(key))
+    if target.v or target.w:
+        raise CheckError(f"a target of T of {edge} has a central part")
+    terms = {}
+    for (key, m), c in target.terms.items():
+        if (ch := chars.get(key)) is None:
+            if key[0] not in letters:
+                raise CheckError(f"a target of T of {edge} holds the Cartan key {key}")
+            chi, s = 1, 0
+            for (cg, sg), mult in zip(letters[key[0]], key[1]):
+                if mult:
+                    chi, s = chi * cg ** mult, s + sg * mult
+            ch = chars[key] = (canonical(chi), s)
+        terms[key, m + ch[1]] = canonical(c * ch[0])
+    return LoopElement(alg, terms)
+
+
 def transport_images(real: Realization, words: dict, targets=None) -> dict:
     """Transported root vectors for vectors in a words map.
 
-    Walks the map in its breadth-first insertion order, so each vector costs
-    one `aut_n` call on its parent's element; aut_n's per-key memo applies
-    each mirror to each Ibar monomial once.  With a targets collection only
+    Walks the map in its insertion order, so each vector costs one step on
+    its parent's element: one `aut_n` call for a mirror edge (its per-key
+    memo applies each mirror to each Ibar monomial once), one dict pass of
+    `_translate` for a translation.  With a targets collection only
     their ancestors in the tree are computed.  A target outside the map
     whose half beta is in it (a doubled root 2 beta, beta odd) gets
     [X_beta, X_beta], since automorphisms preserve brackets; any other
@@ -934,9 +981,11 @@ def transport_images(real: Realization, words: dict, targets=None) -> dict:
                 needed.add(vec)
                 vec = words[vec][1]
     out: dict[Vec, LoopElement] = {}
-    for vec, (sym0, up, nu) in words.items():
+    for vec, (sym0, up, edge) in words.items():
         if needed is None or vec in needed:
-            out[vec] = real.image(sym0.ident) if up is None else aut_n(real, nu, out[up])
+            out[vec] = (real.image(sym0.ident) if up is None
+                        else aut_n(real, edge, out[up]) if isinstance(edge, RootSym)
+                        else _translate(real, edge, out[up]))
     for vec, half in doubled.items():
         out[vec] = loop_bracket(out[half], out[half])
     return out
@@ -1041,34 +1090,42 @@ def witness_height(config: QebsConfig, rootset, words=None) -> int:
 
 
 def witness_words(config: QebsConfig, rootset) -> dict:
-    """The reflection tree reaching every root of the rootset's window.
+    """The witness tree reaching every root of the rootset's window.
 
-    The sweep runs on root tuples; the keys and the parents are lifted by
-    `root_to_ambient` to integer tuples of ambient length.  The sweep is
-    allowed to route through roots slightly outside the window, up to two
-    level periods past it, which is enough slack for the mirror chains.
+    The plain mirrors, which fix n, close the base roots and their starred
+    forms through alpha-parts up to two level periods past the window.  Then
+    each window alpha-part c walks its markings with |n| <= N by the radical
+    translations T_j = r_(j*) r_j of Saito's elliptic Weyl group ("Extended
+    affine root systems I", Publ. RIMS 21 (1985)) and their inverses, which
+    add +-s_j(c) to n: s_j(c) is read off the two mirrors once per c, and
+    one j is kept per |s_j(c)|.  Every vector is a rootset member; keys and
+    parents are lifted by `root_to_ambient`.
 
-    Returns vector -> (starting base root, parent, mirror sending the parent
-    to the vector), with parent and mirror None at a base root, in
-    breadth-first order.
+    Returns vector -> (starting base root, parent, edge sending the parent
+    to the vector: a plain RootSym, or (j, +-1) for T_j^(+-1)), parent and
+    edge None at a base root, parents first.
     """
     c0_bound = rootset.window.M * rootset.delta0 + 2 * rootset.period
-    n_bound = rootset.window.N + 2 * rootset.period
-
-    def keep(vec: tuple) -> bool:
-        if abs(vec[0]) > c0_bound or abs(vec[-1]) > n_bound:
-            return False
-        return rootset.member(vec)
-
-    mirrors = [
-        (sym, mirror(config, sym.node, sym.star)) for sym in b_all(config) if sym.sign > 0
-    ]
-    seeds = []
-    for sym, _ in mirrors:
-        seeds += [(sym.root(config), sym), (sym.negate().root(config), sym.negate())]
-    lift = {None: None}  # each parent is lifted before its children
-    tree = {}
-    for vec, (sym0, up, nu) in closure(seeds, mirrors, keep).items():
-        lift[vec] = root_to_ambient(config, vec)
-        tree[lift[vec]] = (sym0, lift[up], nu)
-    return tree
+    N = rootset.window.N
+    plain = [(RootSym(i, False, 1), mirror(config, i, False)) for i in config.nodes]
+    star = [mirror(config, i, True) for i in config.nodes]
+    seeds = [(sym.root(config), sym) for sym in b_all(config)]
+    tree = closure(seeds, plain, lambda v: abs(v[0]) <= c0_bound and rootset.member(v))
+    parts = {coords[:-1] for coords in rootset.inner}
+    queue = [vec for vec in tree if vec[:-1] in parts and abs(vec[-1]) <= N]
+    steps: dict = {}  # alpha-part -> {|s_j|: (j, s_j)} for the first such j
+    for vec in queue:  # breadth first, as the queue grows
+        c, n = vec[:-1], vec[-1]
+        if c not in steps:
+            steps[c] = sizes = {}
+            for (sym, image), other in zip(plain, star):
+                if (img := other(image(c + (0,)))) and img[-1]:
+                    sizes.setdefault(abs(img[-1]), (sym.node, img[-1]))
+        for j, s in steps[c].values():
+            for sign in (1, -1):
+                img = c + (n + sign * s,)
+                if abs(img[-1]) <= N and img not in tree and rootset.member(img):
+                    tree[img] = (tree[vec][0], vec, (j, sign))
+                    queue.append(img)
+    lift = {vec: root_to_ambient(config, vec) for vec in tree} | {None: None}
+    return {lift[vec]: (sym0, lift[up], edge) for vec, (sym0, up, edge) in tree.items()}

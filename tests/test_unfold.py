@@ -15,7 +15,7 @@ from erskit.base_system import EMPTY, GClass, QebsConfig, simple_config, validat
 from erskit.cyclo import Cyc, ONE, SQRT2
 from erskit.exact import acc
 from erskit.presentation import RelationSet, RootSym, b_all, emit_sr
-from erskit.roots import RootWindow, generate
+from erskit.roots import RootWindow, closure, generate, mirror
 from erskit.unfold import (
     GradedAlgebra,
     HandyDatum,
@@ -27,6 +27,7 @@ from erskit.unfold import (
     _image_heights,
     _node_heights,
     _reflection,
+    _translate,
     aut_n,
     build_graded,
     build_handy,
@@ -521,13 +522,25 @@ def test_transport_rejects_unreached_target():
         transport_images(real, words, targets=[root_to_ambient(cfg, (3, 0, 0, 0))])
 
 
+# the four configs of the benchmark's witness workload
+WITNESS_CASES = [
+    ("A2(1)", {}),
+    ("G2(1)", {"k": {0: 3, 1: 3, 2: 1}}),
+    ("D3(2)", {"g": {0: "2Z+1"}}),
+    ("D3(2)", {"g": {0: "Z"}}),
+]
+WITNESS_IDS = ["A2(1)", "G2(1)-k331", "D3(2)-2Z+1", "D3(2)-Z"]
+
+
 def _a21_transport_case():
-    """A2(1) at window (3,3): transport grows the algebra from height 11."""
+    """A2(1) at window (3,3), to be built at height 9, two below its
+    witness_height 11, which transport reaches and does not pass: from 9
+    transport (or a lookup) grows the algebra."""
     cfg = simple_config("A2(1)")
     rs = generate(cfg, RootWindow(3, 3))
     words = witness_words(cfg, rs)
     vectors = [root_to_ambient(cfg, c) for c, _ in rs.sorted_roots()]
-    return cfg, words, vectors, witness_height(cfg, rs, words)
+    return cfg, words, vectors, witness_height(cfg, rs, words) - 2
 
 
 def test_transport_growth_stops_at_the_basis_budget(monkeypatch):
@@ -551,6 +564,93 @@ def test_transport_does_not_grow_on_nilpotence_error(monkeypatch):
                         lambda x, term, n: short(x, term, n + 2 * x.alg.height + 1))
     with pytest.raises(ResourceError, match="iteration bound"):
         transport_images(real, words, targets=vectors)
+
+
+@pytest.mark.parametrize("name, kwargs", WITNESS_CASES, ids=WITNESS_IDS)
+def test_transport_stays_at_the_witness_height(name, kwargs):
+    # the plain mirrors and the translations climb no higher than the
+    # window's own Ibar height
+    cfg = simple_config(name, **kwargs)
+    rs = generate(cfg, RootWindow(4, 4))
+    words = witness_words(cfg, rs)
+    h = witness_height(cfg, rs, words)
+    real = Realization(cfg, h)
+    transport_images(real, words, targets=[root_to_ambient(cfg, c) for c, _ in rs.sorted_roots()])
+    assert real.alg.height == h
+
+
+def test_transport_calls_aut_n_per_mirror_edge_and_per_translation(monkeypatch):
+    # one aut_n call per plain-mirror edge reached, and 4n per translation
+    # (j, +-1) used, two mirrors on the 2n Ibar generators: no translation
+    # goes through aut_n per root
+    cfg = simple_config("A2(1)")
+    rs = generate(cfg, RootWindow(4, 4))
+    words = witness_words(cfg, rs)
+    real = Realization(cfg, witness_height(cfg, rs, words))
+    vectors = [root_to_ambient(cfg, c) for c, _ in rs.sorted_roots()]
+    calls = []
+    orig = erskit.unfold.aut_n
+    monkeypatch.setattr(erskit.unfold, "aut_n",
+                        lambda *args: calls.append(args[1]) or orig(*args))
+    images = transport_images(real, words, targets=vectors)
+    edges = [words[vec][2] for vec in images if words[vec][1] is not None]
+    mirrors = [edge for edge in edges if isinstance(edge, RootSym)]
+    translations = set(edges) - set(mirrors)
+    assert mirrors and translations
+    assert len(calls) == len(mirrors) + 4 * real.alg.n * len(translations)
+
+
+def test_translation_rejects_a_generator_image_off_the_diagonal(monkeypatch):
+    # one extra term in the image of a starred mirror breaks T's diagonal
+    # form on the Ibar generators: CheckError, and no character is kept
+    cfg = simple_config("A2(1)")
+    real = Realization(cfg, 4)
+    orig = erskit.unfold.aut_n
+    extra = loop_term(real.alg, {("+", (1, 1, 0), 0): 1}, 0)
+
+    def widened(real, nu, target):
+        out = orig(real, nu, target)
+        return out.plus(extra) if nu.star else out
+
+    monkeypatch.setattr(erskit.unfold, "aut_n", widened)
+    with pytest.raises(CheckError, match="not diagonal"):
+        _translate(real, (1, 1), real.image("E:+a0"))
+    assert not real._translations
+
+
+@pytest.mark.parametrize("bad", ["Cartan key", "v", "w"])
+def test_translation_rejects_a_cartan_or_central_target(bad):
+    cfg = simple_config("A2(1)")
+    real = Realization(cfg, 4)
+    target = real.image("E:+a0")
+    if bad == "Cartan key":
+        target = target.plus(loop_term(real.alg, {("h", 0): 1}, 1))
+    else:
+        target = LoopElement(real.alg, target.terms, *((1, 0) if bad == "v" else (0, 1)))
+    with pytest.raises(CheckError, match="Cartan key" if bad == "Cartan key" else "central"):
+        _translate(real, (1, 1), target)
+
+
+def test_a_changed_character_is_caught_by_the_product():
+    # a character with one generator scalar doubled still transports, but
+    # the expanded-edge reference of test_transport_matches_the_product
+    # tells it apart
+    cfg = simple_config("A2(1)")
+    rs = generate(cfg, RootWindow(3, 3))
+    words = witness_words(cfg, rs)
+    h = witness_height(cfg, rs, words)
+    vec, (_, up, edge) = next((vec, entry) for vec, entry in words.items()
+                              if isinstance(entry[2], tuple))
+    parent = transport_images(Realization(cfg, h), words, targets=[up])[up]
+    half, wt, _ = next(iter(parent.terms))[0]
+    g = next(g for g, mult in enumerate(wt) if mult)
+    real = Realization(cfg, h)
+    _translate(real, edge, loop_term(real.alg, {}, 0))  # the generators only
+    letters = real._translations[edge][0][half]
+    chi, shift = letters[g]
+    letters[g] = (2 * chi, shift)
+    images = transport_images(real, words)
+    assert vec in _product_mismatches(real, words, images)
 
 
 def test_weight_map_rebuilt_after_transport_grows():
@@ -671,20 +771,16 @@ def test_loop_bracket_shift_equivariant(name, kwargs):
 ], ids=["A2(1)", "G2(1)-k331", "D3(2)-2Z+1", "D3(2)-Z", "C2(1)-2Z+1"])
 def test_transport_matches_the_product(name, kwargs):
     # every transported vector is the three-series product applied to its
-    # parent's image, which reads neither aut_n's memo nor its closed form
+    # parent's image, which reads neither aut_n's memo nor its closed form,
+    # nor a translation's character
     cfg = simple_config(name, **kwargs)
     rs = generate(cfg, RootWindow(3, 3))
     words = witness_words(cfg, rs)
     real = Realization(cfg, witness_height(cfg, rs, words))
     images = transport_images(real, words)
     assert list(images) == list(words)
-    for vec, (sym0, up, nu) in words.items():
-        img = images[vec]
-        want = real.image(sym0.ident) if up is None else _product(real, nu, images[up])
-        assert img.terms == want.terms, vec
-        assert ([type(c) for c in img.terms.values()]
-                == [type(want.terms[k]) for k in img.terms]), vec
-        assert (img.v, img.w) == (want.v, want.w), vec
+    assert {type(edge) for _, _, edge in words.values()} == {type(None), RootSym, tuple}
+    assert _product_mismatches(real, words, images) == []
     # targets in Q nu, where the nu-string meets weight 0 and the brackets
     # add to v: -nu, which no words map reaches, and 0, where a Cartan image
     # under a starred nu gains a v, which the memo keeps at loop power 0 only
@@ -694,6 +790,35 @@ def test_transport_matches_the_product(name, kwargs):
             assert got.terms == want.terms
             assert (got.v, got.w) == (want.v, want.w)
         assert bool(want.v) == nu.star
+
+
+def _edge_product(real, edge, x):
+    """A words edge applied to x by `_product`: a plain mirror, or for a
+    translation (j, +-1) the plain mirror of node j, then the starred one,
+    in the other order for -1."""
+    if isinstance(edge, RootSym):
+        return _product(real, edge, x)
+    j, sign = edge
+    for nu in [RootSym(j, False, 1), RootSym(j, True, 1)][::sign]:
+        x = _product(real, nu, x)
+    return x
+
+
+def _product_mismatches(real, words, images):
+    """The vectors whose image differs from `_edge_product` on its parent's
+    image (or from the generator image at a seed) in terms, coefficient
+    types, v or w."""
+    bad = []
+    for vec, (sym0, up, edge) in words.items():
+        if vec not in images:
+            continue
+        img = images[vec]
+        want = real.image(sym0.ident) if up is None else _edge_product(real, edge, images[up])
+        if (img.terms != want.terms or (img.v, img.w) != (want.v, want.w)
+                or [type(c) for c in img.terms.values()]
+                != [type(want.terms[k]) for k in img.terms]):
+            bad.append(vec)
+    return bad
 
 
 def _stored_form(c) -> bool:
@@ -924,19 +1049,68 @@ def _images_digest(images):
     return hashlib.sha256(json.dumps(dump).encode()).hexdigest()
 
 
-# a change here is a change of the transported images
+def _starred_words(cfg, rs):
+    """The reference witness tree: one breadth-first closure over the plain
+    and the starred mirrors, with two level periods of slack in both c_0
+    and n, in the words map's form."""
+    c0_bound = rs.window.M * rs.delta0 + 2 * rs.period
+    n_bound = rs.window.N + 2 * rs.period
+
+    def keep(vec):
+        return abs(vec[0]) <= c0_bound and abs(vec[-1]) <= n_bound and rs.member(vec)
+
+    mirrors = [(sym, mirror(cfg, sym.node, sym.star)) for sym in b_all(cfg) if sym.sign > 0]
+    seeds = []
+    for sym, _ in mirrors:
+        seeds += [(sym.root(cfg), sym), (sym.negate().root(cfg), sym.negate())]
+    return {root_to_ambient(cfg, vec):
+            (sym0, None if up is None else root_to_ambient(cfg, up), nu)
+            for vec, (sym0, up, nu) in closure(seeds, mirrors, keep).items()}
+
+
+@pytest.mark.parametrize("name, kwargs, window", [
+    pytest.param(name, kwargs, window, id=f"{ident}-{window}")
+    for (name, kwargs), ident in zip(
+        WITNESS_CASES + [("C2(1)", {"g": {1: "2Z+1"}}), ("D4(3)", {})],
+        WITNESS_IDS + ["C2(1)-2Z+1", "D4(3)"])
+    for window in (3, 4)
+] + [pytest.param("A4(2)", {"k": {0: 1, 1: 2, 2: 4}}, 4, id="A4(2)-k124-4")])
+def test_witness_tree_matches_the_starred_reference(name, kwargs, window):
+    # the plain mirrors and the translations witness the same window roots
+    # as the closure over the plain and the starred mirrors, and each image
+    # is a nonzero multiple of the reference tree's image
+    cfg = simple_config(name, **kwargs)
+    rs = generate(cfg, RootWindow(window, window))
+    vectors = [root_to_ambient(cfg, c) for c, _ in rs.sorted_roots()]
+    got, want = [], []
+    for words in (witness_words(cfg, rs), _starred_words(cfg, rs)):
+        real = Realization(cfg, witness_height(cfg, rs, words))
+        images = transport_images(real, words, targets=vectors)
+        got, want = want, {v: images[v] for v in vectors if v in images}
+    assert list(got) == list(want) == vectors
+    for vec, img in got.items():
+        ref = want[vec]
+        assert not img.is_zero() and not img.v and not img.w, vec
+        assert set(img.terms) == set(ref.terms) and not ref.v and not ref.w, vec
+        first = next(iter(img.terms))
+        for key, c in img.terms.items():
+            assert c * ref.terms[first] == ref.terms[key] * img.terms[first], (vec, key)
+
+
+# a change here is a change of the transported images: the images depend
+# on the tree's paths as well as on aut_n, each within a nonzero scalar
 PINNED_IMAGES = [
     pytest.param("A2(1)", {},
-                 "33078a2c66b03d1e54e575d808d23ab231f844590da556052e0f6c40aa8afa0c",
+                 "0b6ba1ce34780287f0f3eb8e5530adee11398a8cc3afef21486e71e4cf6f0953",
                  id="A2(1)"),
     pytest.param("G2(1)", {"k": {0: 3, 1: 3, 2: 1}},
-                 "5c765d4866383d57bc079819410e8126c0de96e3697e2271336fc4e3da78e77f",
+                 "26ca48c91cbe8edf3a29bffa9bc29839571ef3ab415d39537f99a5644adc615b",
                  id="G2(1)-k331"),
     pytest.param("D3(2)", {"g": {0: "2Z+1"}},
-                 "d544c044d5d6d4e62d1969cc59de2d760b32ac1899bf036dac81703746554cb5",
+                 "869bf604f0c1d219b9289bc37d6a7f4be811e4402f9251b70bce76956d6611f9",
                  id="D3(2)-2Z+1"),
     pytest.param("D3(2)", {"g": {0: "Z"}},
-                 "f5395b3b65a86318d0d752c873846a7caf753b456fd8016963e0b99307edaaf3",
+                 "31e8292f212bb96534dc65d8c59947ab300743b472e67c4e3d671ac7dc21b78c",
                  id="D3(2)-Z"),
 ]
 
@@ -1093,16 +1267,29 @@ def test_weight_map_rejects_bad_cartan_image(elem, match):
 ])
 def test_witness_words_replay_through_ambient_reflections(name, kwargs):
     # the integer reflection kernel against the Fraction AmbientSpace.reflect:
-    # every tree edge is one ambient reflection of a parent met earlier, and
-    # every seed is a base root
+    # every tree edge of a parent met earlier is one ambient reflection in a
+    # plain mirror, or a translation (j, +-1), the reflections in alpha_j and
+    # then alpha_j* (the other order for -1); every seed is a base root
     cfg = simple_config(name, **kwargs)
     sp = cfg.space
     words = witness_words(cfg, generate(cfg, RootWindow(3, 3)))
-    met = set()
-    for vec, (sym0, parent, nu) in words.items():
+    met, translated = set(), 0
+    for vec, (sym0, parent, edge) in words.items():
         if parent is None:
-            assert nu is None and vec == root_to_ambient(cfg, sym0.root(cfg)), sym0
+            assert edge is None and vec == root_to_ambient(cfg, sym0.root(cfg)), sym0
         else:
             assert parent in met and words[parent][0] == sym0, vec
-            assert vec == sp.reflect(root_to_ambient(cfg, nu.root(cfg)), parent), vec
+            if isinstance(edge, RootSym):
+                assert not edge.star and edge.sign == 1, vec
+                nus = [edge]
+            else:
+                j, sign = edge
+                assert sign in (1, -1), vec
+                nus = [RootSym(j, False, 1), RootSym(j, True, 1)][::sign]
+                translated += 1
+            want = parent
+            for nu in nus:
+                want = sp.reflect(root_to_ambient(cfg, nu.root(cfg)), want)
+            assert vec == want, vec
         met.add(vec)
+    assert translated
